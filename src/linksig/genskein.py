@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, delta_small, half_twist
 from .gaussian import GaussianInteger
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, laurent_det
 from .seifert import conway_potential, link_det
 
 _T = LaurentPolynomial.t
@@ -102,32 +102,6 @@ def det_relation_check(word: BraidWord, kind: str) -> GaussianInteger:
 
 # ---------------------------------------------------------------------------
 # the block identity
-
-
-def _laurent_det(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Fraction-free Bareiss over the Laurent ring (small matrices only)."""
-    n = len(rows)
-    if n == 0:
-        return LaurentPolynomial.one()
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = LaurentPolynomial.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPolynomial.zero()
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = LaurentPolynomial.zero()
-        prev = piv
-    return a[n - 1][n - 1] * sign
 
 
 def _block_A() -> list[list[LaurentPolynomial]]:
@@ -219,7 +193,7 @@ def block_identity_residual(v0: list[list[LaurentPolynomial]],
     """det V_0 + c1 det V_1 + c2 det V_2 + c3 det V_3 + det V_4; contract: 0."""
     total = LaurentPolynomial.zero()
     for j, coeff in enumerate(DELTA3_COEFFS):
-        total = total + coeff * _laurent_det(build_symmetrized(v0, u, w, j, ustar))
+        total = total + coeff * laurent_det(build_symmetrized(v0, u, w, j, ustar))
     return total
 
 
@@ -236,7 +210,7 @@ def coefficient_table(j: int) -> dict[str, LaurentPolynomial]:
     one = LaurentPolynomial.one()
 
     def det_with(w11, w12, w21, w22):
-        return _laurent_det(_tail_matrix(j, [[w11, w12], [w21, w22]]))
+        return laurent_det(_tail_matrix(j, [[w11, w12], [w21, w22]]))
 
     a0 = det_with(zero, zero, zero, zero)
     a11 = det_with(one, zero, zero, zero) - a0

@@ -38,6 +38,14 @@ class LaurentPolynomial:
         self._coeffs = data
         self._hash: int | None = None
 
+    @staticmethod
+    def _wrap(data: dict[int, int]) -> "LaurentPolynomial":
+        """An instance owning data, which must have no zero coefficients."""
+        p = object.__new__(LaurentPolynomial)
+        p._coeffs = data
+        p._hash = None
+        return p
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -85,27 +93,29 @@ class LaurentPolynomial:
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        other = _coerce(other)
+    def _plus(self, other: "LaurentPolynomial | int", sign: int) -> "LaurentPolynomial":
         data = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            v = data.get(e, 0) + c
+        for e, c in _coerce(other)._coeffs.items():
+            v = data.get(e, 0) + sign * c
             if v:
                 data[e] = v
             else:
                 data.pop(e, None)
-        return LaurentPolynomial(data)
+        return LaurentPolynomial._wrap(data)
+
+    def __add__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        return self + (-_coerce(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         return _coerce(other) + (-self)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self._coeffs.items()})
+        return LaurentPolynomial._wrap({e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other: "LaurentPolynomial | int") -> "LaurentPolynomial":
         other = _coerce(other)
@@ -118,7 +128,7 @@ class LaurentPolynomial:
                     data[e] = v
                 else:
                     data.pop(e, None)
-        return LaurentPolynomial(data)
+        return LaurentPolynomial._wrap(data)
 
     __rmul__ = __mul__
 
@@ -136,7 +146,7 @@ class LaurentPolynomial:
 
     def shift(self, k: int) -> "LaurentPolynomial":
         """Multiply by t^k."""
-        return LaurentPolynomial({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPolynomial._wrap({e + k: c for e, c in self._coeffs.items()})
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact quotient self / divisor in Z[t, t^-1].
@@ -236,6 +246,41 @@ class LaurentPolynomial:
     @staticmethod
     def from_json(obj: Mapping[str, str]) -> "LaurentPolynomial":
         return LaurentPolynomial({int(e): int(c) for e, c in obj.items()})
+
+
+def laurent_det(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+    """Determinant over Z[t, t^-1] by fraction-free Bareiss elimination.
+
+    Every division is exact, so entries stay Laurent polynomials; meant for
+    small matrices (the reduced Burau matrix, the skein block identities).
+    """
+    n = len(rows)
+    if n == 0:
+        return LaurentPolynomial.one()
+    a = [row[:] for row in rows]
+    sign = 1
+    prev = LaurentPolynomial.one()
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not a[i][k].is_zero():
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return LaurentPolynomial.zero()
+        piv, row_k = a[k][k], a[k]
+        for i in range(k + 1, n):
+            row_i, aik = a[i], a[i][k]
+            for j in range(k + 1, n):
+                # a zero a[i][k] still rescales, so every entry stays a minor
+                e = piv * row_i[j]
+                if aik:
+                    e = e - aik * row_k[j]
+                row_i[j] = e.exact_div(prev)
+            row_i[k] = LaurentPolynomial.zero()
+        prev = piv
+    return a[n - 1][n - 1] * sign
 
 
 def _coerce(value: "LaurentPolynomial | int") -> LaurentPolynomial:

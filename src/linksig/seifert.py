@@ -1,4 +1,4 @@
-"""Seifert matrices of braid closures and the derived invariants.
+"""Seifert matrices and Burau matrices of braid closures, and the invariants.
 
 The surface is the standard one for a closed braid: one disk per strand and
 one once-twisted band per letter.  A basis of first homology is given by the
@@ -7,7 +7,16 @@ linking numbers of those cycles depend only on the local picture, which gives
 the sparse matrix rules below.  Two cycles interact only if they share a band
 or interleave on adjacent generator indices, so with cycles ordered by start
 position the matrix is nearly banded and exact elimination stays cheap even
-near 200x200.
+near 200x200.  The Seifert matrix serves the signature, the nullity and
+`link_det`.
+
+The Conway potential det(t^-1 V - t V^T) is not taken from the d x d
+Seifert matrix but from the reduced Burau matrix of the braid, which is only
+(m-1) x (m-1) for m strands (Burau 1936; Kassel-Turaev, Braid Groups,
+GTM 247): det(I - psi_r(beta)) (1 - x) / (1 - x^m) is the Alexander
+polynomial of the closure up to a unit +-x^k.  `conway_potential` pins that
+unit in closed form; the test suite checks the result against the Seifert
+determinant exactly.
 
 Sign conventions are pinned by three independent checks (see the test
 suite): the half twist in B_3 closes to a link of signature -1, the basic
@@ -18,12 +27,11 @@ the potential function holds with its stated sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braid import BraidWord
 from .gaussian import GaussianInteger, i_power
 from .intmatrix import exact_determinant, signature_nullity_of_symmetric
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, laurent_det
 
 
 @dataclass(frozen=True)
@@ -122,30 +130,57 @@ def signature_nullity(word: BraidWord) -> tuple[int, int]:
     return signature_nullity_of_symmetric(seifert_matrix(word).symmetrized())
 
 
-def _det_shifted(v, u: int) -> int:
-    """det(V - u * V^T) as an exact integer."""
-    n = len(v)
-    return exact_determinant(
-        [[v[i][j] - u * v[j][i] for j in range(n)] for i in range(n)]
-    )
+def _burau_columns(word: BraidWord) -> list[list[LaurentPolynomial]]:
+    """Columns of the unreduced Burau matrix of the word, in the variable x.
+
+    The product of the letter matrices is built from the identity one letter
+    at a time; a letter on index i only mixes columns i and i+1.
+    """
+    m = word.strands
+    one, zero = LaurentPolynomial.one(), LaurentPolynomial.zero()
+    cols = [[one if r == c else zero for r in range(m)] for c in range(m)]
+    for ell in word.letters:
+        i = abs(ell) - 1
+        a, b = cols[i], cols[i + 1]
+        if ell > 0:
+            # col_i <- (1-x) col_i + col_{i+1},  col_{i+1} <- x col_i
+            s = [p.shift(1) for p in a]
+            cols[i], cols[i + 1] = [p + q - r for p, q, r in zip(a, b, s)], s
+        else:
+            # col_i <- x^-1 col_{i+1},  col_{i+1} <- col_i + (1-x^-1) col_{i+1}
+            s = [q.shift(-1) for q in b]
+            cols[i], cols[i + 1] = s, [p + q - r for p, q, r in zip(a, b, s)]
+    return cols
 
 
 def conway_potential(word: BraidWord) -> LaurentPolynomial:
     """The potential function det(t^-1 V - t V^T) of the closure, exactly.
 
-    Scaling each row by t shows this equals t^-d * P(t^2) with
-    P(u) = det(V - u V^T), an integer polynomial of degree <= d, which is
-    recovered from d+1 exact integer determinants.
+    Computed from the reduced Burau matrix psi_r, the unreduced one taken
+    modulo its fixed vector (1, ..., 1):
+    A(x) = det(I - psi_r) / (1 + x + ... + x^(m-1)) is the Alexander
+    polynomial up to a unit +-x^k, and the potential is +-t^k A(t^2).
+    The unit is fixed without any Seifert determinant:
+
+    * the t-power: Omega(t^-1) = (-1)^d Omega(t), so the lowest and highest
+      exponents of Omega are negatives of each other;
+    * the sign: (-1)^(e + m - 1) with e the exponent sum, which is (-1)^d
+      for the Seifert dimension d (for a knot it makes Omega(1) = 1).
+
+    A zero determinant (for instance a split closure) gives 0.
     """
-    data = seifert_matrix(word)
-    v = data.matrix
-    d = data.dimension
-    if d == 0:
-        return LaurentPolynomial.one()
-    points = _sample_points(d + 1)
-    values = [_det_shifted(v, u) for u in points]
-    coeffs = _interpolate_integer(points, values)
-    return LaurentPolynomial({2 * j - d: c for j, c in enumerate(coeffs) if c})
+    m = word.strands
+    cols = _burau_columns(word)
+    rows = [[(1 if r == c else 0) - (cols[c][r] - cols[c][m - 1])
+             for c in range(m - 1)] for r in range(m - 1)]
+    det = laurent_det(rows)
+    if det.is_zero():
+        return det
+    alexander = det.exact_div(LaurentPolynomial({j: 1 for j in range(m)}))
+    omega = alexander.substitute_power(2)
+    exps = omega.exponents()
+    omega = omega.shift(-(exps[0] + exps[-1]) // 2)
+    return -omega if (word.exponent_sum() + m - 1) % 2 else omega
 
 
 def link_det(word: BraidWord) -> GaussianInteger:
@@ -158,43 +193,6 @@ def link_det(word: BraidWord) -> GaussianInteger:
     d = data.dimension
     det = exact_determinant(data.symmetrized())
     return i_power(-d) * det if d % 4 else GaussianInteger(det, 0)
-
-
-def _sample_points(count: int) -> list[int]:
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts += [k, -k]
-        k += 1
-    return pts[:count]
-
-
-def _interpolate_integer(xs: list[int], ys: list[int]) -> list[int]:
-    """Coefficients (ascending) of the unique integer polynomial through (xs, ys)."""
-    n = len(xs)
-    # Newton divided differences over exact rationals
-    table = [Fraction(y) for y in ys]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [Fraction(0)] * n
-    # expand the Newton form incrementally
-    poly = [Fraction(0)] * n
-    basis = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for level in range(n):
-        for j in range(n):
-            poly[j] += table[level] * basis[j]
-        if level + 1 < n:
-            shifted = [Fraction(0)] * n
-            for j in range(n - 1):
-                shifted[j + 1] += basis[j]
-                shifted[j] -= xs[level] * basis[j]
-            basis = shifted
-    for j, c in enumerate(poly):
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer coefficient")
-        coeffs[j] = c
-    return [int(c) for c in coeffs]
 
 
 def band_step(sign_l: int, det_l: GaussianInteger,
@@ -226,7 +224,7 @@ def band_step_constraint(delta_null: int, delta_sign: int) -> bool:
 def invariants_report(word: BraidWord) -> dict:
     """All closure invariants of one braid word, as plain JSON-able data."""
     omega = conway_potential(word)
-    det = link_det(word)
+    det = omega.eval_at_i()
     sign, null = signature_nullity(word)
     return {
         "strands": word.strands,

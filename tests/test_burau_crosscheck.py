@@ -1,17 +1,21 @@
-"""Independent cross-check of the Seifert pipeline via the Burau route.
+"""Cross-checks between the Seifert route and the Burau route.
 
-The reduced Burau representation is built mechanically from the unreduced
-one (quotient by its fixed vector), so no surface or orientation convention
-of the Seifert construction enters.  Both routes compute the one-variable
-torsion polynomial of the closure up to units, which pins the Seifert
-matrix far more independently than skein or invariance properties alone.
+The library takes the Conway potential from the reduced Burau matrix and
+the signature, nullity and determinant from the Seifert matrix.  Here the
+Seifert determinant det(t^-1 V - t V^T) serves as the oracle for
+`conway_potential`, exactly and with no freedom of units.  A second Burau
+build, by full matrix products of the letter matrices, checks the Seifert
+matrix up to units with no surface or orientation convention in common.
 """
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from linksig.braid import BraidWord, half_twist
-from linksig.laurent import LaurentPolynomial
-from linksig.seifert import seifert_matrix
+from linksig.laurent import LaurentPolynomial, laurent_det
+from linksig.seifert import (conway_potential, invariants_report, link_det,
+                             seifert_matrix)
 
 L = LaurentPolynomial
 
@@ -43,30 +47,6 @@ def _unreduced_burau(word: BraidWord):
         mat = _matmul(mat, g)
     return mat
 
-def _laurent_det(rows):
-    n = len(rows)
-    if n == 0:
-        return L.one()
-    a = [r[:] for r in rows]
-    sign = 1
-    prev = L.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return L.zero()
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (piv * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = L.zero()
-        prev = piv
-    return a[n - 1][n - 1] * sign
-
 
 def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
     m = word.strands
@@ -75,7 +55,7 @@ def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
     r = [[b[i][j] - b[m - 1][j] for j in range(m - 1)] for i in range(m - 1)]
     for i in range(m - 1):
         r[i][i] = r[i][i] - L.one()
-    det = _laurent_det(r)
+    det = laurent_det(r)
     if det.is_zero():
         return det
     return (det * (L.one() - L.t(1))).exact_div(L.one() - L.t(m))
@@ -89,7 +69,13 @@ def alexander_via_seifert(word: BraidWord) -> LaurentPolynomial:
     x = L.t(1)
     rows = [[L.constant(v[i][j]) - x * L.constant(v[j][i]) for j in range(n)]
             for i in range(n)]
-    return _laurent_det(rows)
+    return laurent_det(rows)
+
+
+def seifert_potential(word: BraidWord) -> LaurentPolynomial:
+    """det(t^-1 V - t V^T) = t^-d det(V - t^2 V^T) from the Seifert matrix."""
+    d = seifert_matrix(word).dimension
+    return alexander_via_seifert(word).substitute_power(2).shift(-d)
 
 
 def _normalize(p: LaurentPolynomial) -> LaurentPolynomial:
@@ -130,3 +116,77 @@ def test_burau_matches_on_split_closures():
     w = BraidWord(3, (1, 1))
     assert alexander_via_burau(w).is_zero()
     assert alexander_via_seifert(w).is_zero()
+
+
+@st.composite
+def braid_words(draw) -> BraidWord:
+    m = draw(st.integers(1, 6))
+    if m == 1:
+        return BraidWord(1)
+    letter = st.integers(1, m - 1).flatmap(lambda j: st.sampled_from((j, -j)))
+    return BraidWord(m, tuple(draw(st.lists(letter, max_size=14))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(braid_words())
+def test_conway_potential_equals_seifert_determinant(word):
+    assert conway_potential(word) == seifert_potential(word), word.letters
+
+
+def test_conway_potential_equals_seifert_on_half_twist_grid():
+    # the criterion-1 grid Delta_{2k+1}^n, n <= 4, k <= 3: d <= 78
+    for n in range(1, 5):
+        for k in range(1, 4):
+            w = half_twist(2 * k + 1) ** n
+            assert seifert_matrix(w).dimension <= 80
+            assert conway_potential(w) == seifert_potential(w), (n, k)
+
+
+class TestUnitRule:
+    """Pinned potentials for each branch of the closed-form unit."""
+
+    def test_one_strand(self):
+        assert conway_potential(BraidWord(1)) == L.one()
+        assert seifert_potential(BraidWord(1)) == L.one()
+
+    def test_two_strands_odd_exponent_sum(self):
+        trefoil = BraidWord(2, (1, 1, 1))
+        assert conway_potential(trefoil) == L({2: 1, 0: -1, -2: 1})
+        assert conway_potential(BraidWord(2, (-1,))) == L.one()
+
+    def test_two_strands_even_exponent_sum(self):
+        assert conway_potential(BraidWord(2, (1, 1))) == L({1: 1, -1: -1})
+        assert conway_potential(BraidWord(2, (-1, -1))) == L({1: -1, -1: 1})
+        assert (conway_potential(BraidWord(2, (1, 1, 1, 1)))
+                == L({3: 1, 1: -1, -1: 1, -3: -1}))
+
+    def test_split_closure(self):
+        w = BraidWord(4, (1, -1, 3))
+        assert conway_potential(w).is_zero()
+        assert seifert_potential(w).is_zero()
+
+    def test_absent_generators(self):
+        # the Seifert route stabilizes with sigma_j sigma_j^-1, Burau does not
+        for w in (BraidWord(3, (2, 2)), BraidWord(5, (1, 2, -1, 4, 4))):
+            assert len(seifert_matrix(w).stabilized_letters) > len(w.letters)
+            assert conway_potential(w) == seifert_potential(w)
+
+
+def test_potential_at_seifert_dimension_208():
+    # d+1 Seifert determinants of size 208 took over a minute on this word
+    w = half_twist(9) ** 6
+    d = seifert_matrix(w).dimension
+    assert d == 208
+    omega = conway_potential(w)
+    assert omega.substitute_power(-1) == omega * (-1) ** d
+    assert omega.eval_at_i() == link_det(w)
+
+
+def test_report_det_matches_seifert_determinant():
+    rng = random.Random(41)
+    for _ in range(40):
+        m = rng.randint(2, 6)
+        letters = tuple(rng.choice([1, -1]) * rng.randint(1, m - 1)
+                        for _ in range(rng.randint(0, 16)))
+        w = BraidWord(m, letters)
+        assert invariants_report(w)["det"] == str(link_det(w)), letters

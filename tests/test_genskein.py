@@ -8,8 +8,8 @@ from linksig.genskein import (DELTA3_COEFFS, DELTA3SQ_COEFFS, RelationSpec,
                               bar_transpose_negate, block_identity_residual,
                               build_symmetrized, coefficient_table,
                               det_relation_check, random_braid, random_laurent,
-                              relation_residual, _laurent_det)
-from linksig.laurent import LaurentPolynomial
+                              relation_residual)
+from linksig.laurent import LaurentPolynomial, laurent_det
 
 L = LaurentPolynomial
 
@@ -99,7 +99,7 @@ class TestBlocks:
             tab = coefficient_table(j)
             for _ in range(4):
                 w = [[random_laurent(rng) for _ in range(2)] for _ in range(2)]
-                direct = _laurent_det(build_symmetrized([], [], w, j))
+                direct = laurent_det(build_symmetrized([], [], w, j))
                 detw = w[0][0] * w[1][1] - w[0][1] * w[1][0]
                 decomposed = (tab["a0"] + tab["a1"] * detw
                               + tab["a11"] * w[0][0] + tab["a12"] * w[0][1]
