@@ -1,7 +1,7 @@
 """Exact link invariants of braid closures and deep-nest curve prohibitions."""
 
 from .braid import (BraidWord, FamilyParams, compose, delta_small, family_b,
-                    family_c, half_twist, named_word, pi_word, tau_word)
+                    family_c, half_twist, pi_word, tau_word)
 from .gaussian import GaussianInteger, i_power
 from .intmatrix import (SymmetricIntMatrix, exact_determinant,
                         signature_nullity_of_symmetric)
@@ -9,8 +9,8 @@ from .laurent import ExactDivisionError, LaurentPolynomial
 from .seifert import (SeifertData, band_step, conway_potential, link_det,
                       seifert_matrix, signature_nullity)
 from .splice import (ENFormulaInapplicable, FactorProduct, SpliceDiagram,
-                     b_family_diagram, build_named, c_family_diagram,
-                     ring_family_diagram, torus_delta_diagram)
+                     b_family_diagram, c_family_diagram, ring_family_diagram,
+                     torus_delta_diagram)
 from .skeinpoly import (FormulaNotEstablished, MultilinearCyclicPoly,
                         SkeinSystemSpec, a_pm, family_det_closed_form,
                         tilde_closed_form)

@@ -87,12 +87,6 @@ class BraidWord:
                 stack.append(ell)
         return BraidWord(self.strands, tuple(stack))
 
-    def embed(self, strands: int) -> "BraidWord":
-        """The same word viewed in a larger braid group (B_k inside B_m)."""
-        if strands < self.strands:
-            raise ValueError("cannot embed into fewer strands")
-        return BraidWord(strands, self.letters)
-
     def to_text(self) -> str:
         return ",".join(str(x) for x in self.letters)
 
@@ -100,14 +94,6 @@ class BraidWord:
     def from_text(strands: int, text: str) -> "BraidWord":
         items = [p for p in text.replace(",", " ").split() if p]
         return BraidWord(strands, tuple(int(p) for p in items))
-
-
-def exponent_sum(word: BraidWord) -> int:
-    return word.exponent_sum()
-
-
-def closure_components(word: BraidWord) -> int:
-    return word.closure_components()
 
 
 def compose(words: list[BraidWord], powers: list[int] | None = None,
@@ -170,19 +156,6 @@ def delta_small(k: int, strands: int | None = None) -> BraidWord:
     if k < 1 or k > m:
         raise ValueError("index out of range")
     return BraidWord(m, tuple(range(1, k)))
-
-
-def named_word(kind: str, strands: int, *indices: int) -> BraidWord:
-    """Dispatch for the named subwords: pi(k,l), tau(k,l), Delta(k), delta_small(k)."""
-    if kind == "pi":
-        return pi_word(indices[0], indices[1], strands)
-    if kind == "tau":
-        return tau_word(indices[0], indices[1], strands)
-    if kind == "Delta":
-        return half_twist(indices[0], strands)
-    if kind == "delta_small":
-        return delta_small(indices[0], strands)
-    raise ValueError(f"unknown word kind {kind!r}")
 
 
 # -- parametric families ----------------------------------------------------

@@ -128,10 +128,8 @@ def _cmd_skein(args) -> int:
                         - LaurentPolynomial.t_binomial(1) * conway_potential(without))
         elif args.relation == "b2":
             residual = relation_residual(word, RelationSpec.delta3_order4())
-        elif args.relation == "b3":
-            residual = relation_residual(word, RelationSpec.delta3sq_order4())
         else:
-            raise ValueError(f"unknown relation {args.relation}")
+            residual = relation_residual(word, RelationSpec.delta3sq_order4())
         if not residual.is_zero():
             failures += 1
             print(f"trial {trial}: nonzero residual on braid "
@@ -183,13 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("splice", help="evaluate a splice diagram from JSON")
-    p.add_argument("eval", nargs="?", default="eval")
+    p.add_argument("action", nargs="?", default="eval", choices=["eval"])
     p.add_argument("--file", required=True)
     p.add_argument("--multivariable", action="store_true")
     p.set_defaults(func=_cmd_splice)
 
     p = sub.add_parser("skeinpoly", help="the cyclic-system values a_J^+-")
-    p.add_argument("a", nargs="?", default="a")
+    p.add_argument("action", nargs="?", default="a", choices=["a"])
     p.add_argument("--J", type=int, required=True)
     p.add_argument("--sign", choices=["+", "-"], required=True)
     p.add_argument("--x", default="", help='integers like "1,2,1"')
@@ -209,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_closedform)
 
     p = sub.add_parser("skein", help="randomized verification of the relations")
-    p.add_argument("verify", nargs="?", default="verify")
+    p.add_argument("action", nargs="?", default="verify", choices=["verify"])
     p.add_argument("--relation", choices=["conway", "b2", "b3", "blocks"],
                    required=True)
     p.add_argument("--trials", type=int, default=20)
@@ -243,8 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; bad input prints a JSON error on stderr, exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

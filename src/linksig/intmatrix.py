@@ -5,20 +5,13 @@ signatures come from symmetric (two-sided) elimination whose pivots are
 ratios of leading principal minors, with hyperbolic 2x2 blocks split off
 when the whole remaining diagonal vanishes.  The braid computations push
 matrices towards 200x200 with large intermediate minors, so all arithmetic
-stays in arbitrary-precision integers (gmpy2 is used when available, purely
-as a faster integer type).
+stays in arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-try:  # pragma: no cover - availability depends on the environment
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover
-    def _mpz(x: int) -> int:
-        return x
 
 Matrix = Sequence[Sequence[int]]
 
@@ -48,7 +41,7 @@ class SymmetricIntMatrix:
 def _as_rows(m: "Matrix | SymmetricIntMatrix") -> list[list[int]]:
     if isinstance(m, SymmetricIntMatrix):
         m = m.entries
-    return [[_mpz(x) for x in row] for row in m]
+    return [list(row) for row in m]
 
 
 def exact_determinant(m: "Matrix | SymmetricIntMatrix") -> int:
@@ -63,7 +56,7 @@ def exact_determinant(m: "Matrix | SymmetricIntMatrix") -> int:
     if n == 0:
         return 1
     sign = 1
-    prev = _mpz(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -87,25 +80,7 @@ def exact_determinant(m: "Matrix | SymmetricIntMatrix") -> int:
                     row_i[j] = (piv * row_i[j] - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = piv
-    return int(sign * a[n - 1][n - 1])
-
-
-def cofactor_determinant(m: Matrix) -> int:
-    """Naive cofactor expansion; an independent oracle for small matrices."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    rest = m[1:]
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rest]
-        term = m[0][j] * cofactor_determinant(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    return sign * a[n - 1][n - 1]
 
 
 def signature_nullity_of_symmetric(
@@ -129,13 +104,13 @@ def signature_nullity_of_symmetric(
                     raise ValueError("matrix is not symmetric")
     pos = neg = null = 0
     # invariant: a == c * (remaining real quadratic form) for some rational
-    # c with sign(c) == c_sign.  On the unbroken Bareiss chain c equals the
-    # previous pivot and `div` is that pivot (classical Jacobi bookkeeping);
-    # after a hyperbolic split div resets to 1, and any step whose division
-    # fails an exactness check is redone without dividing, so the sign
-    # algebra below stays exact no matter how the chain is interrupted.
+    # c with sign(c) == c_sign, and every entry of a is a minor of the matrix
+    # left after the last hyperbolic split, bordered on the pivots taken
+    # since (Bareiss).  Symmetric swaps and zero-row drops keep that true,
+    # so by Sylvester's identity each division by the previous pivot `div`
+    # is exact; a split starts a new chain with div = 1.
     c_sign = 1
-    div = _mpz(1)
+    div = 1
     while a:
         k = len(a)
         # nonzero diagonal pivot, in index order
@@ -150,33 +125,11 @@ def signature_nullity_of_symmetric(
                 pos += 1
             else:
                 neg += 1
-            nxt = []
-            exact = True
-            for i in range(1, k):
-                new_row = []
-                a_i, a_0 = a[i], a[0]
-                ai0 = a_i[0]
-                for j in range(1, k):
-                    q, r = divmod(piv * a_i[j] - ai0 * a_0[j], div)
-                    if r:
-                        exact = False
-                        break
-                    new_row.append(q)
-                if not exact:
-                    break
-                nxt.append(new_row)
-            if exact:
-                a = nxt
-                c_sign = c_sign * (1 if piv > 0 else -1) * (1 if div > 0 else -1)
-                div = piv
-            else:
-                # chain broken after a drop or split: redo without dividing
-                a = [
-                    [piv * a[i][j] - a[i][0] * a[0][j] for j in range(1, k)]
-                    for i in range(1, k)
-                ]
-                c_sign = c_sign * (1 if piv > 0 else -1)
-                div = _mpz(1)
+            a_0 = a[0]
+            a = [[(piv * a_i[j] - a_i[0] * a_0[j]) // div for j in range(1, k)]
+                 for a_i in a[1:]]
+            c_sign = c_sign * (1 if piv > 0 else -1) * (1 if div > 0 else -1)
+            div = piv
             continue
         # diagonal is all zero: drop zero rows, else split a hyperbolic pair
         zero_row = next(
@@ -202,29 +155,5 @@ def signature_nullity_of_symmetric(
             for r in keep
         ]
         c_sign = c_sign * (1 if b > 0 else -1)
-        div = _mpz(1)
+        div = 1
     return pos - neg, null
-
-
-def random_unimodular(dim: int, rng, max_entry: int = 3, steps: int = 12):
-    """A random integer matrix of determinant +-1 (product of shears/swaps)."""
-    m = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    for _ in range(steps):
-        i, j = rng.randrange(dim), rng.randrange(dim)
-        if i == j:
-            continue
-        c = rng.randint(-max_entry, max_entry)
-        for col in range(dim):
-            m[i][col] += c * m[j][col]
-        if rng.random() < 0.3:
-            m[i], m[j] = m[j], m[i]
-    return m
-
-
-def congruence(u: Matrix, m: Matrix) -> list[list[int]]:
-    """u^T m u for integer matrices."""
-    n = len(m)
-    mu = [[sum(m[i][k] * u[k][j] for k in range(n)) for j in range(n)]
-          for i in range(n)]
-    return [[sum(u[k][i] * mu[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]

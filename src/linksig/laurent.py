@@ -7,7 +7,6 @@ every operation is exact; zero coefficients are never stored.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .gaussian import GaussianInteger, i_power
@@ -191,12 +190,6 @@ class LaurentPolynomial:
         for e, c in self._coeffs.items():
             total = total + i_power(e) * c
         return total
-
-    def eval_rational(self, value: Fraction) -> Fraction:
-        if value == 0:
-            raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
-        return sum((Fraction(c) * value**e for e, c in self._coeffs.items()),
-                   Fraction(0))
 
     def substitute_power(self, k: int) -> "LaurentPolynomial":
         """The polynomial with t replaced by t^k (k != 0)."""

@@ -615,16 +615,3 @@ def reversed_parallel_pair_diagram(p: int) -> SpliceDiagram:
         (0, 4, p, None),
     ]
     return SpliceDiagram(verts, edges)
-
-
-def build_named(kind: str, **params) -> SpliceDiagram:
-    """Dispatch for the named diagram families used across the test suite."""
-    if kind == "torus_delta":
-        return torus_delta_diagram(params["n"], params["k"])
-    if kind == "b_family":
-        return b_family_diagram(params["n"], params["k"], params["J"])
-    if kind == "c_family":
-        return c_family_diagram(params["n"], params["k"], params["J"])
-    if kind == "lemma45":
-        return ring_family_diagram(params["q"], params["ps"])
-    raise ValueError(f"unknown named diagram {kind!r}")

@@ -1,8 +1,7 @@
 import pytest
 
 from linksig.braid import (BraidWord, FamilyParams, compose, delta_small,
-                           family_b, family_c, half_twist, named_word, pi_word,
-                           tau_word)
+                           family_b, family_c, half_twist, pi_word, tau_word)
 from linksig.seifert import conway_potential, link_det, signature_nullity
 
 
@@ -41,12 +40,6 @@ class TestNamedWords:
         for w in (BraidWord(4), BraidWord(4, (3, -1)), BraidWord(4, (2, 3, 2))):
             assert conway_potential(w * d3) == conway_potential(w * D3)
             assert signature_nullity(w * d3) == signature_nullity(w * D3)
-
-    def test_named_word_dispatch(self):
-        assert named_word("Delta", 3, 3) == half_twist(3)
-        assert named_word("pi", 5, 2, 4) == pi_word(2, 4, 5)
-        assert named_word("tau", 5, 1, 2) == tau_word(1, 2, 5)
-        assert named_word("delta_small", 4, 3) == delta_small(3, 4)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

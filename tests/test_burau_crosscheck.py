@@ -127,7 +127,7 @@ def braid_words(draw) -> BraidWord:
     return BraidWord(m, tuple(draw(st.lists(letter, max_size=14))))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(braid_words())
 def test_conway_potential_equals_seifert_determinant(word):
     assert conway_potential(word) == seifert_potential(word), word.letters

@@ -107,3 +107,28 @@ def test_prohibit_degree9(capsys):
 def test_bad_command_rejected():
     with pytest.raises(SystemExit):
         main(["nonsense"])
+
+
+def test_placeholder_positional_rejects_other_words():
+    for argv in (["skein", "nonsense", "--relation", "b2"],
+                 ["splice", "show", "--file", "d.json"],
+                 ["skeinpoly", "b", "--J", "1", "--sign", "+"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invariants", "--strands", "3", "--word", "1,5"], "out of range"),
+    (["prohibit", "degree9", "--alpha", "1", "--beta", "1", "--gamma", "0"],
+     "at least one oval"),
+    (["splice", "--file", "missing.json"], "missing.json"),
+], ids=["invariants", "degree9", "splice"])
+def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert message in json.loads(lines[0])["error"]

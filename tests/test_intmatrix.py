@@ -1,8 +1,30 @@
 import random
 
-from linksig.intmatrix import (SymmetricIntMatrix, cofactor_determinant,
-                               congruence, exact_determinant, random_unimodular,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from linksig.intmatrix import (SymmetricIntMatrix, exact_determinant,
                                signature_nullity_of_symmetric)
+from oracles import (cofactor_determinant, congruence, rational_signature,
+                     random_unimodular)
+
+
+@st.composite
+def symmetric_zero_heavy(draw):
+    """Symmetric integer matrices, dimension 0-7, mostly zero on the diagonal.
+
+    A zero diagonal is what forces hyperbolic splits and zero-row drops, so
+    the strategy makes it the common case.
+    """
+    n = draw(st.integers(min_value=0, max_value=7))
+    diag = st.sampled_from((0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 2, -3))
+    off = st.integers(min_value=-3, max_value=3)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(diag)
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(off)
+    return m
 
 
 class TestDeterminant:
@@ -74,51 +96,7 @@ class TestSignatureNullity:
             assert (n - null - sign) % 2 == 0
 
     def test_agrees_with_eigen_count_small(self):
-        # rank-based oracle: signature from determinant signs of a
-        # diagonalizing basis is hard; instead compare against a direct
-        # rational two-sided elimination with Fractions
-        from fractions import Fraction
         rng = random.Random(5)
-
-        def rational_signature(m):
-            n = len(m)
-            a = [[Fraction(x) for x in row] for row in m]
-            pos = neg = null = 0
-            idx = list(range(n))
-            while a:
-                k = len(a)
-                d = next((i for i in range(k) if a[i][i] != 0), None)
-                if d is None:
-                    pair = None
-                    for i in range(k):
-                        for j in range(k):
-                            if a[i][j] != 0:
-                                pair = (i, j)
-                                break
-                        if pair:
-                            break
-                    if pair is None:
-                        null += k
-                        break
-                    i, j = pair
-                    pos += 1
-                    neg += 1
-                    b = a[i][j]
-                    keep = [r for r in range(k) if r not in (i, j)]
-                    a = [[a[r][s] - (a[r][i] * a[j][s] + a[r][j] * a[i][s]) / b
-                          for s in keep] for r in keep]
-                    continue
-                if a[d][d] > 0:
-                    pos += 1
-                else:
-                    neg += 1
-                piv = a[d][d]
-                rest = [r for r in range(k) if r != d]
-                a = [[a[r][s] - a[r][d] * a[d][s] / piv for s in rest]
-                     for r in rest]
-            del idx
-            return pos - neg, null
-
         for _ in range(150):
             n = rng.randint(1, 6)
             m = [[0] * n for _ in range(n)]
@@ -127,11 +105,39 @@ class TestSignatureNullity:
                     m[i][j] = m[j][i] = rng.randint(-3, 3)
             assert signature_nullity_of_symmetric(m) == rational_signature(m)
 
+    def test_split_then_two_diagonal_pivots(self):
+        # a hyperbolic split, then pivots 1 and -12; the third pivot's row
+        # is divided by -12, a pivot taken after the split
+        m = [[0, -1, 2, 0, 3],
+             [-1, 0, 3, -1, 1],
+             [2, 3, 0, 0, -1],
+             [0, -1, 0, 0, -1],
+             [3, 1, -1, -1, 0]]
+        assert signature_nullity_of_symmetric(m) == rational_signature(m)
+
+    def test_zero_row_drop_then_pivot(self):
+        # pivot 2, then an all-zero diagonal with a zero row, dropped while
+        # the previous pivot is 2; a drop leaves the diagonal zero, so a
+        # split follows before the next pivots (which divide by -48, -64)
+        m = [[2, 2, 0, 2, 2, 0, 2],
+             [2, 2, 0, 2, 2, 0, 2],
+             [0, 0, 0, -1, 2, 0, 3],
+             [2, 2, -1, 2, 5, -1, 3],
+             [2, 2, 2, 5, 2, 0, 1],
+             [0, 0, 0, -1, 0, 0, -1],
+             [2, 2, 3, 3, 1, -1, 2]]
+        assert signature_nullity_of_symmetric(m) == rational_signature(m)
+
+
+@settings(max_examples=400)
+@given(symmetric_zero_heavy())
+def test_matches_rational_ldlt(m):
+    assert signature_nullity_of_symmetric(m) == rational_signature(m)
+
 
 class TestSymmetricType:
     def test_validation(self):
         SymmetricIntMatrix(((1, 2), (2, 1)))
-        import pytest
         with pytest.raises(ValueError):
             SymmetricIntMatrix(((1, 2), (3, 1)))
         with pytest.raises(ValueError):

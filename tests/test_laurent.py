@@ -68,13 +68,13 @@ small_laurent = st.dictionaries(
 ).map(LaurentPolynomial)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(small_laurent, small_laurent)
 def test_eval_at_i_is_multiplicative(a, b):
     assert (a * b).eval_at_i() == a.eval_at_i() * b.eval_at_i()
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(small_laurent, small_laurent)
 def test_ring_axioms_sampled(a, b):
     assert a + b == b + a
@@ -82,7 +82,7 @@ def test_ring_axioms_sampled(a, b):
     assert (a - b) + b == a
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(small_laurent)
 def test_json_roundtrip(p):
     assert LaurentPolynomial.from_json(p.to_json()) == p

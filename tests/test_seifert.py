@@ -4,11 +4,11 @@ import pytest
 
 from linksig.braid import BraidWord, FamilyParams, family_b, half_twist
 from linksig.gaussian import GaussianInteger
-from linksig.intmatrix import cofactor_determinant
 from linksig.laurent import LaurentPolynomial
 from linksig.seifert import (band_step, band_step_constraint, conway_potential,
                              link_det, seifert_matrix, signature_nullity)
 from linksig.splice import SpliceDiagram
+from oracles import cofactor_determinant
 
 
 def lp(d):

@@ -8,7 +8,7 @@ from linksig.laurent import LaurentPolynomial
 from linksig.seifert import conway_potential, link_det
 from linksig.skeinpoly import det_table_all_ones
 from linksig.splice import (ENFormulaInapplicable, SpliceDiagram,
-                            b_family_diagram, build_named, c_family_diagram,
+                            b_family_diagram, c_family_diagram,
                             reversed_parallel_pair_diagram, ring_family_diagram,
                             ring_family_det_skein, torus_delta_diagram)
 
@@ -226,12 +226,6 @@ class TestNabla:
 
 
 class TestNamedBuilders:
-    def test_dispatch(self):
-        assert (build_named("torus_delta", n=3, k=2).dumps()
-                == torus_delta_diagram(3, 2).dumps())
-        assert (build_named("lemma45", q=3, ps=[1, 2]).dumps()
-                == ring_family_diagram(3, [1, 2]).dumps())
-
     def test_dets_against_table(self):
         for n in (1, 2, 3, 4):
             for k in (1, 2, 3):
