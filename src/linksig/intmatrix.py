@@ -1,17 +1,19 @@
 """Exact integer matrix kernels: determinants and congruence diagonalization.
 
-Everything here is fraction-free.  Determinants use Bareiss elimination;
-signatures come from symmetric (two-sided) elimination whose pivots are
-ratios of leading principal minors, with hyperbolic 2x2 blocks split off
-when the whole remaining diagonal vanishes.  The braid computations push
-matrices towards 200x200 with large intermediate minors, so all arithmetic
-stays in arbitrary-precision integers.
+Everything here is fraction-free (Bareiss, Math. Comp. 22, 1968).
+`exact_determinant` is dense Bareiss elimination of a general square matrix.
+Symmetric matrices go through `symmetric_invariants`, one sparse symmetric
+elimination that gives signature, nullity and determinant together: each
+pivot touches only its neighbours, which keeps the banded Seifert forms of
+braid closures (dimension up to about 800, four or five nonzeros a row)
+cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from heapq import heappop, heappush
+from typing import Mapping, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
@@ -83,15 +85,117 @@ def exact_determinant(m: "Matrix | SymmetricIntMatrix") -> int:
     return sign * a[n - 1][n - 1]
 
 
+def symmetric_invariants(
+    rows: Sequence[Mapping[int, int]],
+) -> tuple[int, int, int]:
+    """(signature, nullity, determinant) of a symmetric integer matrix.
+
+    ``rows[i]`` maps column j to the entry (i, j); zero entries may be left
+    out, and the rows must describe a symmetric matrix.  One fraction-free
+    elimination over the nonzeros gives all three invariants:
+
+    * the pivot a_pp is the first nonzero diagonal entry in index order,
+      and it updates only the pairs (i, j) of its neighbours, to
+      ``(a_pp * a_ij - a_ip * a_pj) // div`` with ``div`` the previous pivot;
+    * an entry that no pivot has touched since it was written, under pivot
+      ``p_s``, is read as ``stored * div // p_s``;
+    * when the whole remaining diagonal is zero, row/column j is added to
+      row/column i, for the first row i and its first nonzero a_ij; this
+      congruence has determinant 1 and makes a_ii = 2 a_ij nonzero;
+    * an empty row adds one to the nullity and is dropped.
+
+    Every entry is a minor of the matrix (after the row additions so far)
+    bordered on the pivots taken so far, so each division is exact by
+    Sylvester's identity, and the entries are ``div`` times the remaining
+    real quadratic form: a pivot counts positive when it has the sign of
+    ``div``.  The last pivot is the determinant, 0 once the nullity is
+    positive; the 0x0 matrix has determinant 1.
+    """
+    n = len(rows)
+    val = [{j: x for j, x in row.items() if x} for row in rows]
+    # the value of div under which each entry was last written
+    at = [dict.fromkeys(row, 1) for row in val]
+    alive = {i for i in range(n) if val[i]}
+    null = n - len(alive)
+    heap = [i for i in range(n) if i in val[i]]
+    pos = neg = 0
+    div = 1
+    while alive:
+        while heap and (heap[0] not in alive or heap[0] not in val[heap[0]]):
+            heappop(heap)
+        if not heap:
+            # zero diagonal: add row/column j to row/column i
+            i = min(alive)
+            j = min(val[i])
+            merged: dict[int, int] = {}
+            for r in (i, j):
+                stamps = at[r]
+                for k, x in val[r].items():
+                    s = stamps[k]
+                    merged[k] = merged.get(k, 0) + (x if s == div else x * div // s)
+            merged[i] *= 2  # a_ii + a_ij + a_ji + a_jj with a_ii = a_jj = 0
+            row, stamps = val[i], at[i]
+            for k, x in merged.items():
+                if x:
+                    row[k] = val[k][i] = x
+                    stamps[k] = at[k][i] = div
+                elif k in row:
+                    del row[k], val[k][i], stamps[k], at[k][i]
+            heappush(heap, i)
+            continue
+        p = heappop(heap)
+        alive.remove(p)
+        stamps = at[p]
+        piv = 0
+        nb: list[tuple[int, int]] = []
+        for k, x in val[p].items():
+            s = stamps[k]
+            if s != div:
+                x = x * div // s
+            if k == p:
+                piv = x
+            else:
+                nb.append((k, x))
+                del val[k][p], at[k][p]
+        if (piv > 0) == (div > 0):
+            pos += 1
+        else:
+            neg += 1
+        for u, (k, ck) in enumerate(nb):
+            row, stamps = val[k], at[k]
+            for ell, cl in nb[u:]:
+                old = row.get(ell)
+                if old is None:
+                    new = -(ck * cl) // div
+                else:
+                    s = stamps[ell]
+                    if s != div:
+                        old = old * div // s
+                    new = (piv * old - ck * cl) // div
+                if new:
+                    row[ell] = val[ell][k] = new
+                    stamps[ell] = at[ell][k] = piv
+                elif old is not None:
+                    del row[ell], stamps[ell]
+                    if ell != k:
+                        del val[ell][k], at[ell][k]
+        for k, _ in nb:
+            if not val[k]:
+                alive.remove(k)
+                null += 1
+            elif k in val[k]:
+                heappush(heap, k)
+        div = piv
+    return pos - neg, null, 0 if null else div
+
+
 def signature_nullity_of_symmetric(
     m: "Matrix | SymmetricIntMatrix",
 ) -> tuple[int, int]:
     """(signature, nullity) of a symmetric integer matrix over the reals.
 
-    Pivoting policy: take nonzero diagonal pivots in index order; if the
-    remaining diagonal is entirely zero, a nonzero row yields a hyperbolic
-    2x2 block contributing (+1, -1) to the sign counts, and an all-zero row
-    contributes to the nullity.
+    A dense matrix is checked for squareness and symmetry, then handed to
+    `symmetric_invariants` as the nonzeros of its rows.
     """
     a = _as_rows(m)
     n = len(a)
@@ -102,58 +206,6 @@ def signature_nullity_of_symmetric(
             for j in range(i):
                 if a[i][j] != a[j][i]:
                     raise ValueError("matrix is not symmetric")
-    pos = neg = null = 0
-    # invariant: a == c * (remaining real quadratic form) for some rational
-    # c with sign(c) == c_sign, and every entry of a is a minor of the matrix
-    # left after the last hyperbolic split, bordered on the pivots taken
-    # since (Bareiss).  Symmetric swaps and zero-row drops keep that true,
-    # so by Sylvester's identity each division by the previous pivot `div`
-    # is exact; a split starts a new chain with div = 1.
-    c_sign = 1
-    div = 1
-    while a:
-        k = len(a)
-        # nonzero diagonal pivot, in index order
-        d = next((i for i in range(k) if a[i][i] != 0), None)
-        if d is not None:
-            if d != 0:
-                a[0], a[d] = a[d], a[0]
-                for row in a:
-                    row[0], row[d] = row[d], row[0]
-            piv = a[0][0]
-            if (piv > 0) == (c_sign > 0):
-                pos += 1
-            else:
-                neg += 1
-            a_0 = a[0]
-            a = [[(piv * a_i[j] - a_i[0] * a_0[j]) // div for j in range(1, k)]
-                 for a_i in a[1:]]
-            c_sign = c_sign * (1 if piv > 0 else -1) * (1 if div > 0 else -1)
-            div = piv
-            continue
-        # diagonal is all zero: drop zero rows, else split a hyperbolic pair
-        zero_row = next(
-            (i for i in range(k) if all(a[i][j] == 0 for j in range(k))), None
-        )
-        if zero_row is not None:
-            null += 1
-            del a[zero_row]
-            for row in a:
-                del row[zero_row]
-            continue
-        i0 = next(i for i in range(k) if any(a[i][j] != 0 for j in range(k)))
-        j0 = next(j for j in range(k) if a[i0][j] != 0)
-        b = a[i0][j0]
-        pos += 1
-        neg += 1
-        keep = [r for r in range(k) if r not in (i0, j0)]
-        a = [
-            [
-                b * a[r][s] - a[r][i0] * a[j0][s] - a[r][j0] * a[i0][s]
-                for s in keep
-            ]
-            for r in keep
-        ]
-        c_sign = c_sign * (1 if b > 0 else -1)
-        div = 1
-    return pos - neg, null
+    sign, null, _ = symmetric_invariants(
+        [{j: x for j, x in enumerate(row) if x} for row in a])
+    return sign, null

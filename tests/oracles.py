@@ -66,6 +66,41 @@ def rational_signature(m) -> tuple[int, int]:
     return pos - neg, null
 
 
+def dense_seifert_matrix(word) -> list[list[int]]:
+    """The Seifert matrix V of a closed braid by scanning all pairs of cycles.
+
+    Same surface, basis and cycle order as `linksig.seifert.seifert_matrix`,
+    but every pair of cycles on adjacent generator indices is tested for
+    interleaving, O(d^2), where the library bisects.
+    """
+    from linksig.seifert import stabilize_letters
+
+    letters = stabilize_letters(word)
+    signs = [1 if x > 0 else -1 for x in letters]
+    positions: dict[int, list[int]] = {}
+    for pos, ell in enumerate(letters):
+        positions.setdefault(abs(ell), []).append(pos)
+    cycles = sorted(((idx, a, b) for idx, ps in positions.items()
+                     for a, b in zip(ps, ps[1:])), key=lambda c: (c[1], c[0]))
+    where = {c: u for u, c in enumerate(cycles)}
+    n = len(cycles)
+    v = [[0] * n for _ in range(n)]
+    for u, (idx, a, b) in enumerate(cycles):
+        v[u][u] = -(signs[a] + signs[b]) // 2
+    for idx, ps in positions.items():
+        for a, b, c in zip(ps, ps[1:], ps[2:]):
+            u, w = where[(idx, a, b)], where[(idx, b, c)]
+            v[u][w] = (signs[b] + 1) // 2
+            v[w][u] = (signs[b] - 1) // 2
+    for u, (idx, a, b) in enumerate(cycles):
+        for w, (jdx, c, d) in enumerate(cycles):
+            if jdx == idx + 1 and a < c < b < d:
+                v[w][u] = 1
+            elif jdx == idx + 1 and c < a < d < b:
+                v[w][u] = -1
+    return v
+
+
 def random_unimodular(dim: int, rng, max_entry: int = 3, steps: int = 12):
     """A random integer matrix of determinant +-1 (product of shears/swaps)."""
     m = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]

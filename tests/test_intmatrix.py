@@ -4,17 +4,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linksig.intmatrix import (SymmetricIntMatrix, exact_determinant,
-                               signature_nullity_of_symmetric)
+                               signature_nullity_of_symmetric,
+                               symmetric_invariants)
 from oracles import (cofactor_determinant, congruence, rational_signature,
                      random_unimodular)
+
+
+def nonzeros(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def oracle_invariants(m):
+    return (*rational_signature(m), exact_determinant(m))
 
 
 @st.composite
 def symmetric_zero_heavy(draw):
     """Symmetric integer matrices, dimension 0-7, mostly zero on the diagonal.
 
-    A zero diagonal is what forces hyperbolic splits and zero-row drops, so
-    the strategy makes it the common case.
+    A zero diagonal is what forces row additions and zero-row drops, so the
+    strategy makes it the common case.
     """
     n = draw(st.integers(min_value=0, max_value=7))
     diag = st.sampled_from((0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 2, -3))
@@ -106,19 +115,22 @@ class TestSignatureNullity:
             assert signature_nullity_of_symmetric(m) == rational_signature(m)
 
     def test_split_then_two_diagonal_pivots(self):
-        # a hyperbolic split, then pivots 1 and -12; the third pivot's row
-        # is divided by -12, a pivot taken after the split
+        # the whole diagonal is zero, so row/column 1 is added to row/column
+        # 0 (a_00 = 2 a_01 = -2); pivots -2, -1, -12, 4, 56 follow, each
+        # update dividing by the pivot before it, and the last is the
+        # determinant
         m = [[0, -1, 2, 0, 3],
              [-1, 0, 3, -1, 1],
              [2, 3, 0, 0, -1],
              [0, -1, 0, 0, -1],
              [3, 1, -1, -1, 0]]
         assert signature_nullity_of_symmetric(m) == rational_signature(m)
+        assert symmetric_invariants(nonzeros(m)) == oracle_invariants(m)
 
     def test_zero_row_drop_then_pivot(self):
-        # pivot 2, then an all-zero diagonal with a zero row, dropped while
-        # the previous pivot is 2; a drop leaves the diagonal zero, so a
-        # split follows before the next pivots (which divide by -48, -64)
+        # pivot 2 empties row 1 (a copy of row 0), which is dropped; the
+        # diagonal left is all zero, so row/column 3 is added to row/column
+        # 2 under div = 2, and pivots -4, -2, -24, 8, 112 follow
         m = [[2, 2, 0, 2, 2, 0, 2],
              [2, 2, 0, 2, 2, 0, 2],
              [0, 0, 0, -1, 2, 0, 3],
@@ -127,12 +139,44 @@ class TestSignatureNullity:
              [0, 0, 0, -1, 0, 0, -1],
              [2, 2, 3, 3, 1, -1, 2]]
         assert signature_nullity_of_symmetric(m) == rational_signature(m)
+        assert symmetric_invariants(nonzeros(m)) == oracle_invariants(m)
+
+    def test_zero_diagonal_after_pivot(self):
+        # pivot 2 zeroes the diagonals of rows 1 and 2; row 3, untouched and
+        # stored under the pivot 1, is read rescaled by 2 when row/column 2
+        # is added to row/column 1 under div = 2 (a_11 = 2 a_12 = -12)
+        m = [[2, 2, 2, 0],
+             [2, 2, -1, 1],
+             [2, -1, 2, 1],
+             [0, 1, 1, 0]]
+        assert symmetric_invariants(nonzeros(m)) == (2, 0, -12)
+        assert symmetric_invariants(nonzeros(m)) == oracle_invariants(m)
+
+    def test_drop_then_direct_pivot(self):
+        # pivot -2 empties row 1 (minus row 0), which is dropped; row 2 is
+        # then a pivot at once, (-2 * 2 - 1 * 1) / 1 = -5, counted positive
+        # because the previous pivot is negative
+        m = [[-2, 2, 1],
+             [2, -2, -1],
+             [1, -1, 2]]
+        assert symmetric_invariants(nonzeros(m)) == (0, 1, 0)
+        assert symmetric_invariants(nonzeros(m)) == oracle_invariants(m)
+
+    def test_negative_first_pivot(self):
+        # pivots -2, -1, 2: the second has the sign of the first and counts
+        # positive, the third has the opposite sign and counts negative
+        m = [[-2, -1, -1],
+             [-1, 0, 0],
+             [-1, 0, -2]]
+        assert symmetric_invariants(nonzeros(m)) == (-1, 0, 2)
+        assert symmetric_invariants(nonzeros(m)) == oracle_invariants(m)
 
 
 @settings(max_examples=400)
 @given(symmetric_zero_heavy())
 def test_matches_rational_ldlt(m):
     assert signature_nullity_of_symmetric(m) == rational_signature(m)
+    assert symmetric_invariants(nonzeros(m))[2] == exact_determinant(m)
 
 
 class TestSymmetricType:

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from linksig.braid import BraidWord, FamilyParams, family_b, half_twist
+from linksig.closedforms import sign_null_delta
 from linksig.gaussian import GaussianInteger
 from linksig.laurent import LaurentPolynomial
 from linksig.seifert import (band_step, band_step_constraint, conway_potential,
                              link_det, seifert_matrix, signature_nullity)
-from linksig.splice import SpliceDiagram
-from oracles import cofactor_determinant
+from linksig.splice import SpliceDiagram, torus_delta_diagram
+from oracles import cofactor_determinant, dense_seifert_matrix
 
 
 def lp(d):
@@ -20,8 +21,8 @@ class TestMatrixConstruction:
         assert seifert_matrix(BraidWord(1)).dimension == 0
 
     def test_trefoil_negative_definite(self):
-        data = seifert_matrix(BraidWord(2, (1, 1, 1)))
-        b = data.symmetrized()
+        v = seifert_matrix(BraidWord(2, (1, 1, 1))).matrix
+        b = [[v[i][j] + v[j][i] for j in range(len(v))] for i in range(len(v))]
         # Sylvester oracle: minors of -B all positive iff B negative definite
         neg = [[-x for x in row] for row in b]
         minors = [cofactor_determinant([row[:i] for row in neg[:i]])
@@ -48,6 +49,41 @@ class TestMatrixConstruction:
     def test_cycle_index_records_positions(self):
         data = seifert_matrix(BraidWord(2, (1, 1, 1)))
         assert data.cycle_index == ((1, 0, 1), (1, 1, 2))
+
+
+def seeded_braids(count=100):
+    """Random words on 2-6 strands with 0-30 letters."""
+    rng = random.Random(2024)
+    for _ in range(count):
+        m = rng.randint(2, 6)
+        yield BraidWord(m, tuple(rng.choice([1, -1]) * rng.randint(1, m - 1)
+                                 for _ in range(rng.randint(0, 30))))
+
+
+class TestSparseForm:
+    def test_matches_dense_build(self):
+        # the builder's nonzeros against an all-pairs dense build, on 100
+        # seeded braids and the criterion-1 half-twist grid
+        grid = (half_twist(2 * k + 1) ** n for n in range(1, 5) for k in range(1, 4))
+        for w in (*seeded_braids(), *grid):
+            data = seifert_matrix(w)
+            v = dense_seifert_matrix(w)
+            assert data.matrix == tuple(map(tuple, v))
+            n = len(v)
+            assert data.symmetric_rows() == [
+                {j: v[i][j] + v[j][i] for j in range(n) if v[i][j] + v[j][i]}
+                for i in range(n)]
+
+    @pytest.mark.parametrize("n, k, dim, sign_null, det", [
+        (8, 5, 430, (-240, 10), 0),
+        (10, 6, 768, (-420, 0), 4096),
+    ], ids=["d430", "d768"])
+    def test_large_half_twist_powers(self, n, k, dim, sign_null, det):
+        w = half_twist(2 * k + 1) ** n
+        assert seifert_matrix(w).dimension == dim
+        assert signature_nullity(w) == sign_null == sign_null_delta(n, k).as_tuple()
+        assert (link_det(w) == GaussianInteger(det, 0)
+                == torus_delta_diagram(n, k).link_determinant())
 
 
 class TestSignatureExamples:
