@@ -3,8 +3,8 @@
 from .braid import (BraidWord, FamilyParams, compose, delta_small, family_b,
                     family_c, half_twist, pi_word, tau_word)
 from .gaussian import GaussianInteger, i_power
-from .intmatrix import (SymmetricIntMatrix, exact_determinant,
-                        signature_nullity_of_symmetric, symmetric_invariants)
+from .intmatrix import (exact_determinant, signature_nullity_of_symmetric,
+                        symmetric_invariants)
 from .laurent import ExactDivisionError, LaurentPolynomial
 from .seifert import (SeifertData, band_step, conway_potential, link_det,
                       seifert_matrix, signature_nullity)

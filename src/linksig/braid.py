@@ -184,10 +184,6 @@ class FamilyParams:
     def strands(self) -> int:
         return 2 * self.k + 1
 
-    @property
-    def alpha_sum(self) -> int:
-        return sum(self.alphas)
-
 
 def _family_word(p: FamilyParams, lo: int, hi: int) -> BraidWord:
     m = p.strands

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, delta_small, half_twist
 from .gaussian import GaussianInteger
-from .laurent import LaurentPolynomial, laurent_det
+from .intmatrix import exact_determinant
+from .laurent import LaurentPolynomial
 from .seifert import conway_potential, link_det
 
 _T = LaurentPolynomial.t
@@ -79,18 +80,17 @@ def relation_residual(word: BraidWord, spec: RelationSpec) -> LaurentPolynomial:
     return total
 
 
+#: weights (the coefficients at t = i) of the determinant form of each relation
+DET_WEIGHTS = {"delta3_order4": (1, 3, 4, 3, 1),
+               "Delta3sq_order4": (1, 0, -2, 0, 1)}
+
+
 def det_relation_check(word: BraidWord, kind: str) -> GaussianInteger:
     """The determinant form of the relations (coefficients at t = i); contract: 0."""
-    if kind == "delta3_order4":
-        weights = (1, 3, 4, 3, 1)
-        step = delta_small(3, word.strands)
-    elif kind == "Delta3sq_order4":
-        weights = (1, 0, -2, 0, 1)
-        step = half_twist(3, word.strands) ** 4
-    else:
-        raise ValueError(f"unknown relation kind {kind!r}")
-    if word.strands < 3:
-        raise ValueError("the relations need at least three strands")
+    step = _insertion(word, kind)
+    if kind == "Delta3sq_order4":
+        step = step ** 2  # this form steps by the fourth power of the half twist
+    weights = DET_WEIGHTS[kind]
     total = GaussianInteger(0, 0)
     current = word
     for w in weights:
@@ -193,7 +193,7 @@ def block_identity_residual(v0: list[list[LaurentPolynomial]],
     """det V_0 + c1 det V_1 + c2 det V_2 + c3 det V_3 + det V_4; contract: 0."""
     total = LaurentPolynomial.zero()
     for j, coeff in enumerate(DELTA3_COEFFS):
-        total = total + coeff * laurent_det(build_symmetrized(v0, u, w, j, ustar))
+        total = total + coeff * exact_determinant(build_symmetrized(v0, u, w, j, ustar))
     return total
 
 
@@ -210,7 +210,7 @@ def coefficient_table(j: int) -> dict[str, LaurentPolynomial]:
     one = LaurentPolynomial.one()
 
     def det_with(w11, w12, w21, w22):
-        return laurent_det(_tail_matrix(j, [[w11, w12], [w21, w22]]))
+        return exact_determinant(_tail_matrix(j, [[w11, w12], [w21, w22]]))
 
     a0 = det_with(zero, zero, zero, zero)
     a11 = det_with(one, zero, zero, zero) - a0

@@ -1,57 +1,33 @@
-"""Exact integer matrix kernels: determinants and congruence diagonalization.
+"""Exact matrix kernels: determinants and congruence diagonalization.
 
 Everything here is fraction-free (Bareiss, Math. Comp. 22, 1968).
-`exact_determinant` is dense Bareiss elimination of a general square matrix.
-Symmetric matrices go through `symmetric_invariants`, one sparse symmetric
-elimination that gives signature, nullity and determinant together: each
-pivot touches only its neighbours, which keeps the banded Seifert forms of
-braid closures (dimension up to about 800, four or five nonzeros a row)
-cheap.
+`exact_determinant` is the library's one dense elimination: Bareiss on a
+square matrix over any exact ring, the integers for the cyclic skein
+systems and Laurent polynomials for the Conway potential and the skein
+block identities.  Symmetric integer matrices go through
+`symmetric_invariants`, one sparse symmetric elimination that gives
+signature, nullity and determinant together: each pivot touches only its
+neighbours, which keeps the banded Seifert forms of braid closures
+(dimension up to about 800, four or five nonzeros a row) cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class SymmetricIntMatrix:
-    """A symmetric square integer matrix."""
+def exact_determinant(m: Sequence[Sequence]):
+    """Determinant of a square matrix over an exact ring, by Bareiss elimination.
 
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"matrix is not symmetric at ({i},{j})")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-
-def _as_rows(m: "Matrix | SymmetricIntMatrix") -> list[list[int]]:
-    if isinstance(m, SymmetricIntMatrix):
-        m = m.entries
-    return [list(row) for row in m]
-
-
-def exact_determinant(m: "Matrix | SymmetricIntMatrix") -> int:
-    """Determinant by fraction-free Bareiss elimination.
-
-    The determinant of the 0x0 matrix is 1.
+    The entries may be integers or any ring elements with ``+``, ``-``,
+    ``*``, an exact ``//`` and truthiness meaning nonzero, such as
+    `LaurentPolynomial`.  Every division is exact by Sylvester's identity.
+    A singular matrix gives the ring's own zero; the 0x0 matrix gives 1.
     """
-    a = _as_rows(m)
+    a = [list(row) for row in m]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
@@ -60,27 +36,26 @@ def exact_determinant(m: "Matrix | SymmetricIntMatrix") -> int:
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if a[i][k] != 0:
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return a[k][k]
         piv = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
-            if aik == 0:
+            aik = row_i[k]
+            if aik:
+                for j in range(k + 1, n):
+                    row_i[j] = (piv * row_i[j] - aik * row_k[j]) // prev
+            else:
                 # still rescale so every entry stays an exact minor
                 for j in range(k + 1, n):
                     row_i[j] = (piv * row_i[j]) // prev
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (piv * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
         prev = piv
     return sign * a[n - 1][n - 1]
 
@@ -189,23 +164,19 @@ def symmetric_invariants(
     return pos - neg, null, 0 if null else div
 
 
-def signature_nullity_of_symmetric(
-    m: "Matrix | SymmetricIntMatrix",
-) -> tuple[int, int]:
+def signature_nullity_of_symmetric(m: Matrix) -> tuple[int, int]:
     """(signature, nullity) of a symmetric integer matrix over the reals.
 
-    A dense matrix is checked for squareness and symmetry, then handed to
+    The dense matrix is checked for squareness and symmetry, then handed to
     `symmetric_invariants` as the nonzeros of its rows.
     """
-    a = _as_rows(m)
-    n = len(a)
-    if not isinstance(m, SymmetricIntMatrix):
-        for i in range(n):
-            if len(a[i]) != n:
-                raise ValueError("matrix is not square")
-            for j in range(i):
-                if a[i][j] != a[j][i]:
-                    raise ValueError("matrix is not symmetric")
+    n = len(m)
+    for i, row in enumerate(m):
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        for j in range(i):
+            if row[j] != m[j][i]:
+                raise ValueError("matrix is not symmetric")
     sign, null, _ = symmetric_invariants(
-        [{j: x for j, x in enumerate(row) if x} for row in a])
+        [{j: x for j, x in enumerate(row) if x} for row in m])
     return sign, null

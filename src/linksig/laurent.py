@@ -2,7 +2,9 @@
 
 This is the carrier of the Conway potential of a link.  Coefficients are
 arbitrary-precision integers, exponents are (small) signed integers, and
-every operation is exact; zero coefficients are never stored.
+every operation is exact; zero coefficients are never stored.  Exact
+division is also spelled ``//``, so `intmatrix.exact_determinant` takes
+determinants of Laurent matrices with the same elimination as over Z.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class LaurentPolynomial:
     Instances are immutable; all arithmetic returns new objects.
 
     >>> t = LaurentPolynomial.t()
-    >>> print((t - t**-1) * (t + t**-1))
+    >>> print((t - LaurentPolynomial.t(-1)) * (t + LaurentPolynomial.t(-1)))
     + t^2 - t^-2
     """
 
@@ -147,12 +149,13 @@ class LaurentPolynomial:
         """Multiply by t^k."""
         return LaurentPolynomial._wrap({e + k: c for e, c in self._coeffs.items()})
 
-    def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact quotient self / divisor in Z[t, t^-1].
+    def exact_div(self, divisor: "LaurentPolynomial | int") -> "LaurentPolynomial":
+        """Exact quotient self / divisor in Z[t, t^-1]; also spelled ``//``.
 
         Raises ExactDivisionError if the division leaves a remainder or a
         non-integer coefficient.
         """
+        divisor = _coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("Laurent polynomial division by zero")
         if self.is_zero():
@@ -180,7 +183,9 @@ class LaurentPolynomial:
                     rem.pop(ne, None)
             if rem and max(rem) >= top:
                 raise ExactDivisionError("division leaves a remainder")
-        return LaurentPolynomial(quot)
+        return LaurentPolynomial._wrap(quot)
+
+    __floordiv__ = exact_div
 
     # -- evaluation ----------------------------------------------------
 
@@ -239,41 +244,6 @@ class LaurentPolynomial:
     @staticmethod
     def from_json(obj: Mapping[str, str]) -> "LaurentPolynomial":
         return LaurentPolynomial({int(e): int(c) for e, c in obj.items()})
-
-
-def laurent_det(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Determinant over Z[t, t^-1] by fraction-free Bareiss elimination.
-
-    Every division is exact, so entries stay Laurent polynomials; meant for
-    small matrices (the reduced Burau matrix, the skein block identities).
-    """
-    n = len(rows)
-    if n == 0:
-        return LaurentPolynomial.one()
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = LaurentPolynomial.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPolynomial.zero()
-        piv, row_k = a[k][k], a[k]
-        for i in range(k + 1, n):
-            row_i, aik = a[i], a[i][k]
-            for j in range(k + 1, n):
-                # a zero a[i][k] still rescales, so every entry stays a minor
-                e = piv * row_i[j]
-                if aik:
-                    e = e - aik * row_k[j]
-                row_i[j] = e.exact_div(prev)
-            row_i[k] = LaurentPolynomial.zero()
-        prev = piv
-    return a[n - 1][n - 1] * sign
 
 
 def _coerce(value: "LaurentPolynomial | int") -> LaurentPolynomial:

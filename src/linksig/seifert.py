@@ -15,9 +15,10 @@ The Conway potential det(t^-1 V - t V^T) is not taken from the d x d
 Seifert matrix but from the reduced Burau matrix of the braid, which is only
 (m-1) x (m-1) for m strands (Burau 1936; Kassel-Turaev, Braid Groups,
 GTM 247): det(I - psi_r(beta)) (1 - x) / (1 - x^m) is the Alexander
-polynomial of the closure up to a unit +-x^k.  `conway_potential` pins that
-unit in closed form; the test suite checks the result against the Seifert
-determinant exactly.
+polynomial of the closure up to a unit +-x^k.  That determinant is the same
+dense Bareiss elimination as over Z (`intmatrix.exact_determinant`), run
+over Z[x, x^-1].  `conway_potential` pins the unit in closed form; the test
+suite checks the result against the Seifert determinant exactly.
 
 Sign conventions are pinned by three independent checks (see the test
 suite): the half twist in B_3 closes to a link of signature -1, the basic
@@ -32,10 +33,8 @@ from dataclasses import dataclass
 
 from .braid import BraidWord
 from .gaussian import GaussianInteger, i_power
-# exact_determinant is no longer called here but stays importable from this
-# module: bench/spans.py and its tests look it up on `linksig.seifert`
-from .intmatrix import exact_determinant, symmetric_invariants  # noqa: F401
-from .laurent import LaurentPolynomial, laurent_det
+from .intmatrix import exact_determinant, symmetric_invariants
+from .laurent import LaurentPolynomial
 
 
 @dataclass(frozen=True)
@@ -186,13 +185,15 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
     A zero determinant (for instance a split closure) gives 0.
     """
     m = word.strands
+    if m == 1:
+        return LaurentPolynomial.one()  # the unknot; I - psi_r is 0 x 0
     cols = _burau_columns(word)
     rows = [[(1 if r == c else 0) - (cols[c][r] - cols[c][m - 1])
              for c in range(m - 1)] for r in range(m - 1)]
-    det = laurent_det(rows)
-    if det.is_zero():
+    det = exact_determinant(rows)
+    if not det:
         return det
-    alexander = det.exact_div(LaurentPolynomial({j: 1 for j in range(m)}))
+    alexander = det // LaurentPolynomial({j: 1 for j in range(m)})
     omega = alexander.substitute_power(2)
     exps = omega.exponents()
     omega = omega.shift(-(exps[0] + exps[-1]) // 2)

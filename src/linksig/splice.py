@@ -109,9 +109,6 @@ class SpliceDiagram:
     def weight(self, v: int, u: int) -> int | None:
         return self._adj[v][u]
 
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(self._adj[v])
-
     def _fresh_id(self) -> int:
         return max(self._vertices) + 1
 
@@ -248,22 +245,8 @@ class SpliceDiagram:
         sign = 1
         for a in self.arrowheads():
             sign *= self.sign(a)
-        num = LaurentPolynomial.t_binomial(1)
-        dens: list[LaurentPolynomial] = []
-        for v, mv in sorted(m.items()):
-            e = self.valence(v) - 2
-            if e == 0:
-                continue
-            if mv == 0:
-                return LaurentPolynomial.zero()
-            binom = LaurentPolynomial.t_binomial(mv)
-            if e > 0:
-                num = num * binom**e
-            else:
-                dens.extend([binom] * (-e))
-        for den in dens:
-            num = num.exact_div(den)
-        return num * sign if sign == 1 else -num
+        return _diagonal_omega(
+            sign, [(mv, self.valence(v) - 2) for v, mv in sorted(m.items())])
 
     def nabla_multivariable(self) -> "FactorProduct":
         """The multivariable potential as a formal product of binomial factors.
@@ -380,19 +363,8 @@ class FactorProduct:
             return LaurentPolynomial.zero()
         specialized_ok = all(sum(v) != 0 or p > 0 for v, p in self.factors)
         if specialized_ok:
-            num = LaurentPolynomial.t_binomial(1)
-            dens = []
-            for vec, power in self.factors:
-                s = sum(vec)
-                if s == 0:
-                    return LaurentPolynomial.zero()
-                if power > 0:
-                    num = num * LaurentPolynomial.t_binomial(s)**power
-                else:
-                    dens.extend([LaurentPolynomial.t_binomial(s)] * (-power))
-            for den in dens:
-                num = num.exact_div(den)
-            return num * self.sign
+            return _diagonal_omega(
+                self.sign, [(sum(vec), power) for vec, power in self.factors])
         # a denominator factor vanishes on the diagonal: expand first
         poly = self.expand()
         collapsed: dict[int, int] = {}
@@ -428,6 +400,29 @@ class FactorProduct:
     def describe(self) -> list[dict]:
         """JSON-able listing of the factors."""
         return [{"exponents": list(v), "power": p} for v, p in self.factors]
+
+
+def _diagonal_omega(sign: int, factors: list[tuple[int, int]]) -> LaurentPolynomial:
+    """sign * (t - t^-1) * prod (t^s - t^-s)^power over the (s, power) pairs.
+
+    Pairs with power 0 are skipped; any other pair with s = 0 makes the
+    product 0.  The negative powers must divide the rest exactly.
+    """
+    num = LaurentPolynomial.t_binomial(1)
+    dens: list[LaurentPolynomial] = []
+    for s, power in factors:
+        if power == 0:
+            continue
+        if s == 0:
+            return LaurentPolynomial.zero()
+        binom = LaurentPolynomial.t_binomial(s)
+        if power > 0:
+            num = num * binom**power
+        else:
+            dens.extend([binom] * -power)
+    for den in dens:
+        num = num // den
+    return num if sign > 0 else -num
 
 
 def _mul_binomial(poly: dict, vec: tuple[int, ...]) -> dict:

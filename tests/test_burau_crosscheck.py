@@ -13,7 +13,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from linksig.braid import BraidWord, half_twist
-from linksig.laurent import LaurentPolynomial, laurent_det
+from linksig.intmatrix import exact_determinant
+from linksig.laurent import LaurentPolynomial
 from linksig.seifert import (conway_potential, invariants_report, link_det,
                              seifert_matrix)
 
@@ -55,8 +56,8 @@ def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
     r = [[b[i][j] - b[m - 1][j] for j in range(m - 1)] for i in range(m - 1)]
     for i in range(m - 1):
         r[i][i] = r[i][i] - L.one()
-    det = laurent_det(r)
-    if det.is_zero():
+    det = exact_determinant(r)
+    if not det:
         return det
     return (det * (L.one() - L.t(1))).exact_div(L.one() - L.t(m))
 
@@ -69,7 +70,7 @@ def alexander_via_seifert(word: BraidWord) -> LaurentPolynomial:
     x = L.t(1)
     rows = [[L.constant(v[i][j]) - x * L.constant(v[j][i]) for j in range(n)]
             for i in range(n)]
-    return laurent_det(rows)
+    return exact_determinant(rows)
 
 
 def seifert_potential(word: BraidWord) -> LaurentPolynomial:

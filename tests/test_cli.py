@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from linksig import cli
 from linksig.cli import main
 
 
@@ -123,7 +124,11 @@ def test_placeholder_positional_rejects_other_words():
     (["prohibit", "degree9", "--alpha", "1", "--beta", "1", "--gamma", "0"],
      "at least one oval"),
     (["splice", "--file", "missing.json"], "missing.json"),
-], ids=["invariants", "degree9", "splice"])
+    (["invariants", "--strands", "9", "--word", ",".join(["1"] * 1001)],
+     "word too large"),
+    (["skein", "verify", "--relation", "conway", "--strands", "17",
+      "--maxlen", "501"], "word too large"),
+], ids=["invariants", "degree9", "splice", "invariants-size", "skein-size"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -132,3 +137,18 @@ def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message)
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert message in json.loads(lines[0])["error"]
+
+
+
+def test_size_limit_is_on_letters_times_strand_gaps(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_WORD_SIZE", 4)
+    assert main(["invariants", "--strands", "3", "--word", "1,-2"]) == 0
+    capsys.readouterr()
+    assert main(["invariants", "--strands", "3", "--word", "1,-2,1"]) == 2
+    assert "3 letters x 2 strand gaps = 6 > 4" in capsys.readouterr().err
+    assert main(["skein", "verify", "--relation", "b3", "--strands", "3",
+                 "--maxlen", "3"]) == 2
+    assert "word too large" in capsys.readouterr().err
+    # the block identity draws no braid word, so the limit does not apply
+    assert main(["skein", "verify", "--relation", "blocks", "--trials", "1",
+                 "--strands", "3", "--maxlen", "3"]) == 0

@@ -9,7 +9,8 @@ from linksig.genskein import (DELTA3_COEFFS, DELTA3SQ_COEFFS, RelationSpec,
                               build_symmetrized, coefficient_table,
                               det_relation_check, random_braid, random_laurent,
                               relation_residual)
-from linksig.laurent import LaurentPolynomial, laurent_det
+from linksig.intmatrix import exact_determinant
+from linksig.laurent import LaurentPolynomial
 
 L = LaurentPolynomial
 
@@ -44,6 +45,9 @@ class TestResiduals:
     def test_requires_three_strands(self):
         with pytest.raises(ValueError):
             relation_residual(BraidWord(2, (1,)), RelationSpec.delta3_order4())
+        for kind in ("delta3_order4", "Delta3sq_order4"):
+            with pytest.raises(ValueError, match="at least three strands"):
+                det_relation_check(BraidWord(2, (1,)), kind)
 
     def test_seeded_random_braids(self):
         rng = random.Random(2023)
@@ -99,7 +103,7 @@ class TestBlocks:
             tab = coefficient_table(j)
             for _ in range(4):
                 w = [[random_laurent(rng) for _ in range(2)] for _ in range(2)]
-                direct = laurent_det(build_symmetrized([], [], w, j))
+                direct = exact_determinant(build_symmetrized([], [], w, j))
                 detw = w[0][0] * w[1][1] - w[0][1] * w[1][0]
                 decomposed = (tab["a0"] + tab["a1"] * detw
                               + tab["a11"] * w[0][0] + tab["a12"] * w[0][1]

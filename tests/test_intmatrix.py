@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linksig.intmatrix import (SymmetricIntMatrix, exact_determinant,
+from linksig.intmatrix import (exact_determinant,
                                signature_nullity_of_symmetric,
                                symmetric_invariants)
+from linksig.laurent import LaurentPolynomial
 from oracles import (cofactor_determinant, congruence, rational_signature,
                      random_unimodular)
 
@@ -179,15 +180,39 @@ def test_matches_rational_ldlt(m):
     assert symmetric_invariants(nonzeros(m))[2] == exact_determinant(m)
 
 
-class TestSymmetricType:
-    def test_validation(self):
-        SymmetricIntMatrix(((1, 2), (2, 1)))
-        with pytest.raises(ValueError):
-            SymmetricIntMatrix(((1, 2), (3, 1)))
-        with pytest.raises(ValueError):
-            SymmetricIntMatrix(((1, 2),))
+class TestInputChecks:
+    def test_signature_rejects_non_square_and_non_symmetric(self):
+        with pytest.raises(ValueError, match="not square"):
+            signature_nullity_of_symmetric([[1, 2]])
+        with pytest.raises(ValueError, match="not square"):
+            signature_nullity_of_symmetric([[1, 2], [2]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            signature_nullity_of_symmetric([[1, 2], [3, 1]])
 
-    def test_accepted_by_kernels(self):
-        m = SymmetricIntMatrix(((-2, 1), (1, -2)))
-        assert exact_determinant(m) == 3
-        assert signature_nullity_of_symmetric(m) == (-2, 0)
+    def test_determinant_rejects_non_square(self):
+        with pytest.raises(ValueError, match="not square"):
+            exact_determinant([[1, 2]])
+        with pytest.raises(ValueError, match="not square"):
+            exact_determinant([[1, 2], [3]])
+
+
+class TestLaurentDeterminant:
+    def test_row_swap_matches_cofactor_expansion(self):
+        t, one, zero = LaurentPolynomial.t(1), 1, LaurentPolynomial.zero()
+        # a[0][0] = 0 forces a row swap before the first pivot
+        m = [[zero, t, one + t],
+             [t - one, LaurentPolynomial.t(-1), 2 * t],
+             [one, zero, t * t - 3]]
+        det = exact_determinant(m)
+        assert isinstance(det, LaurentPolynomial)
+        assert det == cofactor_determinant(m)
+        assert det == LaurentPolynomial({4: -1, 3: 1, 2: 5, 1: -3, 0: -1, -1: -1})
+
+    def test_singular_gives_the_ring_zero(self):
+        t, one, zero = LaurentPolynomial.t(1), 1, LaurentPolynomial.zero()
+        m = [[zero, t, one],
+             [zero, one - t, t],
+             [zero, t * t, one + t]]
+        det = exact_determinant(m)
+        assert isinstance(det, LaurentPolynomial)
+        assert det == LaurentPolynomial.zero()

@@ -41,6 +41,16 @@ class TestArithmetic:
         with pytest.raises(ExactDivisionError):
             (num + 1).exact_div(den)
 
+    def test_floordiv_is_exact_division(self):
+        num = LaurentPolynomial.t_binomial(6)
+        den = LaurentPolynomial.t_binomial(2)
+        assert num // den == num.exact_div(den)
+        assert (3 * num) // 3 == num
+        with pytest.raises(ExactDivisionError):
+            (num + 1) // den
+        with pytest.raises(ExactDivisionError):
+            num // 2
+
     def test_pow_matches_repeated_mul(self):
         p = lp({1: 2, 0: -1})
         assert p ** 3 == p * p * p
