@@ -46,10 +46,6 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
 
-    def conjugate_by(self, w: "BraidWord") -> "BraidWord":
-        """w^-1 * self * w."""
-        return w.inverse() * self * w
-
     def exponent_sum(self) -> int:
         """Sum of letter signs, e(b)."""
         return sum(1 if x > 0 else -1 for x in self.letters)
@@ -94,25 +90,6 @@ class BraidWord:
     def from_text(strands: int, text: str) -> "BraidWord":
         items = [p for p in text.replace(",", " ").split() if p]
         return BraidWord(strands, tuple(int(p) for p in items))
-
-
-def compose(words: list[BraidWord], powers: list[int] | None = None,
-            reduce: bool = False) -> BraidWord:
-    """Concatenate words (with optional integer powers, negatives inverting).
-
-    Free reduction is applied only when requested.
-    """
-    if not words:
-        raise ValueError("compose requires at least one word")
-    if powers is None:
-        powers = [1] * len(words)
-    if len(powers) != len(words):
-        raise ValueError("powers must match words")
-    strands = words[0].strands
-    result = BraidWord(strands)
-    for w, p in zip(words, powers):
-        result = result * (w**p)
-    return result.free_reduce() if reduce else result
 
 
 # -- named subwords --------------------------------------------------------

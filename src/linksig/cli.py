@@ -114,6 +114,9 @@ def _cmd_closedform(args) -> int:
 
 
 def _cmd_skein(args) -> int:
+    for name, value in (("trials", args.trials), ("maxlen", args.maxlen)):
+        if value < 0:
+            raise ValueError(f"--{name} must be nonnegative, got {value}")
     if args.relation != "blocks":
         _check_word_size(args.maxlen, args.strands)
     rng = random.Random(args.seed)

@@ -58,16 +58,6 @@ class GaussianInteger:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def is_imaginary(self) -> bool:
-        return self.re == 0
-
-    def norm(self) -> int:
-        """The multiplicative norm a^2 + b^2."""
-        return self.re * self.re + self.im * self.im
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
@@ -88,11 +78,6 @@ def _coerce(value: GaussianInteger | int) -> GaussianInteger:
     if isinstance(value, int):
         return GaussianInteger(value, 0)
     raise TypeError(f"cannot interpret {value!r} as a Gaussian integer")
-
-
-ZERO = GaussianInteger(0, 0)
-ONE = GaussianInteger(1, 0)
-I = GaussianInteger(0, 1)
 
 
 def i_power(n: int) -> GaussianInteger:

@@ -221,9 +221,8 @@ def coefficient_table(j: int) -> dict[str, LaurentPolynomial]:
     return {"a0": a0, "a1": a1, "a11": a11, "a12": a12, "a21": a21, "a22": a22}
 
 
-def random_braid(rng: random.Random, strands: int, max_len: int,
-                 min_len: int = 0) -> BraidWord:
-    length = rng.randint(min_len, max_len)
+def random_braid(rng: random.Random, strands: int, max_len: int) -> BraidWord:
+    length = rng.randint(0, max_len)
     letters = tuple(rng.choice([1, -1]) * rng.randint(1, strands - 1)
                     for _ in range(length))
     return BraidWord(strands, letters)

@@ -46,16 +46,19 @@ def exact_determinant(m: Sequence[Sequence]):
                 return a[k][k]
         piv = a[k][k]
         row_k = a[k]
+        divide = prev != 1  # skip x // 1, which is all of the first step
         for i in range(k + 1, n):
             row_i = a[i]
             aik = row_i[k]
             if aik:
                 for j in range(k + 1, n):
-                    row_i[j] = (piv * row_i[j] - aik * row_k[j]) // prev
+                    x = piv * row_i[j] - aik * row_k[j]
+                    row_i[j] = x // prev if divide else x
             else:
                 # still rescale so every entry stays an exact minor
                 for j in range(k + 1, n):
-                    row_i[j] = (piv * row_i[j]) // prev
+                    x = piv * row_i[j]
+                    row_i[j] = x // prev if divide else x
         prev = piv
     return sign * a[n - 1][n - 1]
 

@@ -37,14 +37,6 @@ class CurveParams:
         if min(self.lam, self.lam_odd, self.lam_even) < 0:
             raise ValueError("oval counts cannot be negative")
 
-    @property
-    def m(self) -> int:
-        return 2 * self.k + 1
-
-    @property
-    def genus(self) -> int:
-        return (self.m - 1) * (self.m * self.n - 2) // 2
-
     def hypothesis_violations(self) -> list[str]:
         out = []
         if self.J is not None:
@@ -181,12 +173,6 @@ class Degree9Scheme:
     def gamma(self) -> int:
         return self.gamma_plus + self.gamma_minus
 
-    def flipped(self) -> "Degree9Scheme":
-        return Degree9Scheme(self.alpha_minus, self.alpha_plus,
-                             self.beta_minus, self.beta_plus,
-                             self.gamma_minus, self.gamma_plus,
-                             -self.eps1, -self.eps2)
-
     def notation(self) -> str:
         return (f"<J | {self.alpha_plus}+ {self.alpha_minus}- "
                 f"1{'+' if self.eps2 > 0 else '-'}< {self.beta_plus}+ "
@@ -231,17 +217,6 @@ def deg9_formulas(s: Degree9Scheme) -> dict:
     if s.gamma_minus >= 1 and abs(total + 1) > cap:
         ineq10 = False
     return {"rm7": rm7, "orient8": orient8, "ineq10": ineq10}
-
-
-def deg9_formulas_up_to_flip(s: Degree9Scheme) -> dict:
-    """The same sieves, insensitive to the global orientation choice."""
-    a = deg9_formulas(s)
-    b = deg9_formulas(s.flipped())
-    return {
-        "rm7": a["rm7"] or b["rm7"],
-        "orient8": a["orient8"] or b["orient8"],
-        "ineq10": a["ineq10"],  # already flip-invariant
-    }
 
 
 def lemma23_consistent(s: Degree9Scheme) -> bool:

@@ -233,11 +233,6 @@ def band_step(sign_l: int, det_l: GaussianInteger,
     return sign_l
 
 
-def band_step_constraint(delta_null: int, delta_sign: int) -> bool:
-    """One band attachment moves (Null, Sign) by exactly one unit in total."""
-    return abs(delta_null) + abs(delta_sign) == 1
-
-
 def invariants_report(word: BraidWord) -> dict:
     """All closure invariants of one braid word, as plain JSON-able data."""
     omega = conway_potential(word)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .gaussian import GaussianInteger, i_power
 from .intmatrix import exact_determinant
@@ -43,13 +43,6 @@ class MultilinearCyclicPoly:
 
     def as_dict(self) -> dict[frozenset[int], GaussianInteger]:
         return dict(self.coeffs)
-
-    def coefficient(self, subset: Iterable[int]) -> GaussianInteger:
-        key = frozenset(subset)
-        for s, c in self.coeffs:
-            if s == key:
-                return c
-        return GaussianInteger(0, 0)
 
     def evaluate(self, xs: Sequence[int]) -> GaussianInteger:
         if len(xs) != self.arity:
@@ -117,21 +110,6 @@ def axiom_iii_holds(f_j: MultilinearCyclicPoly,
             rhs[tail] = rhs.get(tail, GaussianInteger(0, 0)) + c
     rhs_poly = MultilinearCyclicPoly.from_dict(f_j.arity, rhs)
     return MultilinearCyclicPoly.from_dict(f_j.arity, lhs) == rhs_poly
-
-
-def check_skein_axioms(seq: Sequence[MultilinearCyclicPoly]) -> bool:
-    """Multilinearity, cyclic symmetry, and the two-step reduction, symbolically."""
-    if not seq:
-        return True
-    for f in seq:
-        if not f.is_cyclic():
-            return False
-    for prev, cur in zip(seq, seq[1:]):
-        if cur.arity != prev.arity + 2:
-            raise ValueError("consecutive arities must differ by 2")
-        if not axiom_iii_holds(cur, prev):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

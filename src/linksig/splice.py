@@ -131,14 +131,6 @@ class SpliceDiagram:
             [(0, 1, None, None)],
         )
 
-    def flip_arrow(self, v: int) -> "SpliceDiagram":
-        """Reverse the orientation of one component (its sign only)."""
-        verts, edges = self._as_lists()
-        if verts[v]["kind"] != "arrowhead":
-            raise ValueError(f"vertex {v} is not an arrowhead")
-        verts[v]["sign"] = -verts[v]["sign"]
-        return SpliceDiagram(verts, edges)
-
     def cable(self, arrowhead: int, d: int, p: int, q: int,
               core: str = "removed") -> "SpliceDiagram":
         """(dp, dq)-cabling along the component of the given arrowhead.
@@ -226,10 +218,6 @@ class SpliceDiagram:
             out[v] = sum(self.linking_ell(v, a) * self.sign(a) for a in arrows)
         return out
 
-    def m_values_and_fiberability(self) -> tuple[dict[int, int], bool]:
-        m = self.m_values()
-        return m, all(x != 0 for x in m.values())
-
     def omega_via_EN(self) -> LaurentPolynomial:
         """The one-variable potential from the vertex multiplicities.
 
@@ -261,19 +249,17 @@ class SpliceDiagram:
         for v in self.vertex_ids():
             if self.is_arrowhead(v):
                 continue
-            e = self.valence(v) - 2
-            if e == 0:
-                continue
             vec = tuple(self.linking_ell(v, a) * self.sign(a) for a in arrows)
-            factors.append((vec, e))
+            factors.append((vec, self.valence(v) - 2))
         return FactorProduct.build(len(arrows), sign, factors)
 
     def link_determinant(self) -> GaussianInteger:
-        """Potential at t = i, via the one-variable formula when it applies."""
-        try:
-            return self.omega_via_EN().eval_at_i()
-        except ENFormulaInapplicable:
-            return self.nabla_multivariable().omega().eval_at_i()
+        """Potential at t = i, from the multivariable factor product.
+
+        `FactorProduct.omega` specializes to the one-variable formula
+        whenever that is defined and expands only when a leaf has m = 0.
+        """
+        return self.nabla_multivariable().det()
 
     # -- serialization ----------------------------------------------------
 
@@ -592,21 +578,3 @@ def ring_family_det_skein(q: int, ps: list[int]) -> GaussianInteger:
     if num.re % 2 or num.im % 2:
         raise ArithmeticError("crossing-change relation gave a non-integral value")
     return GaussianInteger(num.re // 2, num.im // 2)
-
-
-def reversed_parallel_pair_diagram(p: int) -> SpliceDiagram:
-    """Two parallel unknotted components with opposite orientations, framing p."""
-    verts = {
-        0: {"kind": "plain"},
-        1: {"kind": "arrowhead", "sign": -1},
-        2: {"kind": "arrowhead", "sign": 1},
-        3: {"kind": "plain"},
-        4: {"kind": "plain"},
-    }
-    edges = [
-        (0, 1, 1, None),
-        (0, 2, 1, None),
-        (0, 3, 1, None),
-        (0, 4, p, None),
-    ]
-    return SpliceDiagram(verts, edges)

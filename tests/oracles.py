@@ -123,3 +123,46 @@ def congruence(u, m) -> list[list[int]]:
           for i in range(n)]
     return [[sum(u[k][i] * mu[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
+
+
+def band_step_constraint(delta_null: int, delta_sign: int) -> bool:
+    """One band attachment moves (Null, Sign) by exactly one unit in total."""
+    return abs(delta_null) + abs(delta_sign) == 1
+
+
+def check_skein_axioms(seq) -> bool:
+    """Cyclic symmetry and the two-step reduction of a skein system, symbolically.
+
+    Multilinearity holds by construction of `MultilinearCyclicPoly`.
+    """
+    from linksig.skeinpoly import axiom_iii_holds
+
+    if not all(f.is_cyclic() for f in seq):
+        return False
+    for prev, cur in zip(seq, seq[1:]):
+        if cur.arity != prev.arity + 2:
+            raise ValueError("consecutive arities must differ by 2")
+        if not axiom_iii_holds(cur, prev):
+            return False
+    return True
+
+
+def flipped_scheme(s):
+    """The degree-nine scheme with every orientation reversed."""
+    from linksig.prohibit import Degree9Scheme
+
+    return Degree9Scheme(s.alpha_minus, s.alpha_plus, s.beta_minus, s.beta_plus,
+                         s.gamma_minus, s.gamma_plus, -s.eps1, -s.eps2)
+
+
+def deg9_formulas_up_to_flip(s) -> dict:
+    """The degree-nine sieves, insensitive to the global orientation choice."""
+    from linksig.prohibit import deg9_formulas
+
+    a = deg9_formulas(s)
+    b = deg9_formulas(flipped_scheme(s))
+    return {
+        "rm7": a["rm7"] or b["rm7"],
+        "orient8": a["orient8"] or b["orient8"],
+        "ineq10": a["ineq10"],  # already flip-invariant
+    }

@@ -1,7 +1,7 @@
 import pytest
 
-from linksig.braid import (BraidWord, FamilyParams, compose, delta_small,
-                           family_b, family_c, half_twist, pi_word, tau_word)
+from linksig.braid import (BraidWord, FamilyParams, delta_small, family_b,
+                           family_c, half_twist, pi_word, tau_word)
 from linksig.seifert import conway_potential, link_det, signature_nullity
 
 
@@ -52,26 +52,26 @@ class TestNamedWords:
 
 class TestCompose:
     def test_cancel_pair(self):
-        w = compose([BraidWord(3, (1,)), BraidWord(3, (-1,))], reduce=True)
+        w = (BraidWord(3, (1,)) * BraidWord(3, (-1,))).free_reduce()
         assert w.letters == ()
 
     def test_half_twist_square(self):
-        w = compose([half_twist(3)], [2])
-        assert w.letters == (1, 2, 1, 1, 2, 1)
+        assert (half_twist(3) ** 2).letters == (1, 2, 1, 1, 2, 1)
+        assert (half_twist(3) ** -1).letters == (-1, -2, -1)
 
     def test_tau_pair_reduces_freely(self):
-        w = compose([tau_word(1, 2, 3), tau_word(2, 1, 3)], reduce=True)
+        w = (tau_word(1, 2, 3) * tau_word(2, 1, 3)).free_reduce()
         assert w.letters == ()
 
     def test_strand_mismatch(self):
         with pytest.raises(ValueError):
-            compose([BraidWord(3, (1,)), BraidWord(4, (1,))])
+            BraidWord(3, (1,)) * BraidWord(4, (1,))
 
     def test_inverse_and_conjugate(self):
         w = BraidWord(3, (1, -2, 1))
         assert (w * w.inverse()).free_reduce().letters == ()
         g = BraidWord(3, (2,))
-        assert w.conjugate_by(g).letters == (-2, 1, -2, 1, 2)
+        assert (g.inverse() * w * g).letters == (-2, 1, -2, 1, 2)
 
 
 class TestExponentSum:
@@ -118,7 +118,7 @@ class TestClosureComponents:
                             for _ in range(rng.randint(0, 8)))
             w = BraidWord(m, letters)
             g = BraidWord(m, (rng.choice([1, -1]) * rng.randint(1, m - 1),))
-            assert w.closure_components() == w.conjugate_by(g).closure_components()
+            assert w.closure_components() == (g.inverse() * w * g).closure_components()
             assert w.closure_components() == w.free_reduce().closure_components()
 
 

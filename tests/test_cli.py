@@ -128,7 +128,12 @@ def test_placeholder_positional_rejects_other_words():
      "word too large"),
     (["skein", "verify", "--relation", "conway", "--strands", "17",
       "--maxlen", "501"], "word too large"),
-], ids=["invariants", "degree9", "splice", "invariants-size", "skein-size"])
+    (["skein", "verify", "--relation", "b2", "--trials", "-3"],
+     "--trials must be nonnegative"),
+    (["skein", "verify", "--relation", "conway", "--maxlen", "-2"],
+     "--maxlen must be nonnegative"),
+], ids=["invariants", "degree9", "splice", "invariants-size", "skein-size",
+        "skein-trials", "skein-maxlen"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2

@@ -216,3 +216,20 @@ class TestLaurentDeterminant:
         det = exact_determinant(m)
         assert isinstance(det, LaurentPolynomial)
         assert det == LaurentPolynomial.zero()
+
+    def test_never_divides_by_one(self, monkeypatch):
+        # the first step, and any step after a pivot 1, skips the division
+        divisors = []
+        exact_div = LaurentPolynomial.exact_div
+
+        def recording(self, d):
+            divisors.append(d)
+            return exact_div(self, d)
+
+        monkeypatch.setattr(LaurentPolynomial, "__floordiv__", recording)
+        t, one = LaurentPolynomial.t(1), LaurentPolynomial.one()
+        m = [[one + t, t, 2 * t],
+             [t, 3 * one, one - t],
+             [t * t, one + t, LaurentPolynomial.t(-1)]]
+        assert exact_determinant(m) == cofactor_determinant(m)
+        assert divisors and all(d != 1 for d in divisors)

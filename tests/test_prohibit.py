@@ -1,11 +1,11 @@
 import pytest
 
 from linksig.prohibit import (CurveParams, Degree9Scheme, deg9_enumerate,
-                              deg9_formulas, deg9_formulas_up_to_flip,
-                              fiedler_bound, fiedler_min_jumps, jump_window,
+                              deg9_formulas, fiedler_bound, fiedler_min_jumps, jump_window,
                               lemma23_consistent, orientation_balance,
                               pointed_alternation_min, theorem11_check,
                               verdict_curve, verdict_degree9)
+from oracles import deg9_formulas_up_to_flip, flipped_scheme
 
 
 class TestTheorem11:
@@ -97,7 +97,7 @@ class TestDegree9Formulas:
                 (0, 1, 2), (0, 1), (0, 5, 9), (1, -1), (1, -1)):
             s = Degree9Scheme(ap, 2 - ap, 0, bm, gp, 9 - gp, e1, e2)
             up = deg9_formulas_up_to_flip(s)
-            upf = deg9_formulas_up_to_flip(s.flipped())
+            upf = deg9_formulas_up_to_flip(flipped_scheme(s))
             assert up == upf
 
     def test_lemma23_filter(self):
@@ -186,10 +186,6 @@ class TestVerdicts:
 
 
 class TestCurveParams:
-    def test_genus(self):
-        assert CurveParams(n=1, k=4).genus == 28
-        assert CurveParams(n=1, k=3).genus == 15
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CurveParams(n=0, k=1)

@@ -11,10 +11,11 @@ from linksig.skeinpoly import (A_matrix_det, A_matrix_det_symbolic,
                                FormulaNotEstablished,
                                MultilinearCyclicPoly, SkeinSystemSpec, a_minus_even_spec,
                                a_plus_spec, a_pm, a_pm_homogeneous, a_pm_symbolic,
-                               axiom_iii_holds, banded_matrix, check_skein_axioms,
+                               axiom_iii_holds, banded_matrix,
                                cycle_matchings, f_Jk, family_det_closed_form,
                                det_table_all_ones, reconstruct_from_initial,
                                tilde_closed_form)
+from oracles import check_skein_axioms
 
 G = GaussianInteger
 
