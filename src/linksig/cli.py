@@ -20,7 +20,7 @@ from .genskein import (RelationSpec, block_identity_residual,
                        relation_residual)
 from .laurent import LaurentPolynomial
 from .prohibit import CurveParams, verdict_curve, verdict_degree9
-from .seifert import invariants_report, signature_nullity
+from .seifert import conway_potential, invariants_report, signature_nullity
 from .skeinpoly import a_pm, a_pm_symbolic, family_det_closed_form
 from .splice import SpliceDiagram
 
@@ -118,6 +118,10 @@ def _cmd_skein(args) -> int:
         if value < 0:
             raise ValueError(f"--{name} must be nonnegative, got {value}")
     if args.relation != "blocks":
+        least = 2 if args.relation == "conway" else 3
+        if args.strands < least:
+            raise ValueError(f"--strands must be at least {least} for "
+                             f"--relation {args.relation}, got {args.strands}")
         _check_word_size(args.maxlen, args.strands)
     rng = random.Random(args.seed)
     failures = 0
@@ -135,17 +139,13 @@ def _cmd_skein(args) -> int:
             continue
         word = random_braid(rng, args.strands, args.maxlen)
         if args.relation == "conway":
-            from .seifert import conway_potential
             if not word.letters:
                 continue
             pos = rng.randrange(len(word.letters))
             j = abs(word.letters[pos])
-            with_pos = BraidWord(word.strands,
-                                 word.letters[:pos] + (j,) + word.letters[pos + 1:])
-            with_neg = BraidWord(word.strands,
-                                 word.letters[:pos] + (-j,) + word.letters[pos + 1:])
-            without = BraidWord(word.strands,
-                                word.letters[:pos] + word.letters[pos + 1:])
+            head, tail = word.letters[:pos], word.letters[pos + 1:]
+            with_pos, with_neg, without = (BraidWord(word.strands, head + mid + tail)
+                                           for mid in ((j,), (-j,), ()))
             residual = (conway_potential(with_pos) - conway_potential(with_neg)
                         - LaurentPolynomial.t_binomial(1) * conway_potential(without))
         elif args.relation == "b2":

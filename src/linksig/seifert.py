@@ -11,14 +11,14 @@ nonzeros a row near the diagonal.  One sparse elimination of that form
 (`intmatrix.symmetric_invariants`) gives the signature, the nullity and the
 determinant behind `link_det`, in milliseconds at dimension 800.
 
-The Conway potential det(t^-1 V - t V^T) is not taken from the d x d
-Seifert matrix but from the reduced Burau matrix of the braid, which is only
-(m-1) x (m-1) for m strands (Burau 1936; Kassel-Turaev, Braid Groups,
-GTM 247): det(I - psi_r(beta)) (1 - x) / (1 - x^m) is the Alexander
-polynomial of the closure up to a unit +-x^k.  That determinant is the same
-dense Bareiss elimination as over Z (`intmatrix.exact_determinant`), run
-over Z[x, x^-1].  `conway_potential` pins the unit in closed form; the test
-suite checks the result against the Seifert determinant exactly.
+The Conway potential det(t^-1 V - t V^T) comes from the reduced Burau
+matrix of the braid, (m-1) x (m-1) for m strands (Burau 1936; Kassel-Turaev,
+Braid Groups, GTM 247): det(I - psi_r(beta)) (1 - x) / (1 - x^m) is the
+Alexander polynomial of the closure up to a unit +-x^k.  The Burau product
+is built on plain integer dicts, one per column keyed by (row, exponent);
+only the entries of I - psi_r become Laurent polynomials, for the same dense
+Bareiss elimination as over Z (`intmatrix.exact_determinant`).  The unit is
+pinned in closed form; the tests check against the Seifert determinant.
 
 Sign conventions are pinned by three independent checks (see the test
 suite): the half twist in B_3 closes to a link of signature -1, the basic
@@ -145,27 +145,39 @@ def signature_nullity(word: BraidWord) -> tuple[int, int]:
     return sign, null
 
 
-def _burau_columns(word: BraidWord) -> list[list[LaurentPolynomial]]:
+def _burau_columns(word: BraidWord) -> list[dict[tuple[int, int], int]]:
     """Columns of the unreduced Burau matrix of the word, in the variable x.
 
-    The product of the letter matrices is built from the identity one letter
-    at a time; a letter on index i only mixes columns i and i+1.
+    Column c is one sparse dict {(row, exponent of x): coefficient} with no
+    zero coefficients.  The product of the letter matrices is built from the
+    identity one letter at a time; a letter on index i rewrites only columns
+    i and i+1.
     """
-    m = word.strands
-    one, zero = LaurentPolynomial.one(), LaurentPolynomial.zero()
-    cols = [[one if r == c else zero for r in range(m)] for c in range(m)]
+    cols = [{(c, 0): 1} for c in range(word.strands)]
     for ell in word.letters:
         i = abs(ell) - 1
         a, b = cols[i], cols[i + 1]
         if ell > 0:
             # col_i <- (1-x) col_i + col_{i+1},  col_{i+1} <- x col_i
-            s = [p.shift(1) for p in a]
-            cols[i], cols[i + 1] = [p + q - r for p, q, r in zip(a, b, s)], s
+            s = {(r, e + 1): v for (r, e), v in a.items()}
+            cols[i], cols[i + 1] = _merge(b, a, s), s
         else:
             # col_i <- x^-1 col_{i+1},  col_{i+1} <- col_i + (1-x^-1) col_{i+1}
-            s = [q.shift(-1) for q in b]
-            cols[i], cols[i + 1] = s, [p + q - r for p, q, r in zip(a, b, s)]
+            s = {(r, e - 1): v for (r, e), v in b.items()}
+            cols[i], cols[i + 1] = s, _merge(a, b, s)
     return cols
+
+
+def _merge(acc: dict, plus: dict, minus: dict) -> dict:
+    """acc + plus - minus, formed in acc; coefficients that cancel are dropped."""
+    for other, sign in ((plus, 1), (minus, -1)):
+        for k, v in other.items():
+            v = acc.get(k, 0) + sign * v
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    return acc
 
 
 def conway_potential(word: BraidWord) -> LaurentPolynomial:
@@ -187,10 +199,14 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
     m = word.strands
     if m == 1:
         return LaurentPolynomial.one()  # the unknot; I - psi_r is 0 x 0
-    cols = _burau_columns(word)
-    rows = [[(1 if r == c else 0) - (cols[c][r] - cols[c][m - 1])
-             for c in range(m - 1)] for r in range(m - 1)]
-    det = exact_determinant(rows)
+    # entry (r, c) of I - psi_r is delta_rc - col_c[r] + col_c[m-1]
+    rows = [[{0: 1} if r == c else {} for c in range(m - 1)] for r in range(m - 1)]
+    for c, col in enumerate(_burau_columns(word)[:m - 1]):
+        for (r, e), v in col.items():
+            targets, v = (rows, v) if r == m - 1 else ((rows[r],), -v)
+            for row in targets:
+                row[c][e] = row[c].get(e, 0) + v
+    det = exact_determinant([[LaurentPolynomial(p) for p in row] for row in rows])
     if not det:
         return det
     alexander = det // LaurentPolynomial({j: 1 for j in range(m)})

@@ -15,6 +15,7 @@ expansions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -155,10 +156,6 @@ def a_pm(j: int, sign: int, xs: Sequence[int]) -> int:
     return -sign * A_matrix_det(j, -sign, xs)
 
 
-def _constant_band(j: int, sign: int) -> list[list[int]]:
-    return banded_matrix(j, sign, [0] * j)
-
-
 def A_matrix_det_symbolic(j: int, sign: int) -> MultilinearCyclicPoly:
     """det A_J^+- as a multilinear polynomial in x_1..x_J.
 
@@ -166,7 +163,7 @@ def A_matrix_det_symbolic(j: int, sign: int) -> MultilinearCyclicPoly:
     the monomial over S is (-2)^|S| times the complementary principal minor
     of the band part.
     """
-    band = _constant_band(j, sign)
+    band = banded_matrix(j, sign, [0] * j)
     data: dict[frozenset[int], GaussianInteger] = {}
     for size in range(j + 1):
         for subset in combinations(range(j), size):
@@ -284,47 +281,34 @@ def reconstruct_from_initial(spec: SkeinSystemSpec, j: int) -> MultilinearCyclic
     if j < spec.parity or (j - spec.parity) % 2:
         raise ValueError("arity does not match the parity")
 
-    def value(arity: int, xs: tuple[int, ...]) -> GaussianInteger:
-        if arity == 1:
-            # f_1(x) = c0 + (c1 - c0) x with c1 = all_ones(1)
-            return spec.c0 + (spec.all_ones(1) - spec.c0) * xs[0]
-        if arity == 2:
-            assert spec.c1 is not None
-            b = spec.c1 - spec.c0
-            c2 = spec.all_ones(2)
-            quad = c2 - spec.c1 - b  # c2 - c0 - 2b
-            return spec.c0 + b * (xs[0] + xs[1]) + quad * (xs[0] * xs[1])
+    @cache
+    def value(xs: tuple[int, ...]) -> GaussianInteger:
+        arity = len(xs)
         if all(x == 1 for x in xs):
             return spec.all_ones(arity)
-        if 0 in xs:
+        if arity <= 2 and set(xs) <= {0, 1}:
+            # the initial data f_1(0) = f_2(0, 0) = c0, f_2(1, 0) = f_2(0, 1) = c1
+            return spec.c1 if 1 in xs else spec.c0
+        if 0 in xs and arity > 2:
             pos = xs.index(0)
             # rotate the zero into slot 2
             rot = tuple(xs[(pos - 1 + t) % arity] for t in range(arity))
-            reduced = (rot[0] + rot[2],) + rot[3:]
-            return value(arity - 2, reduced)
+            return value((rot[0] + rot[2],) + rot[3:])
         # reduce the first coordinate not in {0,1} by linearity
         pos = next(t for t in range(arity) if xs[t] not in (0, 1))
-        x = xs[pos]
-        at0 = xs[:pos] + (0,) + xs[pos + 1:]
-        at1 = xs[:pos] + (1,) + xs[pos + 1:]
-        f0 = value(arity, at0)
-        f1 = value(arity, at1)
-        return f0 + (f1 - f0) * x
+        f0 = value(xs[:pos] + (0,) + xs[pos + 1:])
+        f1 = value(xs[:pos] + (1,) + xs[pos + 1:])
+        return f0 + (f1 - f0) * xs[pos]
 
-    data: dict[frozenset[int], GaussianInteger] = {}
-    for size in range(j + 1):
-        for subset in combinations(range(1, j + 1), size):
-            # Moebius inversion over the vertex values of the cube
-            total = GaussianInteger(0, 0)
-            for inner_size in range(size + 1):
-                for inner in combinations(subset, inner_size):
-                    point = tuple(1 if t + 1 in inner else 0 for t in range(j))
-                    term = value(j, point)
-                    if (size - inner_size) % 2:
-                        term = -term
-                    total = total + term
-            if not total.is_zero():
-                data[frozenset(subset)] = total
+    # the values at the 2^J cube vertices, bit t of the index for x_(t+1),
+    # turned into monomial coefficients by the fast Moebius (Yates) transform
+    coeffs = [value(tuple(v >> t & 1 for t in range(j))) for v in range(1 << j)]
+    for t in range(j):
+        for v in range(1 << j):
+            if v >> t & 1:
+                coeffs[v] = coeffs[v] - coeffs[v ^ (1 << t)]
+    data = {frozenset(t + 1 for t in range(j) if v >> t & 1): c
+            for v, c in enumerate(coeffs)}
     poly = MultilinearCyclicPoly.from_dict(j, data)
     if not poly.is_cyclic():
         raise InconsistentSpecError("reconstructed polynomial is not cyclic")

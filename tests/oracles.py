@@ -166,3 +166,48 @@ def deg9_formulas_up_to_flip(s) -> dict:
         "orient8": a["orient8"] or b["orient8"],
         "ineq10": a["ineq10"],  # already flip-invariant
     }
+
+
+def reconstruct_by_subset_sums(spec, j: int):
+    """The multilinear polynomial pinned by a skein spec, with no checks.
+
+    Each coefficient is the Moebius inversion over the subsets of its
+    monomial, sum over T in S of (-1)^(|S|-|T|) f(1_T): 3^J vertex
+    evaluations, each a fresh recursion through the reduction, where
+    `linksig.skeinpoly.reconstruct_from_initial` evaluates the 2^J vertices
+    once and runs the fast transform.
+    """
+    from itertools import combinations
+
+    from linksig.gaussian import GaussianInteger
+    from linksig.skeinpoly import MultilinearCyclicPoly
+
+    def value(xs: tuple[int, ...]) -> GaussianInteger:
+        arity = len(xs)
+        if arity == 1:
+            return spec.c0 + (spec.all_ones(1) - spec.c0) * xs[0]
+        if arity == 2:
+            b = spec.c1 - spec.c0
+            quad = spec.all_ones(2) - spec.c1 - b
+            return spec.c0 + b * (xs[0] + xs[1]) + quad * (xs[0] * xs[1])
+        if all(x == 1 for x in xs):
+            return spec.all_ones(arity)
+        if 0 in xs:
+            pos = xs.index(0)
+            rot = tuple(xs[(pos - 1 + t) % arity] for t in range(arity))
+            return value((rot[0] + rot[2],) + rot[3:])
+        pos = next(t for t in range(arity) if xs[t] not in (0, 1))
+        f0 = value(xs[:pos] + (0,) + xs[pos + 1:])
+        f1 = value(xs[:pos] + (1,) + xs[pos + 1:])
+        return f0 + (f1 - f0) * xs[pos]
+
+    data = {}
+    for size in range(j + 1):
+        for subset in combinations(range(1, j + 1), size):
+            total = GaussianInteger(0, 0)
+            for inner_size in range(size + 1):
+                for inner in combinations(subset, inner_size):
+                    term = value(tuple(int(t + 1 in inner) for t in range(j)))
+                    total = total + (-term if (size - inner_size) % 2 else term)
+            data[frozenset(subset)] = total
+    return MultilinearCyclicPoly.from_dict(j, data)

@@ -10,13 +10,13 @@ matrix up to units with no surface or orientation convention in common.
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linksig.braid import BraidWord, half_twist
 from linksig.intmatrix import exact_determinant
 from linksig.laurent import LaurentPolynomial
-from linksig.seifert import (conway_potential, invariants_report, link_det,
-                             seifert_matrix)
+from linksig.seifert import (_burau_columns, conway_potential,
+                             invariants_report, link_det, seifert_matrix)
 
 L = LaurentPolynomial
 
@@ -47,6 +47,36 @@ def _unreduced_burau(word: BraidWord):
             g[i + 1][i + 1] = L.t(-1) * (x - one)
         mat = _matmul(mat, g)
     return mat
+
+
+@st.composite
+def burau_words(draw) -> BraidWord:
+    """1-8 strands and 0-40 letters of mixed signs; half miss a generator."""
+    m = draw(st.integers(1, 8))
+    if m == 1:
+        return BraidWord(1)
+    gens = list(range(1, m))
+    if m > 2 and draw(st.booleans()):
+        gens = draw(st.lists(st.sampled_from(gens), min_size=1,
+                             max_size=m - 2, unique=True))
+    letter = st.sampled_from(gens).flatmap(lambda j: st.sampled_from((j, -j)))
+    n = draw(st.integers(0, 40))
+    return BraidWord(m, tuple(draw(st.lists(letter, min_size=n, max_size=n))))
+
+
+@settings(max_examples=80)
+@given(burau_words())
+@example(BraidWord(1))
+@example(BraidWord(2, (-1, -1, 1)))
+@example(BraidWord(5, (2, -2, 4, -1, 4, 4, -1)))
+@example(BraidWord(8, tuple((-1) ** k * (3 * k % 7 + 1) for k in range(40))))
+def test_burau_columns_equal_letter_matrix_products(word):
+    mat = _unreduced_burau(word)
+    cols = _burau_columns(word)
+    assert len(cols) == word.strands
+    for c, col in enumerate(cols):
+        assert col == {(r, e): v for r in range(word.strands)
+                       for e, v in mat[r][c].items()}, (word.letters, c)
 
 
 def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:

@@ -132,8 +132,13 @@ def test_placeholder_positional_rejects_other_words():
      "--trials must be nonnegative"),
     (["skein", "verify", "--relation", "conway", "--maxlen", "-2"],
      "--maxlen must be nonnegative"),
+    (["skein", "verify", "--relation", "conway", "--strands", "1"],
+     "--strands must be at least 2 for --relation conway, got 1"),
+    (["skein", "verify", "--relation", "b3", "--strands", "2"],
+     "--strands must be at least 3 for --relation b3, got 2"),
 ], ids=["invariants", "degree9", "splice", "invariants-size", "skein-size",
-        "skein-trials", "skein-maxlen"])
+        "skein-trials", "skein-maxlen", "skein-conway-strands",
+        "skein-b3-strands"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2

@@ -1,21 +1,23 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linksig.braid import FamilyParams, family_b, family_c
 from linksig.gaussian import GaussianInteger, i_power
 from linksig.seifert import link_det
 from linksig.skeinpoly import (A_matrix_det, A_matrix_det_symbolic,
-                               FormulaNotEstablished,
+                               FormulaNotEstablished, InconsistentSpecError,
                                MultilinearCyclicPoly, SkeinSystemSpec, a_minus_even_spec,
                                a_plus_spec, a_pm, a_pm_homogeneous, a_pm_symbolic,
                                axiom_iii_holds, banded_matrix,
                                cycle_matchings, f_Jk, family_det_closed_form,
                                det_table_all_ones, reconstruct_from_initial,
                                tilde_closed_form)
-from oracles import check_skein_axioms
+from oracles import check_skein_axioms, reconstruct_by_subset_sums
 
 G = GaussianInteger
 
@@ -185,6 +187,33 @@ class TestReconstruction:
         seq = [reconstruct_from_initial(spec, j) for j in (1, 3, 5)]
         assert check_skein_axioms(seq)
         assert seq[2].evaluate([1] * 5) == G(25, 1)
+
+    @pytest.mark.parametrize("spec, j", [
+        *(pytest.param(a_plus_spec(), j, id=f"plus-{j}") for j in (1, 3, 5, 7, 9)),
+        *(pytest.param(a_minus_even_spec(), j, id=f"minus-{j}") for j in (2, 4, 6, 8)),
+    ])
+    def test_named_specs_match_subset_sum_oracle(self, spec, j):
+        assert reconstruct_from_initial(spec, j) == reconstruct_by_subset_sums(spec, j)
+
+    @settings(max_examples=40)
+    @given(st.sampled_from((1, 2)), st.integers(0, 2),
+           st.lists(st.builds(G, st.integers(-9, 9), st.integers(-9, 9)),
+                    min_size=8, max_size=8))
+    def test_random_specs_match_subset_sum_oracle(self, parity, half, data):
+        # data: c0, c1 (parity 2 only), then the all-ones values c_1 .. c_6
+        spec = SkeinSystemSpec(parity, data[0], lambda j: data[j + 1],
+                               data[1] if parity == 2 else None)
+        j = parity + 2 * half
+        assert reconstruct_from_initial(spec, j) == reconstruct_by_subset_sums(spec, j)
+
+    def test_inconsistent_spec_raises(self):
+        # all-ones data that is not a function of J: each call answers anew,
+        # so the vertices reduced to lower arity contradict each other
+        calls = itertools.count()
+        spec = SkeinSystemSpec(parity=1, c0=G(2, 0),
+                               all_ones=lambda j: G(next(calls), 0))
+        with pytest.raises(InconsistentSpecError):
+            reconstruct_from_initial(spec, 5)
 
 
 class TestClosedForms:
