@@ -176,6 +176,16 @@ def _family_word(p: FamilyParams, lo: int, hi: int) -> BraidWord:
     return word * (half_twist(m, m) ** p.n)
 
 
+def family_length(kind: str, p: FamilyParams) -> int:
+    """Letter count of `family_b` (kind "b") or `family_c` ("c"), unbuilt.
+
+    J jump blocks, the j-th of alpha_j letters and a tau block of 2 (b) or
+    6 (c) letters, then n half twists of k(2k+1) letters each.
+    """
+    tau = 2 if kind == "b" else 6
+    return sum(p.alphas) + p.J * tau + p.n * p.k * (2 * p.k + 1)
+
+
 def family_b(p: FamilyParams) -> BraidWord:
     """The narrow-pair family: jump blocks on the adjacent pair at the middle.
 

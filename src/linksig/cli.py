@@ -13,7 +13,7 @@ import json
 import random
 import sys
 
-from .braid import BraidWord, FamilyParams, family_b, family_c
+from .braid import BraidWord, FamilyParams, family_b, family_c, family_length
 from .closedforms import FormulaNotEstablished, sign_null_b, sign_null_c
 from .genskein import (RelationSpec, block_identity_residual,
                        det_relation_check, random_braid, random_laurent,
@@ -31,6 +31,22 @@ from .splice import SpliceDiagram
 #: grows about as the 2.4th power of the length (48 s at 8 x 2000), so this
 #: bound refuses what would run for more than about a quarter of a minute.
 MAX_WORD_SIZE = 8000
+
+#: the most trials `skein verify` starts.  The block identity takes about
+#: 4 ms a trial whatever the sizes (Python 3.11 on a shared 2-vCPU VM, as
+#: for every timing below), and the relations on the default words
+#: (3 strands, up to 10 letters) 0.13 ms (conway) to 1.5 ms (b3) a trial, so
+#: the bound stops a run near a quarter of a minute.  Longer words are
+#: bounded by trials x size^2 as well (`_cmd_skein`).
+MAX_TRIALS = 4000
+
+#: the largest Seifert dimension that `closedform --verify/--explore`
+#: eliminates.  The cost grows with the dimension and with the strand count
+#: 2k+1, so the worst family word of a dimension is one half twist on the
+#: most strands.  With n = 1, k = 77 (dimension about 11800) took 9.5 s for
+#: `family_b` and 10.8 s for `family_c`, k = 120 (28685) took 66 s, while
+#: n = 19, k = 25 (24180) took 3.8 s.
+MAX_FAMILY_DIMENSION = 12000
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -88,6 +104,13 @@ def _cmd_skeinpoly(args) -> int:
 
 def _cmd_closedform(args) -> int:
     alphas = _parse_ints(args.alpha)
+    if args.verify or args.explore:
+        params = FamilyParams(args.n, args.k, args.J, tuple(alphas))
+        # every generator index occurs in the n >= 1 half twists
+        dim = family_length(args.kind, params) - 2 * args.k
+        if dim > MAX_FAMILY_DIMENSION:
+            raise ValueError(f"family word too large: Seifert dimension "
+                             f"{dim} > {MAX_FAMILY_DIMENSION}")
     fn = sign_null_b if args.kind == "b" else sign_null_c
     out: dict = {}
     try:
@@ -103,7 +126,6 @@ def _cmd_closedform(args) -> int:
                                             args.J, alphas)) \
         if args.kind == "b" or args.n % 4 != 0 else None
     if args.verify or args.explore:
-        params = FamilyParams(args.n, args.k, args.J, tuple(alphas))
         word = family_b(params) if args.kind == "b" else family_c(params)
         sign, null = signature_nullity(word)
         out["direct"] = {"sign": sign, "null": null}
@@ -117,12 +139,22 @@ def _cmd_skein(args) -> int:
     for name, value in (("trials", args.trials), ("maxlen", args.maxlen)):
         if value < 0:
             raise ValueError(f"--{name} must be nonnegative, got {value}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     if args.relation != "blocks":
         least = 2 if args.relation == "conway" else 3
         if args.strands < least:
             raise ValueError(f"--strands must be at least {least} for "
                              f"--relation {args.relation}, got {args.strands}")
         _check_word_size(args.maxlen, args.strands)
+        # a trial costs about the square of its word size (conway: 0.13 ms
+        # at size 20, 2.4 ms at 200, 22 ms at 750, 11 s at 7000; b2: 2.6 s
+        # at 3500), so all trials together may cost about one word at the
+        # size limit
+        size = args.maxlen * (args.strands - 1)
+        if args.trials * size * size > MAX_WORD_SIZE ** 2:
+            raise ValueError(f"too many trials for the word size: {args.trials} "
+                             f"trials x {size}^2 > {MAX_WORD_SIZE}^2")
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):

@@ -8,7 +8,12 @@ block identities.  Symmetric integer matrices go through
 `symmetric_invariants`, one sparse symmetric elimination that gives
 signature, nullity and determinant together: each pivot touches only its
 neighbours, which keeps the banded Seifert forms of braid closures
-(dimension up to about 800, four or five nonzeros a row) cheap.
+(dimension up to about 800, four or five nonzeros a row) cheap.  Its
+working matrix is one dict per row, and the two positions (i, j) and
+(j, i) of an entry hold one ``(value, stamp)`` pair, written together, so
+an update costs one tuple and two dict writes.  The rows with a nonzero
+diagonal wait on a heap, each at most once, and a pivot row is emptied
+once it is used, so a stale heap entry is found by one membership test.
 """
 
 from __future__ import annotations
@@ -69,8 +74,9 @@ def symmetric_invariants(
     """(signature, nullity, determinant) of a symmetric integer matrix.
 
     ``rows[i]`` maps column j to the entry (i, j); zero entries may be left
-    out, and the rows must describe a symmetric matrix.  One fraction-free
-    elimination over the nonzeros gives all three invariants:
+    out, and the rows must describe a symmetric matrix.  They are copied,
+    not changed.  One fraction-free elimination over the nonzeros gives all
+    three invariants:
 
     * the pivot a_pp is the first nonzero diagonal entry in index order,
       and it updates only the pairs (i, j) of its neighbours, to
@@ -88,81 +94,85 @@ def symmetric_invariants(
     real quadratic form: a pivot counts positive when it has the sign of
     ``div``.  The last pivot is the determinant, 0 once the nullity is
     positive; the 0x0 matrix has determinant 1.
+
+    ``a[i][j] = a[j][i]`` holds the pair ``(stored, p_s)``; the row p
+    popped from the heap is a pivot exactly when ``p in a[p]``.
     """
     n = len(rows)
-    val = [{j: x for j, x in row.items() if x} for row in rows]
-    # the value of div under which each entry was last written
-    at = [dict.fromkeys(row, 1) for row in val]
-    alive = {i for i in range(n) if val[i]}
-    null = n - len(alive)
-    heap = [i for i in range(n) if i in val[i]]
+    a = [{j: (x, 1) for j, x in row.items() if x} for row in rows]
+    queued = [i in row for i, row in enumerate(a)]
+    heap = [i for i in range(n) if queued[i]]  # sorted, so already a heap
+    left = sum(1 for row in a if row)  # rows neither pivoted nor dropped
+    null = n - left
+    first = 0  # every row before it is empty
     pos = neg = 0
     div = 1
-    while alive:
-        while heap and (heap[0] not in alive or heap[0] not in val[heap[0]]):
-            heappop(heap)
-        if not heap:
+    while left:
+        while heap:
+            p = heappop(heap)
+            queued[p] = False
+            if p in a[p]:
+                break
+        else:
             # zero diagonal: add row/column j to row/column i
-            i = min(alive)
-            j = min(val[i])
+            while not a[first]:
+                first += 1
+            i = first
+            row_i = a[i]
             merged: dict[int, int] = {}
-            for r in (i, j):
-                stamps = at[r]
-                for k, x in val[r].items():
-                    s = stamps[k]
+            for r in (i, min(row_i)):
+                for k, (x, s) in a[r].items():
                     merged[k] = merged.get(k, 0) + (x if s == div else x * div // s)
             merged[i] *= 2  # a_ii + a_ij + a_ji + a_jj with a_ii = a_jj = 0
-            row, stamps = val[i], at[i]
             for k, x in merged.items():
                 if x:
-                    row[k] = val[k][i] = x
-                    stamps[k] = at[k][i] = div
-                elif k in row:
-                    del row[k], val[k][i], stamps[k], at[k][i]
+                    row_i[k] = a[k][i] = (x, div)
+                elif k in row_i:
+                    del row_i[k], a[k][i]
             heappush(heap, i)
+            queued[i] = True
             continue
-        p = heappop(heap)
-        alive.remove(p)
-        stamps = at[p]
+        row_p = a[p]
+        a[p] = {}
+        left -= 1
         piv = 0
-        nb: list[tuple[int, int]] = []
-        for k, x in val[p].items():
-            s = stamps[k]
+        nb: list[tuple[int, int, dict]] = []
+        for k, (x, s) in row_p.items():
             if s != div:
                 x = x * div // s
             if k == p:
                 piv = x
             else:
-                nb.append((k, x))
-                del val[k][p], at[k][p]
+                row = a[k]
+                del row[p]
+                nb.append((k, x, row))
         if (piv > 0) == (div > 0):
             pos += 1
         else:
             neg += 1
-        for u, (k, ck) in enumerate(nb):
-            row, stamps = val[k], at[k]
-            for ell, cl in nb[u:]:
-                old = row.get(ell)
-                if old is None:
+        for u, (k, ck, row) in enumerate(nb):
+            for ell, cl, other in nb[u:]:
+                e = row.get(ell)
+                if e is None:
                     new = -(ck * cl) // div
                 else:
-                    s = stamps[ell]
+                    old, s = e
                     if s != div:
                         old = old * div // s
                     new = (piv * old - ck * cl) // div
                 if new:
-                    row[ell] = val[ell][k] = new
-                    stamps[ell] = at[ell][k] = piv
-                elif old is not None:
-                    del row[ell], stamps[ell]
+                    row[ell] = other[k] = (new, piv)
+                elif e is not None:
+                    del row[ell]
                     if ell != k:
-                        del val[ell][k], at[ell][k]
-        for k, _ in nb:
-            if not val[k]:
-                alive.remove(k)
+                        del other[k]
+        for k, _, row in nb:
+            if not row:
+                left -= 1
                 null += 1
-            elif k in val[k]:
+            elif k in row and not queued[k]:
                 heappush(heap, k)
+                queued[k] = True
         div = piv
     return pos - neg, null, 0 if null else div
 

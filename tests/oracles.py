@@ -48,8 +48,9 @@ def rational_signature(m) -> tuple[int, int]:
             else:
                 neg += 1
             rest = [r for r in range(k) if r != d]
+            # a row with a[r][d] = 0 is unchanged: skip its zero updates
             a = [[a[r][s] - a[r][d] * a[d][s] / piv for s in rest]
-                 for r in rest]
+                 if a[r][d] else [a[r][s] for s in rest] for r in rest]
             continue
         pair = next(((i, j) for i in range(k) for j in range(k) if a[i][j]),
                     None)
@@ -62,7 +63,8 @@ def rational_signature(m) -> tuple[int, int]:
         neg += 1
         keep = [r for r in range(k) if r not in (i, j)]
         a = [[a[r][s] - (a[r][i] * a[j][s] + a[r][j] * a[i][s]) / b
-              for s in keep] for r in keep]
+              for s in keep] if a[r][i] or a[r][j] else [a[r][s] for s in keep]
+             for r in keep]
     return pos - neg, null
 
 

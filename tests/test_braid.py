@@ -1,8 +1,10 @@
 import pytest
 
 from linksig.braid import (BraidWord, FamilyParams, delta_small, family_b,
-                           family_c, half_twist, pi_word, tau_word)
-from linksig.seifert import conway_potential, link_det, signature_nullity
+                           family_c, family_length, half_twist, pi_word,
+                           tau_word)
+from linksig.seifert import (conway_potential, link_det, seifert_matrix,
+                             signature_nullity)
 
 
 class TestNamedWords:
@@ -142,6 +144,16 @@ class TestFamilies:
 
     def test_basic_determinant(self):
         assert str(link_det(family_b(FamilyParams(1, 1, 1, (0,))))) == "2i"
+
+    def test_length_counts_letters_and_fixes_the_seifert_dimension(self):
+        for kind, build in (("b", family_b), ("c", family_c)):
+            for n, k, alphas in ((1, 2, (0,)), (4, 2, (3, 1)),
+                                 (3, 3, (2, 0, 5)), (5, 4, (1,))):
+                p = FamilyParams(n, k, len(alphas), alphas)
+                w = build(p)
+                assert family_length(kind, p) == len(w.letters)
+                # every generator index occurs: one cycle fewer per index
+                assert seifert_matrix(w).dimension == len(w.letters) - 2 * k
 
     def test_parity_violation(self):
         with pytest.raises(ValueError):

@@ -74,9 +74,12 @@ def test_burau_columns_equal_letter_matrix_products(word):
     mat = _unreduced_burau(word)
     cols = _burau_columns(word)
     assert len(cols) == word.strands
+    m = word.strands
     for c, col in enumerate(cols):
-        assert col == {(r, e): v for r in range(word.strands)
-                       for e, v in mat[r][c].items()}, (word.letters, c)
+        # a key e * m + r holds the coefficient of x^e in row r, 0 <= r < m
+        decoded = {divmod(key, m)[::-1]: v for key, v in col.items()}
+        assert decoded == {(r, e): v for r in range(m)
+                           for e, v in mat[r][c].items()}, (word.letters, c)
 
 
 def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:

@@ -136,9 +136,18 @@ def test_placeholder_positional_rejects_other_words():
      "--strands must be at least 2 for --relation conway, got 1"),
     (["skein", "verify", "--relation", "b3", "--strands", "2"],
      "--strands must be at least 3 for --relation b3, got 2"),
+    (["closedform", "b", "--n", "1", "--k", "80", "--J", "1", "--alpha", "1",
+      "--verify"], "Seifert dimension 12723 > 12000"),
+    (["closedform", "c", "--n", "1000", "--k", "3", "--J", "2",
+      "--alpha", "1,1", "--explore"], "family word too large"),
+    (["skein", "verify", "--relation", "blocks", "--trials", "4001"],
+     "--trials must be at most 4000, got 4001"),
+    (["skein", "verify", "--relation", "conway", "--maxlen", "1000",
+      "--trials", "20"], "too many trials for the word size"),
 ], ids=["invariants", "degree9", "splice", "invariants-size", "skein-size",
         "skein-trials", "skein-maxlen", "skein-conway-strands",
-        "skein-b3-strands"])
+        "skein-b3-strands", "closedform-verify-size", "closedform-explore-size",
+        "skein-trials-bound", "skein-trials-size"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -162,3 +171,31 @@ def test_size_limit_is_on_letters_times_strand_gaps(monkeypatch, capsys):
     # the block identity draws no braid word, so the limit does not apply
     assert main(["skein", "verify", "--relation", "blocks", "--trials", "1",
                  "--strands", "3", "--maxlen", "3"]) == 0
+
+
+def test_closedform_limit_is_on_the_seifert_dimension(monkeypatch, capsys):
+    # b, n = 1, k = 1, J = 1, alpha = 1: 1 + 2 + 3 letters, dimension 4
+    argv = ["closedform", "b", "--n", "1", "--k", "1", "--J", "1",
+            "--alpha", "1", "--verify"]
+    monkeypatch.setattr(cli, "MAX_FAMILY_DIMENSION", 4)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_FAMILY_DIMENSION", 3)
+    assert main(argv) == 2
+    assert "Seifert dimension 4 > 3" in capsys.readouterr().err
+    # without --verify or --explore no word is built, so the limit does not apply
+    assert main(argv[:-1]) == 0
+
+
+def test_trial_limit_is_on_trials_times_size_squared(monkeypatch, capsys):
+    # 3 strands, maxlen 2: size 4, and 4 trials x 4^2 = 64 = 8^2
+    monkeypatch.setattr(cli, "MAX_WORD_SIZE", 8)
+    argv = ["skein", "verify", "--relation", "conway", "--strands", "3",
+            "--maxlen", "2"]
+    assert main(argv + ["--trials", "4"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--trials", "5"]) == 2
+    assert "5 trials x 4^2 > 8^2" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_TRIALS", 3)
+    assert main(argv + ["--trials", "4"]) == 2
+    assert "--trials must be at most 3, got 4" in capsys.readouterr().err
