@@ -48,6 +48,12 @@ MAX_TRIALS = 4000
 #: n = 19, k = 25 (24180) took 3.8 s.
 MAX_FAMILY_DIMENSION = 12000
 
+#: letters that `skein verify` appends to a drawn word before its last
+#: Conway potential: four insertions of delta = s1 s2 (b2) or of the squared
+#: half twist on three strands (b3).  The determinant forms step further but
+#: run on the sparse Seifert elimination, milliseconds at these lengths.
+INSERTED_LETTERS = {"conway": 0, "b2": 4 * 2, "b3": 4 * 6}
+
 
 def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
@@ -146,12 +152,13 @@ def _cmd_skein(args) -> int:
         if args.strands < least:
             raise ValueError(f"--strands must be at least {least} for "
                              f"--relation {args.relation}, got {args.strands}")
-        _check_word_size(args.maxlen, args.strands)
+        letters = args.maxlen + INSERTED_LETTERS[args.relation]
+        _check_word_size(letters, args.strands)
         # a trial costs about the square of its word size (conway: 0.13 ms
         # at size 20, 2.4 ms at 200, 22 ms at 750, 11 s at 7000; b2: 2.6 s
         # at 3500), so all trials together may cost about one word at the
         # size limit
-        size = args.maxlen * (args.strands - 1)
+        size = letters * (args.strands - 1)
         if args.trials * size * size > MAX_WORD_SIZE ** 2:
             raise ValueError(f"too many trials for the word size: {args.trials} "
                              f"trials x {size}^2 > {MAX_WORD_SIZE}^2")

@@ -145,9 +145,21 @@ def seifert_matrix(word: BraidWord) -> SeifertData:
     )
 
 
+def _form_invariants(word: BraidWord) -> tuple[int, int, GaussianInteger]:
+    """(Sign, Null, det) of the closure from one elimination of V + V^T.
+
+    At t = i the symmetrization collapses: t^-1 V - t V^T = -i (V + V^T),
+    so the determinant is (-i)^d det(V + V^T) with an integer determinant.
+    """
+    data = seifert_matrix(word)
+    d = data.dimension
+    sign, null, det = symmetric_invariants(data.symmetric_rows())
+    return sign, null, i_power(-d) * det if d % 4 else GaussianInteger(det, 0)
+
+
 def signature_nullity(word: BraidWord) -> tuple[int, int]:
     """(Sign, Null) of the braid closure, from the symmetrized Seifert matrix."""
-    sign, null, _ = symmetric_invariants(seifert_matrix(word).symmetric_rows())
+    sign, null, _ = _form_invariants(word)
     return sign, null
 
 
@@ -227,15 +239,8 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
 
 
 def link_det(word: BraidWord) -> GaussianInteger:
-    """The link determinant, the potential function evaluated at t = i.
-
-    At t = i the symmetrization collapses: t^-1 V - t V^T = -i (V + V^T),
-    so the value is (-i)^d det(V + V^T) with an integer determinant.
-    """
-    data = seifert_matrix(word)
-    d = data.dimension
-    _, _, det = symmetric_invariants(data.symmetric_rows())
-    return i_power(-d) * det if d % 4 else GaussianInteger(det, 0)
+    """The link determinant, the potential function evaluated at t = i."""
+    return _form_invariants(word)[2]
 
 
 def band_step(sign_l: int, det_l: GaussianInteger,
@@ -260,10 +265,13 @@ def band_step(sign_l: int, det_l: GaussianInteger,
 
 
 def invariants_report(word: BraidWord) -> dict:
-    """All closure invariants of one braid word, as plain JSON-able data."""
+    """All closure invariants of one braid word, as plain JSON-able data.
+
+    The potential comes from the Burau matrix and the determinant from the
+    Seifert form, so det = Omega(i) checks one route against the other.
+    """
     omega = conway_potential(word)
-    det = omega.eval_at_i()
-    sign, null = signature_nullity(word)
+    sign, null, det = _form_invariants(word)
     return {
         "strands": word.strands,
         "word": word.to_text(),

@@ -6,7 +6,11 @@ carries an integer weight on each incident edge.  Links built from the
 unknot by repeated cabling live here, together with the two product
 formulas for their potential functions: the one-variable formula over the
 vertex multiplicities m_i, and the multivariable product over the
-linking-weight vectors with its formal-cancellation convention.
+linking-weight vectors with its formal-cancellation convention.  Both are
+evaluated by one route, `FactorProduct.omega`: the product is taken on a
+line t_j = t s^(c_j) on which no factor vanishes, with t and s packed into
+one variable so that every division is an exact one-variable division, and
+s = 1 then gives the one-variable potential.
 
 Cabling with d new components of type (dp, dq) replaces an arrowhead by a
 node carrying weight q on the edge toward the rest of the diagram, weight p
@@ -46,6 +50,8 @@ class SpliceDiagram:
         self._vertices = {int(v): dict(data) for v, data in vertices.items()}
         self._adj: dict[int, dict[int, int | None]] = {v: {} for v in self._vertices}
         for a, b, wa, wb in edges:
+            if a not in self._adj or b not in self._adj:
+                raise ValueError(f"edge ({a}, {b}) joins an unknown vertex")
             if a == b or b in self._adj[a]:
                 raise ValueError("edges must join distinct vertices, once")
             self._adj[a][b] = None if wa is None else int(wa)
@@ -74,6 +80,9 @@ class SpliceDiagram:
             raise ValueError("diagram is not connected")
         for v, data in verts.items():
             val = len(self._adj[v])
+            if data.get("kind") not in ("arrowhead", "plain"):
+                raise ValueError(f"vertex {v} has kind {data.get('kind')!r}, "
+                                 "not 'arrowhead' or 'plain'")
             if data["kind"] == "arrowhead":
                 if val != 1:
                     raise ValueError(f"arrowhead {v} must have valence 1")
@@ -233,8 +242,8 @@ class SpliceDiagram:
         sign = 1
         for a in self.arrowheads():
             sign *= self.sign(a)
-        return _diagonal_omega(
-            sign, [(mv, self.valence(v) - 2) for v, mv in sorted(m.items())])
+        return FactorProduct.build(
+            1, sign, [((mv,), self.valence(v) - 2) for v, mv in m.items()]).omega()
 
     def nabla_multivariable(self) -> "FactorProduct":
         """The multivariable potential as a formal product of binomial factors.
@@ -256,8 +265,8 @@ class SpliceDiagram:
     def link_determinant(self) -> GaussianInteger:
         """Potential at t = i, from the multivariable factor product.
 
-        `FactorProduct.omega` specializes to the one-variable formula
-        whenever that is defined and expands only when a leaf has m = 0.
+        `FactorProduct.omega` takes the product on a line where no factor
+        vanishes, so a leaf with m = 0 needs no other route.
         """
         return self.nabla_multivariable().det()
 
@@ -281,15 +290,21 @@ class SpliceDiagram:
 
     @staticmethod
     def from_json(obj: dict) -> "SpliceDiagram":
-        verts = {
-            int(v["id"]): {"kind": v["kind"], **({"sign": int(v["sign"])}
-                                                 if v["kind"] == "arrowhead" else {})}
-            for v in obj["vertices"]
-        }
-        edges = [
-            (int(e["a"]), int(e["b"]), e.get("weight_at_a"), e.get("weight_at_b"))
-            for e in obj["edges"]
-        ]
+        """The diagram `to_json` wrote; malformed data raises ValueError."""
+        try:
+            verts = {
+                int(v["id"]): {"kind": v["kind"], **({"sign": int(v["sign"])}
+                                                     if v["kind"] == "arrowhead" else {})}
+                for v in obj["vertices"]
+            }
+            edges = [
+                (int(e["a"]), int(e["b"]), e.get("weight_at_a"), e.get("weight_at_b"))
+                for e in obj["edges"]
+            ]
+        except KeyError as exc:
+            raise ValueError(f"splice diagram lacks the key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed splice diagram: {exc}") from None
         return SpliceDiagram(verts, edges)
 
     def dumps(self) -> str:
@@ -344,41 +359,44 @@ class FactorProduct:
         return self.sign == 0
 
     def omega(self) -> LaurentPolynomial:
-        """(t - t^-1) * (the product specialized at t_1 = ... = t_n = t)."""
-        if self.sign == 0:
-            return LaurentPolynomial.zero()
-        specialized_ok = all(sum(v) != 0 or p > 0 for v, p in self.factors)
-        if specialized_ok:
-            return _diagonal_omega(
-                self.sign, [(sum(vec), power) for vec, power in self.factors])
-        # a denominator factor vanishes on the diagonal: expand first
-        poly = self.expand()
-        collapsed: dict[int, int] = {}
-        for exps, c in poly.items():
-            e = sum(exps)
-            collapsed[e] = collapsed.get(e, 0) + c
-        return (LaurentPolynomial(collapsed) * LaurentPolynomial.t_binomial(1)
-                * self.sign)
+        """(t - t^-1) * (the product specialized at t_1 = ... = t_n = t).
 
-    def expand(self) -> dict[tuple[int, ...], int]:
-        """The product as an honest multivariable Laurent polynomial.
-
-        Raises if a denominator factor does not divide exactly (that only
-        happens for inputs that are not potential functions of links).
+        The product is taken on the line t_j = t s^(c_j), c_j = r^j - 1 with
+        r = 2 max|v_j| + 1.  There x^v = t^(sum v) s^(w(v)), w(v) = sum c_j v_j,
+        and w(v) = sum r^j v_j != 0 when sum v = 0 and v != 0 (a balanced
+        base-r numeral), so no factor vanishes and every division is exact;
+        s = 1 then gives the diagonal.  The two variables are packed into one
+        by t = T^B, s = T with B = 2 sum |p w| + 1 over the factors' powers p:
+        no s-exponent of a factor, of the numerator or of a quotient exceeds
+        sum |p w| in size, so the packing is injective on all of them, and
+        s = 1 maps T^e to t^floor((e + floor(B/2)) / B).  With one variable
+        c_0 = 0, and the line is the diagonal itself.
         """
         if self.sign == 0:
-            return {}
-        num: dict[tuple[int, ...], int] = {tuple([0] * self.nvars): 1}
-        dens: list[tuple[int, ...]] = []
-        for vec, power in self.factors:
+            return LaurentPolynomial.zero()
+        r = 2 * max((abs(c) for vec, _ in self.factors for c in vec), default=0) + 1
+        weights = [r**j - 1 for j in range(self.nvars)]
+        # (sum v, w(v), power) of each factor
+        factors = [(sum(vec), sum(c * x for c, x in zip(weights, vec)), power)
+                   for vec, power in self.factors]
+        width = 2 * sum(abs(power * w) for _, w, power in factors) + 1
+        num = LaurentPolynomial.t_binomial(width)
+        dens: list[LaurentPolynomial] = []
+        for total, w, power in factors:
+            binom = LaurentPolynomial.t_binomial(width * total + w)
             if power > 0:
-                for _ in range(power):
-                    num = _mul_binomial(num, vec)
+                num = num * binom**power
             else:
-                dens.extend([vec] * (-power))
-        for vec in dens:
-            num = _div_binomial(num, vec)
-        return num
+                dens.extend([binom] * -power)
+        for den in dens:
+            num = num // den
+        half = width // 2
+        diagonal: dict[int, int] = {}
+        for e, c in num.items():
+            a = (e + half) // width
+            diagonal[a] = diagonal.get(a, 0) + c
+        omega = LaurentPolynomial(diagonal)
+        return omega if self.sign > 0 else -omega
 
     def det(self) -> GaussianInteger:
         return self.omega().eval_at_i()
@@ -386,70 +404,6 @@ class FactorProduct:
     def describe(self) -> list[dict]:
         """JSON-able listing of the factors."""
         return [{"exponents": list(v), "power": p} for v, p in self.factors]
-
-
-def _diagonal_omega(sign: int, factors: list[tuple[int, int]]) -> LaurentPolynomial:
-    """sign * (t - t^-1) * prod (t^s - t^-s)^power over the (s, power) pairs.
-
-    Pairs with power 0 are skipped; any other pair with s = 0 makes the
-    product 0.  The negative powers must divide the rest exactly.
-    """
-    num = LaurentPolynomial.t_binomial(1)
-    dens: list[LaurentPolynomial] = []
-    for s, power in factors:
-        if power == 0:
-            continue
-        if s == 0:
-            return LaurentPolynomial.zero()
-        binom = LaurentPolynomial.t_binomial(s)
-        if power > 0:
-            num = num * binom**power
-        else:
-            dens.extend([binom] * -power)
-    for den in dens:
-        num = num // den
-    return num if sign > 0 else -num
-
-
-def _mul_binomial(poly: dict, vec: tuple[int, ...]) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    neg = tuple(-c for c in vec)
-    for exps, c in poly.items():
-        for shift, s in ((vec, c), (neg, -c)):
-            key = tuple(a + b for a, b in zip(exps, shift))
-            v = out.get(key, 0) + s
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _div_binomial(poly: dict, vec: tuple[int, ...]) -> dict:
-    """Exact division by x^vec - x^-vec under lexicographic leading terms."""
-    neg = tuple(-c for c in vec)
-    lead, trail, lead_c = (vec, neg, 1) if vec > neg else (neg, vec, -1)
-    rem = dict(poly)
-    quot: dict[tuple[int, ...], int] = {}
-    steps = 0
-    while rem:
-        steps += 1
-        if steps > 100000:
-            raise ArithmeticError("binomial division does not terminate")
-        top = max(rem)
-        c = rem.pop(top)
-        qe = tuple(a - b for a, b in zip(top, lead))
-        qc = c * lead_c
-        quot[qe] = quot.get(qe, 0) + qc
-        key = tuple(a + b for a, b in zip(qe, trail))
-        v = rem.get(key, 0) + qc * lead_c
-        if v:
-            rem[key] = v
-        else:
-            rem.pop(key, None)
-        if rem and max(rem) >= top:
-            raise ArithmeticError("binomial division is not exact")
-    return quot
 
 
 # ---------------------------------------------------------------------------

@@ -213,3 +213,76 @@ def reconstruct_by_subset_sums(spec, j: int):
                     total = total + (-term if (size - inner_size) % 2 else term)
             data[frozenset(subset)] = total
     return MultilinearCyclicPoly.from_dict(j, data)
+
+
+def expanded_omega(fp):
+    """`FactorProduct.omega` by expanding the multivariable product first.
+
+    The product, times the prefactor x_1 - x_1^-1 that makes it a Laurent
+    polynomial for one variable too, is multiplied out and divided as an
+    honest Laurent polynomial in the n variables, each division by
+    x^v - x^-v exact under lexicographic leading terms, and only then
+    collapsed onto the diagonal t_1 = ... = t_n = t, where `linksig.splice`
+    never leaves one variable.
+    """
+    from linksig.laurent import LaurentPolynomial
+
+    if fp.sign == 0:
+        return LaurentPolynomial.zero()
+    first = (1,) + (0,) * (fp.nvars - 1)
+    num = _mul_binomial({(0,) * fp.nvars: 1}, first)
+    dens: list[tuple[int, ...]] = []
+    for vec, power in fp.factors:
+        if power > 0:
+            for _ in range(power):
+                num = _mul_binomial(num, vec)
+        else:
+            dens.extend([vec] * (-power))
+    for vec in dens:
+        num = _div_binomial(num, vec)
+    collapsed: dict[int, int] = {}
+    for exps, c in num.items():
+        e = sum(exps)
+        collapsed[e] = collapsed.get(e, 0) + c
+    return LaurentPolynomial(collapsed) * fp.sign
+
+
+def _mul_binomial(poly: dict, vec: tuple[int, ...]) -> dict:
+    out: dict[tuple[int, ...], int] = {}
+    neg = tuple(-c for c in vec)
+    for exps, c in poly.items():
+        for shift, s in ((vec, c), (neg, -c)):
+            key = tuple(a + b for a, b in zip(exps, shift))
+            v = out.get(key, 0) + s
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _div_binomial(poly: dict, vec: tuple[int, ...]) -> dict:
+    """Exact division by x^vec - x^-vec under lexicographic leading terms."""
+    neg = tuple(-c for c in vec)
+    lead, trail, lead_c = (vec, neg, 1) if vec > neg else (neg, vec, -1)
+    rem = dict(poly)
+    quot: dict[tuple[int, ...], int] = {}
+    steps = 0
+    while rem:
+        steps += 1
+        if steps > 100000:
+            raise ArithmeticError("binomial division does not terminate")
+        top = max(rem)
+        c = rem.pop(top)
+        qe = tuple(a - b for a, b in zip(top, lead))
+        qc = c * lead_c
+        quot[qe] = quot.get(qe, 0) + qc
+        key = tuple(a + b for a, b in zip(qe, trail))
+        v = rem.get(key, 0) + qc * lead_c
+        if v:
+            rem[key] = v
+        else:
+            rem.pop(key, None)
+        if rem and max(rem) >= top:
+            raise ArithmeticError("binomial division is not exact")
+    return quot

@@ -119,6 +119,21 @@ def test_placeholder_positional_rejects_other_words():
         assert exc.value.code == 2
 
 
+#: splice diagram files that `splice eval` must refuse, by file name
+MALFORMED_DIAGRAMS = {
+    "empty.json": {},
+    "unsigned.json": {"vertices": [{"id": 0, "kind": "plain"},
+                                   {"id": 1, "kind": "arrowhead"}],
+                      "edges": [{"a": 0, "b": 1}]},
+    "unknown-vertex.json": {"vertices": [{"id": 0, "kind": "plain"},
+                                         {"id": 1, "kind": "arrowhead", "sign": 1}],
+                            "edges": [{"a": 0, "b": 5}]},
+    "misspelled-kind.json": {"vertices": [{"id": 0, "kind": "plane"},
+                                          {"id": 1, "kind": "arrowhead", "sign": 1}],
+                             "edges": [{"a": 0, "b": 1}]},
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["invariants", "--strands", "3", "--word", "1,5"], "out of range"),
     (["prohibit", "degree9", "--alpha", "1", "--beta", "1", "--gamma", "0"],
@@ -144,12 +159,23 @@ def test_placeholder_positional_rejects_other_words():
      "--trials must be at most 4000, got 4001"),
     (["skein", "verify", "--relation", "conway", "--maxlen", "1000",
       "--trials", "20"], "too many trials for the word size"),
+    # the b3 relation appends four squared half twists, 24 letters
+    (["skein", "verify", "--relation", "b3", "--strands", "3", "--maxlen",
+      "3990", "--trials", "1"], "4014 letters x 2 strand gaps = 8028 > 8000"),
+    (["splice", "--file", "empty.json"], "lacks the key 'vertices'"),
+    (["splice", "--file", "unsigned.json"], "lacks the key 'sign'"),
+    (["splice", "--file", "unknown-vertex.json"], "edge (0, 5) joins an unknown"),
+    (["splice", "--file", "misspelled-kind.json"], "has kind 'plane'"),
 ], ids=["invariants", "degree9", "splice", "invariants-size", "skein-size",
         "skein-trials", "skein-maxlen", "skein-conway-strands",
         "skein-b3-strands", "closedform-verify-size", "closedform-explore-size",
-        "skein-trials-bound", "skein-trials-size"])
+        "skein-trials-bound", "skein-trials-size", "skein-b3-inserted-size",
+        "splice-empty", "splice-unsigned", "splice-unknown-vertex",
+        "splice-misspelled-kind"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
+    for name, diagram in MALFORMED_DIAGRAMS.items():
+        (tmp_path / name).write_text(json.dumps(diagram))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -12,6 +12,7 @@ from linksig.skeinpoly import det_table_all_ones
 from linksig.splice import (ENFormulaInapplicable, SpliceDiagram,
                             b_family_diagram, c_family_diagram, ring_family_diagram,
                             ring_family_det_skein, torus_delta_diagram)
+from oracles import expanded_omega
 
 
 def lp(d):
@@ -45,6 +46,9 @@ def cabled_diagrams(draw):
 
 
 windings = st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=3)
+
+#: ring families with q = -sum(ps), which puts m = 0 on a leaf
+leaf_zero_rings = windings.map(lambda ps: ring_family_diagram(-sum(ps), ps))
 
 
 class TestBasics:
@@ -239,9 +243,18 @@ class TestNabla:
         assert d.nabla_multivariable().omega() == omega
         assert d.link_determinant() == omega.eval_at_i()
 
+    @given(d=st.one_of(cabled_diagrams(), leaf_zero_rings))
+    @example(d=c_family_diagram(2, 2, 2))
+    @example(d=ring_family_diagram(-3, [1, 2]))
+    @example(d=ring_family_diagram(0, [1, -1]))
+    def test_omega_equals_expanded_product(self, d):
+        nab = d.nabla_multivariable()
+        assert nab.omega() == expanded_omega(nab)
+
     @given(ps=windings)
     def test_leaf_zero_matches_crossing_change(self, ps):
-        # q = -sum(ps) puts m = 0 on a leaf, so the product is expanded
+        # q = -sum(ps) puts m = 0 on a leaf, where the one-variable formula
+        # has a vanishing denominator but the factor product has none
         q = -sum(ps)
         d = ring_family_diagram(q, ps)
         with pytest.raises(ENFormulaInapplicable):
