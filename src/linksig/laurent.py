@@ -163,6 +163,8 @@ class LaurentPolynomial:
         low = min(self._coeffs) - min(divisor._coeffs)
         rem = dict(self._coeffs)
         quot: dict[int, int] = {}
+        # each step cancels rem[top] and adds only exponents below it, so the
+        # leading exponent falls strictly and each qe comes up once
         while rem:
             top = max(rem)
             c = rem[top]
@@ -170,7 +172,7 @@ class LaurentPolynomial:
             if qe < low or c % lead_c:
                 raise ExactDivisionError("division leaves a remainder")
             q = c // lead_c
-            quot[qe] = quot.get(qe, 0) + q
+            quot[qe] = q
             for e, dc in divisor._coeffs.items():
                 ne = e + qe
                 v = rem.get(ne, 0) - q * dc
@@ -178,8 +180,6 @@ class LaurentPolynomial:
                     rem[ne] = v
                 else:
                     rem.pop(ne, None)
-            if rem and max(rem) >= top:
-                raise ExactDivisionError("division leaves a remainder")
         return LaurentPolynomial._wrap(quot)
 
     __floordiv__ = exact_div

@@ -4,13 +4,16 @@ A splice diagram is a decorated tree: some leaves are arrowheads (the link
 components, each with a sign), and every node (vertex of valence >= 3)
 carries an integer weight on each incident edge.  Links built from the
 unknot by repeated cabling live here, together with the two product
-formulas for their potential functions: the one-variable formula over the
-vertex multiplicities m_i, and the multivariable product over the
-linking-weight vectors with its formal-cancellation convention.  Both are
-evaluated by one route, `FactorProduct.omega`: the product is taken on a
-line t_j = t s^(c_j) on which no factor vanishes, with t and s packed into
-one variable so that every division is an exact one-variable division, and
-s = 1 then gives the one-variable potential.
+formulas for their potential functions.  Both read the linking weights
+ell(v, a) of the vertices v to the arrowheads a, which one walk of the tree
+from each arrowhead computes (`SpliceDiagram._linking_from` defines them):
+the one-variable formula over the vertex multiplicities
+m_v = sum_a sign(a) ell(v, a), and the multivariable product over the
+linking vectors (sign(a) ell(v, a))_a with its formal-cancellation
+convention.  Both are evaluated by one route, `FactorProduct.omega`: the
+product is taken on a line t_j = t s^(c_j) on which no factor vanishes, with
+t and s packed into one variable so that every division is an exact
+one-variable division, and s = 1 then gives the one-variable potential.
 
 Cabling with d new components of type (dp, dq) replaces an arrowhead by a
 node carrying weight q on the edge toward the rest of the diagram, weight p
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .gaussian import GaussianInteger
 from .laurent import LaurentPolynomial
@@ -47,15 +50,15 @@ class SpliceDiagram:
 
     def __init__(self, vertices: dict[int, dict], edges: list[tuple]):
         # edges: (a, b, weight_at_a | None, weight_at_b | None)
-        self._vertices = {int(v): dict(data) for v, data in vertices.items()}
+        self._vertices = {v: dict(data) for v, data in vertices.items()}
         self._adj: dict[int, dict[int, int | None]] = {v: {} for v in self._vertices}
         for a, b, wa, wb in edges:
             if a not in self._adj or b not in self._adj:
                 raise ValueError(f"edge ({a}, {b}) joins an unknown vertex")
             if a == b or b in self._adj[a]:
                 raise ValueError("edges must join distinct vertices, once")
-            self._adj[a][b] = None if wa is None else int(wa)
-            self._adj[b][a] = None if wb is None else int(wb)
+            self._adj[a][b] = wa
+            self._adj[b][a] = wb
         self._validate()
 
     # -- structure ----------------------------------------------------
@@ -78,7 +81,12 @@ class SpliceDiagram:
             stack.extend(self._adj[v])
         if len(seen) != len(verts):
             raise ValueError("diagram is not connected")
+        # ids, signs and weights must be plain ints: a JSON float or bool is
+        # refused, not truncated
         for v, data in verts.items():
+            for x in (v, *self._adj[v]):
+                if type(x) is not int:
+                    raise ValueError(f"vertex id {x!r} is not an integer")
             val = len(self._adj[v])
             if data.get("kind") not in ("arrowhead", "plain"):
                 raise ValueError(f"vertex {v} has kind {data.get('kind')!r}, "
@@ -86,14 +94,16 @@ class SpliceDiagram:
             if data["kind"] == "arrowhead":
                 if val != 1:
                     raise ValueError(f"arrowhead {v} must have valence 1")
-                if data.get("sign") not in (1, -1):
-                    raise ValueError(f"arrowhead {v} needs a sign +-1")
+                if type(data.get("sign")) is not int or data["sign"] not in (1, -1):
+                    raise ValueError(f"arrowhead {v} needs a sign +-1, "
+                                     f"not {data.get('sign')!r}")
             elif val == 2:
                 raise ValueError(f"vertex {v} has forbidden valence 2")
             is_node = val >= 3
             for u, w in self._adj[v].items():
-                if is_node and w is None:
-                    raise ValueError(f"node {v} lacks a weight on edge to {u}")
+                if is_node and type(w) is not int:
+                    raise ValueError(f"node {v} needs an integer weight on "
+                                     f"the edge to {u}, not {w!r}")
                 if not is_node and w is not None:
                     raise ValueError(f"non-node {v} carries a weight")
 
@@ -114,9 +124,6 @@ class SpliceDiagram:
 
     def valence(self, v: int) -> int:
         return len(self._adj[v])
-
-    def weight(self, v: int, u: int) -> int | None:
-        return self._adj[v][u]
 
     def _fresh_id(self) -> int:
         return max(self._vertices) + 1
@@ -182,85 +189,76 @@ class SpliceDiagram:
 
     # -- linking calculus ------------------------------------------------
 
-    def _path(self, i: int, j: int) -> list[int]:
-        parent: dict[int, int | None] = {i: None}
-        stack = [i]
+    def _linking_from(self, j: int) -> dict[int, int]:
+        """ell(v, j) for every vertex v != j, from one walk of the tree from j.
+
+        ell(v, j) is the product, over the nodes on the path from v to j (both
+        ends included), of their weights on the edges off that path.  The walk
+        passes on the product over the nodes behind it: leaving a node by the
+        edge to u multiplies in its weights on every edge but that one and the
+        one it was entered by.
+        """
+        ell: dict[int, int] = {}
+        stack: list[tuple[int, int | None, int]] = [(j, None, 1)]
         while stack:
-            v = stack.pop()
-            if v == j:
-                break
-            for u in self._adj[v]:
-                if u not in parent:
-                    parent[u] = v
-                    stack.append(u)
-        path = [j]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])  # type: ignore[arg-type]
-        return path[::-1]
+            v, parent, carried = stack.pop()
+            # a leaf has no edge off the path, so no weight is read from it
+            off = {u: w for u, w in self._adj[v].items() if u != parent}
+            if parent is not None:
+                ell[v] = carried * prod(off.values())
+            for u in off:
+                stack.append((u, v, carried * prod(w for x, w in off.items() if x != u)))
+        return ell
 
     def linking_ell(self, i: int, j: int) -> int:
-        """Product of node weights on off-path edges along the i-j path."""
+        """The linking weight ell(i, j) that `_linking_from` defines."""
         if i == j:
             raise ValueError("linking_ell requires two distinct vertices")
-        path = self._path(i, j)
-        prod = 1
-        for pos, v in enumerate(path):
-            if len(self._adj[v]) < 3:
-                continue
-            nbrs_on = set()
-            if pos > 0:
-                nbrs_on.add(path[pos - 1])
-            if pos + 1 < len(path):
-                nbrs_on.add(path[pos + 1])
-            for u, w in self._adj[v].items():
-                if u not in nbrs_on:
-                    prod *= w
-        return prod
+        return self._linking_from(j)[i]
+
+    def _linking_vectors(self) -> tuple[int, dict[int, tuple[int, ...]]]:
+        """The arrowhead sign product and the linking vector of each vertex.
+
+        The vector of a vertex v that is not an arrowhead is
+        (sign(a) * ell(v, a)) over the arrowheads a in sorted-id order.
+        """
+        arrows = self.arrowheads()
+        signs = [self.sign(a) for a in arrows]
+        columns = [self._linking_from(a) for a in arrows]
+        vectors = {v: tuple(sign * ell[v] for sign, ell in zip(signs, columns))
+                   for v in self.vertex_ids() if not self.is_arrowhead(v)}
+        return prod(signs), vectors
 
     def m_values(self) -> dict[int, int]:
-        """m_i = sum over arrowheads j of linking_ell(i, j) * sign(j)."""
-        arrows = self.arrowheads()
-        out = {}
-        for v in self.vertex_ids():
-            if self.is_arrowhead(v):
-                continue
-            out[v] = sum(self.linking_ell(v, a) * self.sign(a) for a in arrows)
-        return out
+        """m_v = sum over arrowheads a of sign(a) * ell(v, a)."""
+        return {v: sum(vec) for v, vec in self._linking_vectors()[1].items()}
 
     def omega_via_EN(self) -> LaurentPolynomial:
         """The one-variable potential from the vertex multiplicities.
 
-        Requires m_i != 0 at every valence-1 plain vertex (otherwise a factor
+        Requires m_v != 0 at every valence-1 plain vertex (otherwise a factor
         of the denominator vanishes and the multivariable route must be
-        used); a vanishing m_i at a node makes the whole product zero.
+        used); a vanishing m_v at a node makes the whole product zero.
         """
-        m = self.m_values()
-        for v, mv in m.items():
-            if self.valence(v) == 1 and mv == 0:
+        sign, vectors = self._linking_vectors()
+        factors = []
+        for v, vec in vectors.items():
+            m = sum(vec)
+            if self.valence(v) == 1 and m == 0:
                 raise ENFormulaInapplicable(
                     f"m = 0 at leaf {v}; use nabla_multivariable")
-        sign = 1
-        for a in self.arrowheads():
-            sign *= self.sign(a)
-        return FactorProduct.build(
-            1, sign, [((mv,), self.valence(v) - 2) for v, mv in m.items()]).omega()
+            factors.append(((m,), self.valence(v) - 2))
+        return FactorProduct.build(1, sign, factors).omega()
 
     def nabla_multivariable(self) -> "FactorProduct":
         """The multivariable potential as a formal product of binomial factors.
 
         Variable j corresponds to the j-th arrowhead in sorted-id order.
         """
-        arrows = self.arrowheads()
-        sign = 1
-        for a in arrows:
-            sign *= self.sign(a)
-        factors = []
-        for v in self.vertex_ids():
-            if self.is_arrowhead(v):
-                continue
-            vec = tuple(self.linking_ell(v, a) * self.sign(a) for a in arrows)
-            factors.append((vec, self.valence(v) - 2))
-        return FactorProduct.build(len(arrows), sign, factors)
+        sign, vectors = self._linking_vectors()
+        return FactorProduct.build(
+            len(self.arrowheads()), sign,
+            [(vec, self.valence(v) - 2) for v, vec in vectors.items()])
 
     def link_determinant(self) -> GaussianInteger:
         """Potential at t = i, from the multivariable factor product.
@@ -293,19 +291,18 @@ class SpliceDiagram:
         """The diagram `to_json` wrote; malformed data raises ValueError."""
         try:
             verts = {
-                int(v["id"]): {"kind": v["kind"], **({"sign": int(v["sign"])}
-                                                     if v["kind"] == "arrowhead" else {})}
+                v["id"]: {"kind": v["kind"], **({"sign": v["sign"]}
+                                                if v["kind"] == "arrowhead" else {})}
                 for v in obj["vertices"]
             }
-            edges = [
-                (int(e["a"]), int(e["b"]), e.get("weight_at_a"), e.get("weight_at_b"))
-                for e in obj["edges"]
-            ]
+            edges = [(e["a"], e["b"], e.get("weight_at_a"), e.get("weight_at_b"))
+                     for e in obj["edges"]]
+            # an unhashable edge end fails the vertex lookup with a TypeError
+            return SpliceDiagram(verts, edges)
         except KeyError as exc:
             raise ValueError(f"splice diagram lacks the key {exc}") from None
         except TypeError as exc:
             raise ValueError(f"malformed splice diagram: {exc}") from None
-        return SpliceDiagram(verts, edges)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -354,9 +351,6 @@ class FactorProduct:
             return FactorProduct(nvars, 0, ())
         factors = tuple(sorted((v, p) for v, p in merged.items() if p != 0))
         return FactorProduct(nvars, sign, factors)
-
-    def is_zero(self) -> bool:
-        return self.sign == 0
 
     def omega(self) -> LaurentPolynomial:
         """(t - t^-1) * (the product specialized at t_1 = ... = t_n = t).

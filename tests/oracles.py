@@ -215,6 +215,39 @@ def reconstruct_by_subset_sums(spec, j: int):
     return MultilinearCyclicPoly.from_dict(j, data)
 
 
+def path_linking_ell(diagram, i: int, j: int) -> int:
+    """`SpliceDiagram.linking_ell` from the i-j path found by a search.
+
+    The path is read back from the search tree rooted at i; each node on it
+    multiplies in its weights on the edges to vertices not next to it on
+    the path.  The adjacency comes from `to_json`, not from the library's
+    own tables.
+    """
+    weights: dict[int, dict] = {v: {} for v in diagram.vertex_ids()}
+    for e in diagram.to_json()["edges"]:
+        weights[e["a"]][e["b"]] = e.get("weight_at_a")
+        weights[e["b"]][e["a"]] = e.get("weight_at_b")
+    parent = {i: None}
+    stack = [i]
+    while stack:
+        v = stack.pop()
+        for u in weights[v]:
+            if u not in parent:
+                parent[u] = v
+                stack.append(u)
+    path = [j]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    product = 1
+    for pos, v in enumerate(path):
+        if len(weights[v]) >= 3:
+            near = path[max(pos - 1, 0):pos + 2]
+            for u, w in weights[v].items():
+                if u not in near:
+                    product *= w
+    return product
+
+
 def expanded_omega(fp):
     """`FactorProduct.omega` by expanding the multivariable product first.
 

@@ -70,10 +70,20 @@ def test_closedform_explore_unproven(capsys):
     data = json.loads(out)
     assert "not established" in data["closed_form"]
     assert "direct" in data
+    # without --explore an unproven closed form is a failure
+    code, out = run(capsys, "closedform", "c", "--n", "4", "--k", "2",
+                    "--J", "2", "--alpha", "1,1")
+    assert code == 1
+    assert "not established" in json.loads(out)["closed_form"]
 
 
 def test_skein_verify(capsys):
     code, out = run(capsys, "skein", "verify", "--relation", "b2",
+                    "--trials", "3", "--seed", "1", "--strands", "3",
+                    "--maxlen", "6")
+    assert code == 0
+    assert "3/3" in out
+    code, out = run(capsys, "skein", "verify", "--relation", "b3",
                     "--trials", "3", "--seed", "1", "--strands", "3",
                     "--maxlen", "6")
     assert code == 0
@@ -131,6 +141,23 @@ MALFORMED_DIAGRAMS = {
     "misspelled-kind.json": {"vertices": [{"id": 0, "kind": "plane"},
                                           {"id": 1, "kind": "arrowhead", "sign": 1}],
                              "edges": [{"a": 0, "b": 1}]},
+    # JSON floats and bools where integers belong are refused, not truncated
+    "bool-sign.json": {"vertices": [{"id": 0, "kind": "plain"},
+                                    {"id": 1, "kind": "arrowhead", "sign": True}],
+                       "edges": [{"a": 0, "b": 1}]},
+    "float-weight.json": {"vertices": [{"id": 0, "kind": "plain"},
+                                       {"id": 1, "kind": "plain"},
+                                       *({"id": v, "kind": "arrowhead", "sign": 1}
+                                         for v in (2, 3, 4))],
+                          "edges": [{"a": 0, "b": 1, "weight_at_a": 1.5},
+                                    *({"a": 0, "b": v, "weight_at_a": 1}
+                                      for v in (2, 3, 4))]},
+    "float-id.json": {"vertices": [{"id": 0.7, "kind": "plain"},
+                                   {"id": 1, "kind": "arrowhead", "sign": 1}],
+                      "edges": [{"a": 0.7, "b": 1}]},
+    "list-edge.json": {"vertices": [{"id": 0, "kind": "plain"},
+                                    {"id": 1, "kind": "arrowhead", "sign": 1}],
+                       "edges": [{"a": [0], "b": 1}]},
 }
 
 
@@ -166,12 +193,17 @@ MALFORMED_DIAGRAMS = {
     (["splice", "--file", "unsigned.json"], "lacks the key 'sign'"),
     (["splice", "--file", "unknown-vertex.json"], "edge (0, 5) joins an unknown"),
     (["splice", "--file", "misspelled-kind.json"], "has kind 'plane'"),
+    (["splice", "--file", "bool-sign.json"], "needs a sign +-1, not True"),
+    (["splice", "--file", "float-weight.json"], "integer weight on the edge to 1"),
+    (["splice", "--file", "float-id.json"], "vertex id 0.7 is not an integer"),
+    (["splice", "--file", "list-edge.json"], "malformed splice diagram"),
 ], ids=["invariants", "degree9", "splice", "invariants-size", "skein-size",
         "skein-trials", "skein-maxlen", "skein-conway-strands",
         "skein-b3-strands", "closedform-verify-size", "closedform-explore-size",
         "skein-trials-bound", "skein-trials-size", "skein-b3-inserted-size",
         "splice-empty", "splice-unsigned", "splice-unknown-vertex",
-        "splice-misspelled-kind"])
+        "splice-misspelled-kind", "splice-bool-sign", "splice-float-weight",
+        "splice-float-id", "splice-list-edge"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, diagram in MALFORMED_DIAGRAMS.items():

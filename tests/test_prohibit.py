@@ -158,6 +158,17 @@ class TestVerdicts:
         report = verdict_curve(p, lam_plus=8, lam_minus=5)
         assert report.verdict == "admissible"
 
+    def test_explicit_jump_count(self):
+        # lambda+ = 10, lambda- = 3: the alternation bound needs more jumps
+        # than J = 3, and the jump window ends below J = 7
+        for J, violated in ((3, ["alternation bound"]),
+                            (5, ["jump window", "alternation bound"]),
+                            (7, ["jump window"])):
+            p = CurveParams(n=1, k=3, r=0, J=J, lam=13, lam_odd=0, lam_even=13)
+            report = verdict_curve(p, lam_plus=10, lam_minus=3)
+            assert report.verdict == "prohibited", J
+            assert report.violated == violated, J
+
     def test_hypothesis_gate(self):
         p = CurveParams(n=1, k=3, r=0, J=3, lam=2, lam_odd=0, lam_even=0)
         assert verdict_curve(p).verdict == "hypothesis not met"

@@ -12,7 +12,7 @@ from linksig.skeinpoly import det_table_all_ones
 from linksig.splice import (ENFormulaInapplicable, SpliceDiagram,
                             b_family_diagram, c_family_diagram, ring_family_diagram,
                             ring_family_det_skein, torus_delta_diagram)
-from oracles import expanded_omega
+from oracles import expanded_omega, path_linking_ell
 
 
 def lp(d):
@@ -129,6 +129,20 @@ class TestLinkingNumbers:
         new = [a for a in arrows if a != core]
         assert d.linking_ell(new[0], new[1]) == 10
         assert d.linking_ell(new[0], core) == 5
+
+    @given(d=st.one_of(cabled_diagrams(), leaf_zero_rings))
+    @example(d=c_family_diagram(3, 3, 1))
+    @example(d=ring_family_diagram(2, [1, -2, 3]))
+    @example(d=reversed_parallel_pair_diagram(3))
+    def test_matches_path_product(self, d):
+        vs = d.vertex_ids()
+        for i in vs:
+            for j in vs:
+                if i != j:
+                    assert d.linking_ell(i, j) == path_linking_ell(d, i, j), (i, j)
+        assert d.m_values() == {
+            v: sum(d.sign(a) * path_linking_ell(d, v, a) for a in d.arrowheads())
+            for v in vs if not d.is_arrowhead(v)}
 
     def test_narrow_family_m_values(self):
         for n, k, J in ((3, 3, 1), (1, 4, 1), (5, 2, 3)):
