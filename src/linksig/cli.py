@@ -51,7 +51,7 @@ MAX_FAMILY_DIMENSION = 12000
 #: letters that `skein verify` appends to a drawn word before its last
 #: Conway potential: four insertions of delta = s1 s2 (b2) or of the squared
 #: half twist on three strands (b3).  The determinant forms step further but
-#: run on the sparse Seifert elimination, milliseconds at these lengths.
+#: take `link_det`'s integer Burau matrix, milliseconds at these lengths.
 INSERTED_LETTERS = {"conway": 0, "b2": 4 * 2, "b3": 4 * 6}
 
 

@@ -11,8 +11,8 @@ start position, and one left-to-right pass over the word emits the nonzero
 entries of each cycle as it closes, with no sort and no lookup by cycle.
 In that order V + V^T has a few nonzeros a row near the diagonal, and one
 sparse elimination of it (`intmatrix.symmetric_invariants`) gives the
-signature, the nullity and the determinant behind `link_det`, in
-milliseconds at dimension 800.
+signature and the nullity, in milliseconds at dimension 800;
+`invariants_report` also reads the determinant off it.
 
 The Conway potential det(t^-1 V - t V^T) comes from the reduced Burau
 matrix of the braid, (m-1) x (m-1) for m strands (Burau 1936; Kassel-Turaev,
@@ -21,8 +21,11 @@ Alexander polynomial of the closure up to a unit +-x^k.  The Burau product
 is built on plain integer dicts, one per column, each entry keyed by the
 one integer e * m + r for row r and power x^e; only the entries of
 I - psi_r become Laurent polynomials, for the same dense Bareiss
-elimination as over Z (`intmatrix.exact_determinant`).  The unit is pinned
-in closed form; the tests check against the Seifert determinant.
+elimination as over Z (`intmatrix.exact_determinant`).  The unit is one
+closed form, `_unit_power`; the tests check it against the Seifert
+determinant.  `link_det` takes the same route at t = i, where x = -1 and
+the Burau matrix is an integer matrix: one integer Bareiss determinant of
+size m - 1 (or m, for even m), with no Seifert matrix.
 
 Sign conventions are pinned by three independent checks (see the test
 suite): the half twist in B_3 closes to a link of signature -1, the basic
@@ -154,7 +157,7 @@ def _form_invariants(word: BraidWord) -> tuple[int, int, GaussianInteger]:
     data = seifert_matrix(word)
     d = data.dimension
     sign, null, det = symmetric_invariants(data.symmetric_rows())
-    return sign, null, i_power(-d) * det if d % 4 else GaussianInteger(det, 0)
+    return sign, null, i_power(-d) * det
 
 
 def signature_nullity(word: BraidWord) -> tuple[int, int]:
@@ -201,21 +204,28 @@ def _merge(acc: dict, plus: dict, minus: dict) -> dict:
     return acc
 
 
+def _unit_power(word: BraidWord) -> int:
+    """k in Omega(t) = (-t)^k A(t^2), the unit of the Burau route: k = m - 1 - e.
+
+    Here A(x) = det(I - psi_r) / (1 + x + ... + x^(m-1)) and e is the
+    exponent sum.  The Burau matrix is unitary for Squier's hermitian form,
+    so det(I - psi_r) is symmetric about x^(e/2), and A(t^2) about t^-k:
+    the shift t^k centres it, as Omega(t^-1) = (-1)^d Omega(t) needs, and
+    the sign (-1)^k is (-1)^d for the Seifert dimension d (for a knot it
+    makes Omega(1) = 1).
+    """
+    return word.strands - 1 - word.exponent_sum()
+
+
 def conway_potential(word: BraidWord) -> LaurentPolynomial:
     """The potential function det(t^-1 V - t V^T) of the closure, exactly.
 
     Computed from the reduced Burau matrix psi_r, the unreduced one taken
     modulo its fixed vector (1, ..., 1):
     A(x) = det(I - psi_r) / (1 + x + ... + x^(m-1)) is the Alexander
-    polynomial up to a unit +-x^k, and the potential is +-t^k A(t^2).
-    The unit is fixed without any Seifert determinant:
-
-    * the t-power: Omega(t^-1) = (-1)^d Omega(t), so the lowest and highest
-      exponents of Omega are negatives of each other;
-    * the sign: (-1)^(e + m - 1) with e the exponent sum, which is (-1)^d
-      for the Seifert dimension d (for a knot it makes Omega(1) = 1).
-
-    A zero determinant (for instance a split closure) gives 0.
+    polynomial up to a unit, and the potential is (-t)^k A(t^2) with
+    k = m - 1 - e for the exponent sum e (`_unit_power`).  A zero
+    determinant (for instance a split closure) gives 0.
     """
     m = word.strands
     if m == 1:
@@ -232,15 +242,47 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
     if not det:
         return det
     alexander = det // LaurentPolynomial({j: 1 for j in range(m)})
-    omega = alexander.substitute_power(2)
-    exps = omega.exponents()
-    omega = omega.shift(-(exps[0] + exps[-1]) // 2)
-    return -omega if (word.exponent_sum() + m - 1) % 2 else omega
+    k = _unit_power(word)
+    omega = alexander.substitute_power(2).shift(k)
+    return -omega if k % 2 else omega
 
 
 def link_det(word: BraidWord) -> GaussianInteger:
-    """The link determinant, the potential function evaluated at t = i."""
-    return _form_invariants(word)[2]
+    """The link determinant Omega(i), from the integer Burau matrix at x = -1.
+
+    At t = i the Burau variable x = t^2 is -1, so the letter matrices are
+    integer: a positive letter on index i sets col_i <- 2 col_i + col_{i+1}
+    and col_{i+1} <- -col_i, a negative one col_i <- -col_{i+1} and
+    col_{i+1} <- col_i + 2 col_{i+1}.  For odd m, 1 + x + ... + x^(m-1) is
+    1 at x = -1, so one integer determinant of I - psi_r is A(-1) and
+    Omega(i) = (-i)^k A(-1) (`_unit_power`).  For even m that factor
+    vanishes there, so sigma_m on a new strand is appended first: a Markov
+    stabilization, which keeps the closure and k.
+
+    >>> from linksig.braid import half_twist
+    >>> str(link_det(half_twist(3) ** 2))
+    '4'
+    >>> str(link_det(BraidWord(2, (1, 1))))  # the Hopf link
+    '2i'
+    """
+    m, letters = word.strands, word.letters
+    if m % 2 == 0:
+        m, letters = m + 1, letters + (m,)
+    cols = [[int(r == c) for r in range(m)] for c in range(m)]
+    for ell in letters:
+        if ell > 0:
+            a, b = cols[ell - 1], cols[ell]
+            cols[ell - 1] = [2 * x + y for x, y in zip(a, b)]
+            cols[ell] = [-x for x in a]
+        else:
+            a, b = cols[-ell - 1], cols[-ell]
+            cols[-ell - 1] = [-y for y in b]
+            cols[-ell] = [x + 2 * y for x, y in zip(a, b)]
+    # entry (r, c) of I - psi_r is delta_rc - col_c[r] + col_c[m-1]
+    det = exact_determinant([[int(r == c) - col[r] + col[-1]
+                              for c, col in enumerate(cols[:-1])]
+                             for r in range(m - 1)])
+    return i_power(-_unit_power(word)) * det
 
 
 def band_step(sign_l: int, det_l: GaussianInteger,

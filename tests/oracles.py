@@ -103,6 +103,21 @@ def dense_seifert_matrix(word) -> list[list[int]]:
     return v
 
 
+def seifert_link_det(word):
+    """The link determinant from one sparse elimination of the Seifert form.
+
+    At t = i the potential's matrix collapses, t^-1 V - t V^T = -i (V + V^T),
+    so Omega(i) = (-i)^d det(V + V^T) for the Seifert dimension d, where
+    `linksig.seifert.link_det` takes the integer Burau matrix at x = -1.
+    """
+    from linksig.gaussian import i_power
+    from linksig.intmatrix import symmetric_invariants
+    from linksig.seifert import seifert_matrix
+
+    data = seifert_matrix(word)
+    return i_power(-data.dimension) * symmetric_invariants(data.symmetric_rows())[2]
+
+
 def random_unimodular(dim: int, rng, max_entry: int = 3, steps: int = 12):
     """A random integer matrix of determinant +-1 (product of shears/swaps)."""
     m = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]

@@ -1,8 +1,9 @@
 """Cross-checks between the Seifert route and the Burau route.
 
-The library takes the Conway potential from the reduced Burau matrix and
-the signature, nullity and determinant from the Seifert matrix.  Here the
-Seifert determinant det(t^-1 V - t V^T) serves as the oracle for
+The library takes the Conway potential and `link_det` from the reduced
+Burau matrix and the signature and nullity from the Seifert matrix
+(`invariants_report` also reads its determinant there).  Here the Seifert
+determinant det(t^-1 V - t V^T) serves as the oracle for
 `conway_potential`, exactly and with no freedom of units.  A second Burau
 build, by full matrix products of the letter matrices, checks the Seifert
 matrix up to units with no surface or orientation convention in common.
@@ -17,6 +18,7 @@ from linksig.intmatrix import exact_determinant
 from linksig.laurent import LaurentPolynomial
 from linksig.seifert import (_burau_columns, conway_potential,
                              invariants_report, link_det, seifert_matrix)
+from strategies import burau_words
 
 L = LaurentPolynomial
 
@@ -47,21 +49,6 @@ def _unreduced_burau(word: BraidWord):
             g[i + 1][i + 1] = L.t(-1) * (x - one)
         mat = _matmul(mat, g)
     return mat
-
-
-@st.composite
-def burau_words(draw) -> BraidWord:
-    """1-8 strands and 0-40 letters of mixed signs; half miss a generator."""
-    m = draw(st.integers(1, 8))
-    if m == 1:
-        return BraidWord(1)
-    gens = list(range(1, m))
-    if m > 2 and draw(st.booleans()):
-        gens = draw(st.lists(st.sampled_from(gens), min_size=1,
-                             max_size=m - 2, unique=True))
-    letter = st.sampled_from(gens).flatmap(lambda j: st.sampled_from((j, -j)))
-    n = draw(st.integers(0, 40))
-    return BraidWord(m, tuple(draw(st.lists(letter, min_size=n, max_size=n))))
 
 
 @settings(max_examples=80)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linksig.braid import BraidWord, FamilyParams, family_b, half_twist
 from linksig.closedforms import sign_null_delta
@@ -9,7 +10,9 @@ from linksig.laurent import LaurentPolynomial
 from linksig.seifert import (band_step, conway_potential, link_det,
                              seifert_matrix, signature_nullity)
 from linksig.splice import SpliceDiagram, torus_delta_diagram
-from oracles import band_step_constraint, cofactor_determinant, dense_seifert_matrix
+from oracles import (band_step_constraint, cofactor_determinant,
+                     dense_seifert_matrix, seifert_link_det)
+from strategies import burau_words
 
 
 def lp(d):
@@ -151,6 +154,18 @@ class TestLinkDet:
             assert link_det(w) == conway_potential(w).eval_at_i()
 
 
+@settings(max_examples=200)
+@given(burau_words())
+@example(BraidWord(1))
+@example(BraidWord(2, (1, -1, 1)))
+@example(half_twist(11) ** 8)
+@example(half_twist(13) ** 10)
+def test_link_det_equals_seifert_elimination(word):
+    # odd and even strand counts (the even ones are stabilized), split
+    # closures (det 0) and the d = 430 and d = 768 half-twist powers
+    assert link_det(word) == seifert_link_det(word), (word.strands, word.letters)
+
+
 class TestSkeinRelation:
     def test_hundred_seeded_braids(self):
         rng = random.Random(2024)
@@ -279,3 +294,27 @@ class TestBandStep:
             d0 = link_det(base)
             if not d0.is_zero():
                 assert signature_nullity(plus)[0] == band_step(s0, d0, dp)
+
+
+@st.composite
+def band_words(draw) -> BraidWord:
+    """3-6 strands and 8-36 letters of mixed signs on every generator."""
+    m = draw(st.integers(3, 6))
+    letter = st.integers(1, m - 1).flatmap(lambda j: st.sampled_from((j, -j)))
+    return BraidWord(m, tuple(draw(st.lists(letter, min_size=8, max_size=36))))
+
+
+@settings(max_examples=150)
+@given(band_words())
+def test_band_step_along_prefixes(word):
+    # appending a letter attaches one band, so wherever det L != 0 the
+    # Seifert signature steps as `band_step` says from the Burau determinants
+    m, letters = word.strands, word.letters
+    prefix = BraidWord(m)
+    sign, det = signature_nullity(prefix)[0], link_det(prefix)
+    for n in range(1, len(letters) + 1):
+        nxt = BraidWord(m, letters[:n])
+        sign_next, det_next = signature_nullity(nxt)[0], link_det(nxt)
+        if not det.is_zero():
+            assert sign_next == band_step(sign, det, det_next), letters[:n]
+        sign, det = sign_next, det_next
