@@ -1,7 +1,7 @@
 """Exact link invariants of braid closures and deep-nest curve prohibitions."""
 
 from .braid import (BraidWord, FamilyParams, delta_small, family_b, family_c,
-                    half_twist, pi_word, tau_word)
+                    family_params, half_twist, pi_word, tau_word)
 from .gaussian import GaussianInteger, i_power
 from .intmatrix import (exact_determinant, signature_nullity_of_symmetric,
                         symmetric_invariants)

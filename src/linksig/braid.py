@@ -11,6 +11,7 @@ per jump, with the block's generator pair sitting next to the middle strand
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,16 +79,6 @@ class BraidWord:
                 j = perm[j]
         return count
 
-    def free_reduce(self) -> "BraidWord":
-        """Cancel adjacent sigma_j sigma_j^-1 pairs until none remain."""
-        stack: list[int] = []
-        for ell in self.letters:
-            if stack and stack[-1] == -ell:
-                stack.pop()
-            else:
-                stack.append(ell)
-        return BraidWord(self.strands, tuple(stack))
-
     def to_text(self) -> str:
         return ",".join(str(x) for x in self.letters)
 
@@ -144,7 +135,13 @@ def delta_small(k: int, strands: int | None = None) -> BraidWord:
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters (n, k, J, alphas) of the jump-block braid families."""
+    """Parameters (n, k, J, alphas) of the jump-block braid families.
+
+    The one statement of the family domain: n, k, J >= 1, J has the parity
+    of n, and alphas are J nonnegative twist counts.  `family_params` adds
+    the rule of each kind; every function of the families validates through
+    it before it answers or reports a closed form as not established.
+    """
 
     n: int
     k: int
@@ -167,10 +164,28 @@ class FamilyParams:
         return 2 * self.k + 1
 
 
+def family_params(kind: str, n: int, k: int, J: int,
+                  alphas: Sequence[int]) -> FamilyParams:
+    """The parameters of a family braid of the given kind, validated.
+
+    Kind "b" is the narrow-pair family, "c" the wide-pair family, which
+    needs k >= 2.
+
+    >>> family_params("c", 1, 1, 1, (1,))
+    Traceback (most recent call last):
+    ...
+    ValueError: the wide family requires k >= 2
+    """
+    if kind not in ("b", "c"):
+        raise ValueError("kind must be 'b' or 'c'")
+    p = FamilyParams(n, k, J, alphas)
+    if kind == "c" and k < 2:
+        raise ValueError("the wide family requires k >= 2")
+    return p
+
+
 def _family_word(p: FamilyParams, lo: int, hi: int) -> BraidWord:
     m = p.strands
-    if not (1 <= lo < hi <= m - 1):
-        raise ValueError("family generator pair out of range")
     word = BraidWord(m)
     for j, alpha in enumerate(p.alphas, start=1):
         if j % 2 == 1:
@@ -209,6 +224,5 @@ def family_c(p: FamilyParams) -> BraidWord:
     Generator pair (sigma_{k-1}, sigma_{k+2}), one strand further out on both
     sides than the narrow family.
     """
-    if p.k < 2:
-        raise ValueError("the wide-pair family requires k >= 2")
+    family_params("c", p.n, p.k, p.J, p.alphas)
     return _family_word(p, p.k - 1, p.k + 2)

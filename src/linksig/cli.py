@@ -13,7 +13,7 @@ import json
 import random
 import sys
 
-from .braid import BraidWord, FamilyParams, family_b, family_c, family_length
+from .braid import BraidWord, family_b, family_c, family_length, family_params
 from .closedforms import FormulaNotEstablished, sign_null_b, sign_null_c
 from .genskein import (RelationSpec, block_identity_residual,
                        det_relation_check, random_braid, random_laurent,
@@ -75,7 +75,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    params = FamilyParams(args.n, args.k, args.J, tuple(_parse_ints(args.alpha)))
+    params = family_params(args.kind, args.n, args.k, args.J, _parse_ints(args.alpha))
     word = family_b(params) if args.kind == "b" else family_c(params)
     print(word.to_text())
     return 0
@@ -110,8 +110,8 @@ def _cmd_skeinpoly(args) -> int:
 
 def _cmd_closedform(args) -> int:
     alphas = _parse_ints(args.alpha)
+    params = family_params(args.kind, args.n, args.k, args.J, alphas)
     if args.verify or args.explore:
-        params = FamilyParams(args.n, args.k, args.J, tuple(alphas))
         # every generator index occurs in the n >= 1 half twists
         dim = family_length(args.kind, params) - 2 * args.k
         if dim > MAX_FAMILY_DIMENSION:
@@ -128,9 +128,11 @@ def _cmd_closedform(args) -> int:
         if not args.explore:
             print(json.dumps(out, indent=2))
             return 1
-    out["det"] = str(family_det_closed_form(args.kind, args.n, args.k,
-                                            args.J, alphas)) \
-        if args.kind == "b" or args.n % 4 != 0 else None
+    try:
+        out["det"] = str(family_det_closed_form(args.kind, args.n, args.k,
+                                                args.J, alphas))
+    except FormulaNotEstablished:
+        out["det"] = None
     if args.verify or args.explore:
         word = family_b(params) if args.kind == "b" else family_c(params)
         sign, null = signature_nullity(word)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .braid import family_params
+from .gaussian import i_power
 from .skeinpoly import FormulaNotEstablished
 
 __all__ = [
@@ -38,16 +40,11 @@ class EpsilonPair:
     eps_prime: int
 
 
-def _re_i_power(n: int) -> int:
-    """Re i^n."""
-    return (0, -1, 0, 1)[(n - 1) % 4]
-
-
 def epsilons(n: int, k: int) -> EpsilonPair:
     """eps = (1+(-1)^k)/2 * Re i^(n-1); eps' = (1-3(-1)^k)/2 * Re i^(n-1)."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    re = _re_i_power(n - 1)
+    re = i_power(n - 1).re
     eps = ((1 + (-1) ** k) // 2) * re
     eps_prime = ((1 - 3 * (-1) ** k) // 2) * re
     return EpsilonPair(eps, eps_prime)
@@ -64,18 +61,20 @@ def sign_null_delta(n: int, k: int) -> SignNull:
     return SignNull(sign, null)
 
 
-def _validate_family_args(n: int, k: int, j: int, alphas: Sequence[int]) -> None:
-    if n < 1 or k < 1 or j < 1:
-        raise ValueError("n, k, J must be positive")
-    if (n - j) % 2:
-        raise ValueError("J must have the parity of n")
-    if len(alphas) != j:
-        raise ValueError("alphas must have length J")
-
-
-def _is_special_pair(j: int, alphas: Sequence[int]) -> bool:
+def _is_special_pair(alphas: Sequence[int]) -> bool:
     """The (alpha_0, 0) shape handled by the special cases."""
-    return j == 2 and alphas[1] == 0 and alphas[0] >= 0
+    return len(alphas) == 2 and alphas[1] == 0
+
+
+def _signed_count(n: int, k: int, j: int, alphas: Sequence[int], w: int,
+                  eps: int) -> SignNull:
+    """The main closed form, with w = 2k -+ 1 and the kind's epsilon.
+
+    Null = [J = w n (mod 4) and every alpha = 1];
+    Sign = Null - nk(k+1) + sum(alphas) - J + eps.
+    """
+    null = 1 if (j - w * n) % 4 == 0 and all(a == 1 for a in alphas) else 0
+    return SignNull(null - n * k * (k + 1) + sum(alphas) - j + eps, null)
 
 
 def sign_null_b(n: int, k: int, j: int, alphas: Sequence[int]) -> SignNull:
@@ -83,55 +82,45 @@ def sign_null_b(n: int, k: int, j: int, alphas: Sequence[int]) -> SignNull:
 
     Positive twist counts use the main formula; the (alpha_0, 0) shape uses
     the special cases (for n = 0 mod 4 only the nullity is established, so
-    sign comes back as None there).  n = 0 mod 4 with k > 1 is outside the
-    proven range and raises FormulaNotEstablished.
+    sign comes back as None there).  n = 0 mod 4 with k > 1, and any other
+    shape with a zero twist count, are outside the proven range and raise
+    FormulaNotEstablished.
     """
-    _validate_family_args(n, k, j, alphas)
-    alphas = list(alphas)
+    alphas = family_params("b", n, k, j, alphas).alphas
+    eps = epsilons(n, k).eps
     if all(a >= 1 for a in alphas):
         if n % 4 == 0 and k != 1:
             raise FormulaNotEstablished(
                 "narrow family at n = 0 mod 4 is only established for k = 1")
-        null = 1 if (j - (2 * k - 1) * n) % 4 == 0 and all(a == 1 for a in alphas) else 0
-        sign = null + (-n * k * (k + 1)) + sum(alphas) - j + epsilons(n, k).eps
-        return SignNull(sign, null)
-    if _is_special_pair(j, alphas):
-        a0 = alphas[0]
+        return _signed_count(n, k, j, alphas, 2 * k - 1, eps)
+    if _is_special_pair(alphas):
         if n % 4 == 2:
             # the main formula with J = 0 and the twist sum replaced by a0
-            null = 1 if (0 - (2 * k - 1) * n) % 4 == 0 and a0 == 1 else 0
-            sign = null + (-n * k * (k + 1)) + a0 + epsilons(n, k).eps
-            return SignNull(sign, null)
-        if n % 4 == 0:
-            if k != 1:
-                raise FormulaNotEstablished(
-                    "narrow family special pair needs k = 1 when n = 0 mod 4")
-            # no twists at all is the plain half-twist power with kernel 2;
-            # any twisting removes exactly one kernel vector
-            return SignNull(None, 2 if a0 == 0 else 1)
-        raise ValueError("the special pair form applies to even n only")
-    raise ValueError("twist counts must be positive (or the special (a0, 0) pair)")
+            return _signed_count(n, k, 0, alphas[:1], 2 * k - 1, eps)
+        # J = 2 has the parity of n, so n = 0 mod 4 here
+        if k != 1:
+            raise FormulaNotEstablished(
+                "narrow family special pair needs k = 1 when n = 0 mod 4")
+        # no twists at all is the plain half-twist power with kernel 2;
+        # any twisting removes exactly one kernel vector
+        return SignNull(None, 2 if alphas[0] == 0 else 1)
+    raise FormulaNotEstablished(
+        "zero twist counts are only established in the (a0, 0) pair")
 
 
 def sign_null_c(n: int, k: int, j: int, alphas: Sequence[int]) -> SignNull:
     """Closed-form (Sign, Null) of the wide-pair family braid closure."""
-    _validate_family_args(n, k, j, alphas)
-    if k < 2:
-        raise ValueError("the wide family requires k >= 2")
+    alphas = family_params("c", n, k, j, alphas).alphas
     if n % 4 == 0:
         raise FormulaNotEstablished(
             "wide family at n = 0 mod 4 has no proven signature formula")
-    alphas = list(alphas)
     if all(a >= 1 for a in alphas):
-        null = 1 if (j - (2 * k + 1) * n) % 4 == 0 and all(a == 1 for a in alphas) else 0
-        sign = null + (-n * k * (k + 1)) + sum(alphas) - j + epsilons(n, k).eps_prime
-        return SignNull(sign, null)
-    if _is_special_pair(j, alphas):
-        if n % 4 != 2:
-            raise ValueError("the special pair form applies to even n only")
-        # agrees with the narrow family there
+        return _signed_count(n, k, j, alphas, 2 * k + 1, epsilons(n, k).eps_prime)
+    if _is_special_pair(alphas):
+        # n = 2 mod 4 here; the narrow family agrees there
         return sign_null_b(n, k, j, alphas)
-    raise ValueError("twist counts must be positive (or the special (a0, 0) pair)")
+    raise FormulaNotEstablished(
+        "zero twist counts are only established in the (a0, 0) pair")
 
 
 def mt_gap(sign: int, null: int, strands: int, exponent_sum: int) -> int:

@@ -45,23 +45,14 @@ from .laurent import LaurentPolynomial
 
 @dataclass(frozen=True)
 class SeifertData:
-    """A Seifert matrix together with the basis cycles that produced it.
+    """A d x d Seifert matrix V, kept as its nonzero entries.
 
-    Each basis cycle is recorded as (generator index i, word positions a < b)
-    for the two consecutive index-i letters bounding it, positions referring
-    to the stabilized word.  The matrix V is kept as its nonzero entries
-    (row, column, value), at most one per pair of cycles; the dense
-    `matrix` is built on demand.
+    The entries are (row, column, value), at most one per pair of basis
+    cycles; the dense `matrix` is built on demand.
     """
 
     nonzeros: tuple[tuple[int, int, int], ...]
-    cycle_index: tuple[tuple[int, int, int], ...]
-    stabilized_letters: tuple[int, ...]
-    strands: int
-
-    @property
-    def dimension(self) -> int:
-        return len(self.cycle_index)
+    dimension: int
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -107,7 +98,6 @@ def seifert_matrix(word: BraidWord) -> SeifertData:
     # the last position of each generator index: every other position
     # starts a cycle, which runs to the next position on its index
     final = {abs(x): pos for pos, x in enumerate(letters)}
-    cycles: list = [None] * (len(letters) - len(final))
     num = [0] * len(letters)  # cycle number of each start position
     last: dict[int, int] = {}  # the latest position on each index
     nonzeros: list[tuple[int, int, int]] = []
@@ -123,7 +113,6 @@ def seifert_matrix(word: BraidWord) -> SeifertData:
         if s is None:
             continue
         c = num[s]  # the cycle (s, e) closes here
-        cycles[c] = (j, s, e)
         if (letters[s] > 0) == (x > 0):
             nonzeros.append((c, c, -1 if x > 0 else 1))
         if opens:
@@ -140,12 +129,7 @@ def seifert_matrix(word: BraidWord) -> SeifertData:
         if y is not None and y > s and final[j - 1] != y:
             nonzeros.append((c, num[y], -1))
 
-    return SeifertData(
-        nonzeros=tuple(nonzeros),
-        cycle_index=tuple(cycles),
-        stabilized_letters=letters,
-        strands=word.strands,
-    )
+    return SeifertData(tuple(nonzeros), len(letters) - len(final))
 
 
 def _form_invariants(word: BraidWord) -> tuple[int, int, GaussianInteger]:

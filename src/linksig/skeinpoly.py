@@ -19,6 +19,7 @@ from functools import cache
 from itertools import combinations
 from typing import Callable, Sequence
 
+from .braid import family_params
 from .gaussian import GaussianInteger, i_power
 from .intmatrix import exact_determinant
 
@@ -353,17 +354,7 @@ def tilde_closed_form(kind: str, n: int, k: int, j: int,
     Five parity cases; the narrow family at n = 0 mod 4 needs k = 1 (larger
     k vanishes identically), and the wide family is undefined there.
     """
-    if kind not in ("b", "c"):
-        raise ValueError("kind must be 'b' or 'c'")
-    if n < 1 or k < 1 or j < 1:
-        raise ValueError("n, k, J must be positive")
-    if (n - j) % 2:
-        raise ValueError("J must have the parity of n")
-    if len(alphas) != j or any(a < 0 for a in alphas):
-        raise ValueError("alphas must be J nonnegative integers")
-    if kind == "c" and k < 2:
-        raise ValueError("the wide family requires k >= 2")
-    xs = list(alphas)
+    xs = list(family_params(kind, n, k, j, alphas).alphas)
     if n % 4 == 0:
         if kind == "c":
             raise FormulaNotEstablished(
@@ -390,6 +381,7 @@ def family_det_closed_form(kind: str, n: int, k: int, j: int,
 
 def det_table_all_ones(kind: str, n: int, k: int, j: int) -> GaussianInteger:
     """The four-case closed form for det at all twist counts one."""
+    family_params(kind, n, k, j, (1,) * j)
     if kind == "b":
         if n % 4 == 0 and (j + 2) % 4 == 0 and k == 1:
             return GaussianInteger(4, 0)
@@ -398,12 +390,8 @@ def det_table_all_ones(kind: str, n: int, k: int, j: int) -> GaussianInteger:
         if n % 2 == 1 and (j - (n + 2 * k)) % 4 == 0:
             return (GaussianInteger(-2, 0) * i_power(n)) ** (k + 1)
         return GaussianInteger(0, 0)
-    if kind == "c":
-        if k < 2:
-            raise ValueError("the wide family requires k >= 2")
-        if (n + 2) % 4 == 0 and j % 4 == 0:
-            return GaussianInteger(4, 0) ** k
-        if n % 2 == 1 and (j - (n + 2 * k + 2)) % 4 == 0:
-            return -((GaussianInteger(-2, 0) * i_power(n)) ** (k + 1))
-        return GaussianInteger(0, 0)
-    raise ValueError("kind must be 'b' or 'c'")
+    if (n + 2) % 4 == 0 and j % 4 == 0:
+        return GaussianInteger(4, 0) ** k
+    if n % 2 == 1 and (j - (n + 2 * k + 2)) % 4 == 0:
+        return -((GaussianInteger(-2, 0) * i_power(n)) ** (k + 1))
+    return GaussianInteger(0, 0)

@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 from math import gcd, prod
 
+from .braid import family_params
 from .gaussian import GaussianInteger
 from .laurent import LaurentPolynomial
 
@@ -419,8 +420,6 @@ def torus_delta_diagram(n: int, k: int) -> SpliceDiagram:
 
 
 def _central_pair(n: int, k: int, J: int, doubles: int) -> SpliceDiagram:
-    if (n - J) % 2 != 0:
-        raise ValueError("J must have the parity of n")
     d = SpliceDiagram.unknot()
     core = 1
     if n % 2 == 1:
@@ -439,15 +438,13 @@ def _central_pair(n: int, k: int, J: int, doubles: int) -> SpliceDiagram:
 
 def b_family_diagram(n: int, k: int, J: int) -> SpliceDiagram:
     """Diagram of the closed narrow-pair braid with all twist counts 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    family_params("b", n, k, J, (1,) * J)
     return _central_pair(n, k, J, k - 1)
 
 
 def c_family_diagram(n: int, k: int, J: int) -> SpliceDiagram:
     """Diagram of the closed wide-pair braid with all twist counts 1."""
-    if k < 2:
-        raise ValueError("the wide family requires k >= 2")
+    family_params("c", n, k, J, (1,) * J)
     d = _central_pair(n, k, J, k - 2)
     # the strand between the jump pair and the outer cables doubles up
     inner_arrow = d.arrowheads()[-2]

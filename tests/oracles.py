@@ -68,6 +68,18 @@ def rational_signature(m) -> tuple[int, int]:
     return pos - neg, null
 
 
+def free_reduce(letters) -> tuple[int, ...]:
+    """Braid letters with adjacent sigma_j sigma_j^-1 pairs cancelled until
+    none remain (one stack pass)."""
+    stack: list[int] = []
+    for ell in letters:
+        if stack and stack[-1] == -ell:
+            stack.pop()
+        else:
+            stack.append(ell)
+    return tuple(stack)
+
+
 def dense_seifert_matrix(word) -> list[list[int]]:
     """The Seifert matrix V of a closed braid by scanning all pairs of cycles.
 

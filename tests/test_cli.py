@@ -71,10 +71,11 @@ def test_closedform_explore_unproven(capsys):
     assert "not established" in data["closed_form"]
     assert "direct" in data
     # without --explore an unproven closed form is a failure
-    code, out = run(capsys, "closedform", "c", "--n", "4", "--k", "2",
-                    "--J", "2", "--alpha", "1,1")
-    assert code == 1
-    assert "not established" in json.loads(out)["closed_form"]
+    for kind in ("b", "c"):
+        code, out = run(capsys, "closedform", kind, "--n", "4", "--k", "2",
+                        "--J", "2", "--alpha", "1,1")
+        assert code == 1
+        assert "not established" in json.loads(out)["closed_form"]
 
 
 def test_skein_verify(capsys):
@@ -182,6 +183,9 @@ MALFORMED_DIAGRAMS = {
       "--verify"], "Seifert dimension 12723 > 12000"),
     (["closedform", "c", "--n", "1000", "--k", "3", "--J", "2",
       "--alpha", "1,1", "--explore"], "family word too large"),
+    # refused as outside the family, not reported as "not established"
+    (["closedform", "c", "--n", "4", "--k", "2", "--J", "2",
+      "--alpha=-1,5"], "alphas must be nonnegative"),
     (["skein", "verify", "--relation", "blocks", "--trials", "4001"],
      "--trials must be at most 4000, got 4001"),
     (["skein", "verify", "--relation", "conway", "--maxlen", "1000",
@@ -200,6 +204,7 @@ MALFORMED_DIAGRAMS = {
 ], ids=["invariants", "degree9", "splice", "invariants-size", "skein-size",
         "skein-trials", "skein-maxlen", "skein-conway-strands",
         "skein-b3-strands", "closedform-verify-size", "closedform-explore-size",
+        "closedform-negative-twist",
         "skein-trials-bound", "skein-trials-size", "skein-b3-inserted-size",
         "splice-empty", "splice-unsigned", "splice-unknown-vertex",
         "splice-misspelled-kind", "splice-bool-sign", "splice-float-weight",

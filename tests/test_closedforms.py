@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from linksig.braid import FamilyParams, family_b, family_c, half_twist
+from linksig.braid import (FamilyParams, family_b, family_c, family_params,
+                           half_twist)
 from linksig.closedforms import (FormulaNotEstablished, SignNull, epsilons,
                                  mt_gap, sign_null_b, sign_null_c,
                                  sign_null_delta)
 from linksig.seifert import signature_nullity
-from linksig.skeinpoly import tilde_closed_form
+from linksig.skeinpoly import (det_table_all_ones, family_det_closed_form,
+                               tilde_closed_form)
+from linksig.splice import b_family_diagram, c_family_diagram
 
 # the half-twist rows of the appended computation log, as (-Sign, Null)
 LOG_DELTA_ROWS = {
@@ -193,3 +197,72 @@ class TestMtGap:
         w = family_b(FamilyParams(1, 1, 1, (2,)))
         sign, null = signature_nullity(w)
         assert mt_gap(sign, null, w.strands, w.exponent_sum()) < 0
+
+
+def _in_domain(kind, n, k, j, alphas) -> bool:
+    """The family domain, stated independently of the library."""
+    return (kind in ("b", "c") and n >= 1 and k >= (2 if kind == "c" else 1)
+            and j >= 1 and (n - j) % 2 == 0 and len(alphas) == j
+            and all(a >= 0 for a in alphas))
+
+
+def _outcome(call) -> str:
+    try:
+        call()
+    except FormulaNotEstablished:
+        return "not established"
+    except ValueError:
+        return "refused"
+    return "answered"
+
+
+@st.composite
+def family_draws(draw):
+    """(kind, n, k, J, alphas) on both sides of every domain boundary."""
+    kind = draw(st.sampled_from(["b", "c"]))
+    n, k, j = (draw(st.integers(-1, 9)) for _ in range(3))
+    if draw(st.booleans()):  # half the draws give J the parity of n
+        j = draw(st.sampled_from([x for x in range(-1, 10) if (x - n) % 2 == 0]))
+    size = max(j, 0) if draw(st.booleans()) else draw(st.integers(0, 9))
+    twist = st.one_of(st.integers(1, 3), st.integers(-1, 3))
+    alphas = draw(st.lists(twist, min_size=size, max_size=size))
+    return kind, n, k, j, alphas
+
+
+class TestFamilyDomain:
+    def test_refusals(self):
+        # the first four answered for braids that do not exist
+        for call in (lambda: det_table_all_ones("b", 1, 1, 2),
+                     lambda: b_family_diagram(0, 1, 2),
+                     lambda: b_family_diagram(1, 1, -1),
+                     lambda: sign_null_c(4, 2, 2, [-1, 5]),
+                     lambda: family_params("a", 1, 1, 1, (1,)),
+                     lambda: tilde_closed_form("a", 1, 1, 1, (1,)),
+                     lambda: det_table_all_ones("a", 1, 1, 1)):
+            assert _outcome(call) == "refused"
+        # by the kind rule, before any letter is built
+        with pytest.raises(ValueError, match="requires k >= 2"):
+            family_c(FamilyParams(1, 1, 1, (1,)))
+
+    @settings(max_examples=400)
+    @given(family_draws())
+    def test_every_entry_point_refuses_the_same_draws(self, draw):
+        kind, n, k, j, alphas = draw
+        ones = (1,) * max(j, 0)
+        diagram = b_family_diagram if kind == "b" else c_family_diagram
+        word = family_b if kind == "b" else family_c
+        sign_null = sign_null_b if kind == "b" else sign_null_c
+        with_alphas = [
+            lambda: family_params(kind, n, k, j, alphas),
+            lambda: word(FamilyParams(n, k, j, alphas)),
+            lambda: sign_null(n, k, j, alphas),
+            lambda: tilde_closed_form(kind, n, k, j, alphas),
+            lambda: family_det_closed_form(kind, n, k, j, alphas),
+        ]
+        all_ones = [lambda: det_table_all_ones(kind, n, k, j),
+                    lambda: diagram(n, k, j)]
+        for calls, twists in ((with_alphas, alphas), (all_ones, ones)):
+            valid = _in_domain(kind, n, k, j, twists)
+            for call in calls:
+                got = _outcome(call)
+                assert (got == "refused") == (not valid), (draw, got)

@@ -11,7 +11,7 @@ from linksig.seifert import (band_step, conway_potential, link_det,
                              seifert_matrix, signature_nullity)
 from linksig.splice import SpliceDiagram, torus_delta_diagram
 from oracles import (band_step_constraint, cofactor_determinant,
-                     dense_seifert_matrix, seifert_link_det)
+                     dense_seifert_matrix, free_reduce, seifert_link_det)
 from strategies import burau_words
 
 
@@ -44,14 +44,17 @@ class TestMatrixConstruction:
 
     def test_stabilization_of_missing_indices(self):
         w = BraidWord(3, (2, 2))
-        data = seifert_matrix(w)
-        assert data.stabilized_letters == (2, 2, 1, -1)
+        # sigma_1 sigma_1^-1 is appended: 2 + 2 letters on 2 indices
+        assert seifert_matrix(w).dimension == 2
         # split closure: one extra nullity
         assert signature_nullity(w) == (-1, 1)
 
-    def test_cycle_index_records_positions(self):
-        data = seifert_matrix(BraidWord(2, (1, 1, 1)))
-        assert data.cycle_index == ((1, 0, 1), (1, 1, 2))
+    def test_dimension_counts_stabilized_letters(self):
+        # d = letters + 2 (missing indices) - (m - 1)
+        for m, letters, missing in ((2, (1, 1, 1), 0), (4, (2, -2, 2), 2),
+                                    (5, (1, 4, -1, 4), 2), (3, (), 2)):
+            w = BraidWord(m, letters)
+            assert seifert_matrix(w).dimension == len(letters) + 2 * missing - (m - 1)
 
 
 def seeded_braids(count=100):
@@ -222,7 +225,7 @@ class TestInvariance:
             j = rng.choice([1, -1]) * rng.randint(1, m - 1)
             padded = BraidWord(m, tuple(letters[:pos] + [j, -j] + letters[pos:]))
             w = BraidWord(m, tuple(letters))
-            assert padded.free_reduce().letters == w.free_reduce().letters
+            assert free_reduce(padded.letters) == free_reduce(w.letters)
             assert signature_nullity(w) == signature_nullity(padded)
             assert conway_potential(w) == conway_potential(padded)
 
