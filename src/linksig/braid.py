@@ -133,6 +133,14 @@ def delta_small(k: int, strands: int | None = None) -> BraidWord:
 
 # -- parametric families ----------------------------------------------------
 
+def _check_jumps(n: int, k: int, J: int) -> None:
+    """The family rules on (n, k, J), which need no twist count."""
+    if n < 1 or k < 1 or J < 1:
+        raise ValueError("n, k, J must be positive")
+    if (n - J) % 2 != 0:
+        raise ValueError("the number of jumps J must have the parity of n")
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     """Parameters (n, k, J, alphas) of the jump-block braid families.
@@ -140,7 +148,8 @@ class FamilyParams:
     The one statement of the family domain: n, k, J >= 1, J has the parity
     of n, and alphas are J nonnegative twist counts.  `family_params` adds
     the rule of each kind; every function of the families validates through
-    it before it answers or reports a closed form as not established.
+    it before it answers or reports a closed form as not established.  The
+    curve layer asks `_check_jumps` about a jump count alone.
     """
 
     n: int
@@ -150,10 +159,7 @@ class FamilyParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))
-        if self.n < 1 or self.k < 1 or self.J < 1:
-            raise ValueError("n, k, J must be positive")
-        if (self.n - self.J) % 2 != 0:
-            raise ValueError("the number of jumps J must have the parity of n")
+        _check_jumps(self.n, self.k, self.J)
         if len(self.alphas) != self.J:
             raise ValueError("alphas must have length J")
         if any(a < 0 for a in self.alphas):

@@ -80,20 +80,17 @@ def relation_residual(word: BraidWord, spec: RelationSpec) -> LaurentPolynomial:
     return total
 
 
-#: weights (the coefficients at t = i) of the determinant form of each relation
-DET_WEIGHTS = {"delta3_order4": (1, 3, 4, 3, 1),
-               "Delta3sq_order4": (1, 0, -2, 0, 1)}
-
-
 def det_relation_check(word: BraidWord, kind: str) -> GaussianInteger:
     """The determinant form of the relations (coefficients at t = i); contract: 0."""
     step = _insertion(word, kind)
+    coeffs = DELTA3_COEFFS
     if kind == "Delta3sq_order4":
         step = step ** 2  # this form steps by the fourth power of the half twist
-    weights = DET_WEIGHTS[kind]
+        coeffs = DELTA3SQ_COEFFS
     total = GaussianInteger(0, 0)
     current = word
-    for w in weights:
+    for coeff in coeffs:
+        w = coeff.eval_at_i()
         if w:
             total = total + link_det(current) * w
         current = current * step

@@ -6,6 +6,10 @@ the complex-orientation balance equations.  Geometric side conditions from
 auxiliary conic/line arguments are never decided here; callers assert them
 as flags and the reports echo the assumptions.
 
+Each hypothesis has one owner: J >= 1 and J = n (mod 2) are `braid`'s
+family rules, n = 0 (mod 4) needs k = 1 is `closedforms.sign_null_b`'s proven
+range, and lambda > J is this module's one rule.
+
 Orientation conventions: the balance equations select one representative of
 each pair of opposite complex orientations.  The flip-closed predicates are
 exposed separately for invariance checks.
@@ -16,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .closedforms import epsilons
+from .braid import _check_jumps
+from .closedforms import epsilons, sign_null_b
 
 
 @dataclass(frozen=True)
@@ -37,16 +42,19 @@ class CurveParams:
         if min(self.lam, self.lam_odd, self.lam_even) < 0:
             raise ValueError("oval counts cannot be negative")
 
-    def hypothesis_violations(self) -> list[str]:
-        out = []
-        if self.J is not None:
-            if not self.lam > self.J > 0:
-                out.append("need lambda > J > 0")
-            if (self.J - self.n) % 2:
-                out.append("J must have the parity of n")
-        if self.n % 4 == 0 and self.k != 1:
-            out.append("n divisible by 4 requires k = 1")
-        return out
+
+def _hypothesis_failure(p: CurveParams, j: int | None) -> str | None:
+    """Why p with the jump count j (None: unset) fails a hypothesis, or None."""
+    least = 2 - p.n % 2  # the range ignores J; ask at the least J of n's parity
+    try:
+        if j is not None:
+            if j >= p.lam:
+                return "need lambda > J"
+            _check_jumps(p.n, p.k, j)
+        sign_null_b(p.n, p.k, least, (1,) * least)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @dataclass(frozen=True)
@@ -57,59 +65,54 @@ class Theorem11Result:
     slack2: int
 
     def as_dict(self) -> dict:
-        return {"ineq1": self.ineq1, "ineq2": self.ineq2,
-                "slack1": self.slack1, "slack2": self.slack2}
+        return dict(vars(self))
 
 
-def _bound_terms(p: CurveParams) -> tuple[int, int, int]:
+def _windows(p: CurveParams) -> tuple[tuple[int, int], ...]:
+    """The odd-count and even-count intervals of J, and their intersection:
+    |n k^2 - 3k + 1 - r + e - J| <= r + 2 lambda_x + x, (e, lambda_x) = (eps,
+    lambda_odd) or (eps', lambda_even), x = k - 1 (odd n) or 2(k - 1)."""
     e = epsilons(p.n, p.k)
-    extra = (p.k - 1) if p.n % 2 else 2 * (p.k - 1)
-    return e.eps, e.eps_prime, extra
+    centre = p.n * p.k * p.k - 3 * p.k + 1 - p.r
+    width = p.r + ((p.k - 1) if p.n % 2 else 2 * (p.k - 1))
+    odd, even = [(centre + eps - width - 2 * lam, centre + eps + width + 2 * lam)
+                 for eps, lam in ((e.eps, p.lam_odd), (e.eps_prime, p.lam_even))]
+    return odd, even, (max(odd[0], even[0]), min(odd[1], even[1]))
 
 
-def theorem11_check(p: CurveParams) -> Theorem11Result:
-    """The two jump-window inequalities at the given J."""
-    bad = p.hypothesis_violations()
-    if bad:
-        raise ValueError("; ".join(bad))
-    if p.J is None:
-        raise ValueError("theorem11_check needs an explicit jump count J")
-    eps, eps_prime, extra = _bound_terms(p)
-    center = p.n * p.k * p.k - 3 * p.k + 1 - p.r - p.J
-    rhs1 = p.r + 2 * p.lam_odd + extra
-    rhs2 = p.r + 2 * p.lam_even + extra
-    s1 = rhs1 - abs(center + eps)
-    s2 = rhs2 - abs(center + eps_prime)
+def _slacks(j: int, odd: tuple[int, int], even: tuple[int, int]) -> Theorem11Result:
+    s1, s2 = (min(j - lo, hi - j) for lo, hi in (odd, even))
     return Theorem11Result(s1 >= 0, s2 >= 0, s1, s2)
 
 
-def jump_window(p: CurveParams, which: str = "both") -> tuple[int, int]:
-    """The interval of J allowed by the inequalities (ignoring parity).
+def theorem11_check(p: CurveParams) -> Theorem11Result:
+    """The two jump-window inequalities at the given J; each slack is J's
+    distance from the nearer end of its window, negative outside it."""
+    bad = _hypothesis_failure(p, p.J)
+    if bad:
+        raise ValueError(bad)
+    if p.J is None:
+        raise ValueError("theorem11_check needs an explicit jump count J")
+    return _slacks(p.J, *_windows(p)[:2])
 
-    ``which`` selects the odd-count inequality, the even-count one, or their
-    intersection.
-    """
-    eps, eps_prime, extra = _bound_terms(p)
-    base = p.n * p.k * p.k - 3 * p.k + 1 - p.r
-    lo1 = base + eps - (p.r + 2 * p.lam_odd + extra)
-    hi1 = base + eps + (p.r + 2 * p.lam_odd + extra)
-    lo2 = base + eps_prime - (p.r + 2 * p.lam_even + extra)
-    hi2 = base + eps_prime + (p.r + 2 * p.lam_even + extra)
-    if which == "odd":
-        return lo1, hi1
-    if which == "even":
-        return lo2, hi2
-    if which == "both":
-        return max(lo1, lo2), min(hi1, hi2)
-    raise ValueError("which must be 'odd', 'even', or 'both'")
+
+def jump_window(p: CurveParams, which: str = "both") -> tuple[int, int]:
+    """The interval of J allowed by the odd-count inequality, the even-count
+    one, or both (``which``), ignoring parity."""
+    windows = dict(zip(("odd", "even", "both"), _windows(p)))
+    if which not in windows:
+        raise ValueError("which must be 'odd', 'even', or 'both'")
+    return windows[which]
 
 
 def fiedler_bound(lam_plus: int, lam_minus: int, j: int) -> bool:
     """Alternation along the pencil: J >= |lambda_+ - lambda_-|."""
-    return j >= abs(lam_plus - lam_minus)
+    return j >= fiedler_min_jumps(lam_plus, lam_minus)
 
 
 def fiedler_min_jumps(lam_plus: int, lam_minus: int) -> int:
+    if lam_plus < 0 or lam_minus < 0:
+        raise ValueError("oval counts cannot be negative")
     return abs(lam_plus - lam_minus)
 
 
@@ -180,12 +183,7 @@ class Degree9Scheme:
                 f"{self.gamma_plus}+ {self.gamma_minus}- >>")
 
     def as_dict(self) -> dict:
-        return {
-            "alpha_plus": self.alpha_plus, "alpha_minus": self.alpha_minus,
-            "beta_plus": self.beta_plus, "beta_minus": self.beta_minus,
-            "gamma_plus": self.gamma_plus, "gamma_minus": self.gamma_minus,
-            "eps1": self.eps1, "eps2": self.eps2,
-        }
+        return dict(vars(self))
 
 
 def orientation_balance(s: Degree9Scheme) -> tuple[int, int]:
@@ -226,20 +224,26 @@ def lemma23_consistent(s: Degree9Scheme) -> bool:
     return True
 
 
+def _check_nests(alpha: int, beta: int, gamma: int) -> None:
+    Degree9Scheme(alpha, 0, beta, 0, gamma, 0, 1, 1)  # refuses a negative count
+    if gamma < 1:
+        raise ValueError("the inner nest must contain at least one oval")
+
+
 def deg9_enumerate(alpha: int, beta: int, gamma: int,
                    lemma23_applicable: bool = False) -> list[Degree9Scheme]:
     """All oriented schemes surviving the degree-nine sieves.
 
     One representative per orientation pair is returned (the balance
-    equations fix the global orientation).
+    equations fix the global orientation), in the order of (alpha_plus,
+    beta_plus, gamma_plus, eps1, eps2).
     """
-    if gamma < 1:
-        raise ValueError("the inner nest must contain at least one oval")
+    _check_nests(alpha, beta, gamma)
     out = []
     for ap in range(alpha + 1):
         for bp in range(beta + 1):
             for gp in range(gamma + 1):
-                for e1, e2 in product((1, -1), repeat=2):
+                for e1, e2 in product((-1, 1), repeat=2):
                     s = Degree9Scheme(ap, alpha - ap, bp, beta - bp,
                                       gp, gamma - gp, e1, e2)
                     checks = deg9_formulas(s)
@@ -248,8 +252,7 @@ def deg9_enumerate(alpha: int, beta: int, gamma: int,
                     if lemma23_applicable and not lemma23_consistent(s):
                         continue
                     out.append(s)
-    return sorted(out, key=lambda s: (s.alpha_plus, s.beta_plus,
-                                      s.gamma_plus, s.eps1, s.eps2))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,54 +273,46 @@ class Report:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "violated": sorted(self.violated),
-            "assumptions": sorted(self.assumptions),
-            "schemes": self.schemes,
-            "notes": self.notes,
-            "details": self.details,
-        }
+        return dict(vars(self), violated=sorted(self.violated),
+                    assumptions=sorted(self.assumptions))
 
 
 def verdict_curve(p: CurveParams, lam_plus: int | None = None,
                   lam_minus: int | None = None) -> Report:
     """Judge a deep-nest curve bundle: jump window vs alternation bound."""
-    bad = p.hypothesis_violations()
+    if (lam_plus is None) != (lam_minus is None):
+        raise ValueError("the alternation bound needs both lambda_+ and lambda_-")
+    need = None if lam_plus is None else fiedler_min_jumps(lam_plus, lam_minus)
+    bad = _hypothesis_failure(p, p.J)
     if bad:
-        return Report(verdict="hypothesis not met", violated=bad,
+        return Report(verdict="hypothesis not met", violated=[bad],
                       notes=[STRICTNESS_NOTE])
-    lo, hi = jump_window(p)
+    odd, even, (lo, hi) = _windows(p)
     details: dict = {"jump_window": [lo, hi]}
     violated = []
     if p.J is not None:
-        res = theorem11_check(p)
+        res = _slacks(p.J, odd, even)
         details["theorem11"] = res.as_dict()
         if not (res.ineq1 and res.ineq2):
             violated.append("jump window")
-        if lam_plus is not None and lam_minus is not None:
-            if not fiedler_bound(lam_plus, lam_minus, p.J):
-                violated.append("alternation bound")
-    elif lam_plus is not None and lam_minus is not None:
-        need = fiedler_min_jumps(lam_plus, lam_minus)
+        if need is not None and p.J < need:
+            violated.append("alternation bound")
+    elif need is not None:
         details["alternation_min_jumps"] = need
-        feasible = [j for j in range(max(1, lo), hi + 1)
-                    if (j - p.n) % 2 == 0 and j < p.lam and j >= need]
+        feasible = [j for j in range(max(lo, need), hi + 1)
+                    if _hypothesis_failure(p, j) is None]
         details["feasible_jumps"] = feasible
         if not feasible:
             violated.append("alternation bound vs jump window")
-    return Report(
-        verdict="prohibited" if violated else "admissible",
-        violated=violated,
-        notes=[STRICTNESS_NOTE],
-        details=details,
-    )
+    return Report(verdict="prohibited" if violated else "admissible",
+                  violated=violated, notes=[STRICTNESS_NOTE], details=details)
 
 
 def verdict_degree9(alpha: int, beta: int, gamma: int,
                     m_curve: bool = False,
                     assume_lemma23: bool = False) -> Report:
     """Judge a degree-nine isotopy type through the complex-scheme sieve."""
+    _check_nests(alpha, beta, gamma)
     assumptions = []
     if assume_lemma23:
         assumptions.append("separation lemma applies (|d_gamma|>1, alpha>0 => beta>0)")

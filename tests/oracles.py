@@ -197,6 +197,40 @@ def deg9_formulas_up_to_flip(s) -> dict:
     }
 
 
+def curve_hypotheses_hold(n: int, k: int, J, lam: int) -> bool:
+    """The deep-nest hypotheses written out: lambda > J > 0 and J = n (mod 2)
+    for a given J, and k = 1 whenever 4 divides n."""
+    if J is not None and not (lam > J > 0 and (J - n) % 2 == 0):
+        return False
+    return n % 4 != 0 or k == 1
+
+
+def jump_slacks(n: int, k: int, r: int, J: int, lam_odd: int,
+                lam_even: int) -> tuple[int, int]:
+    """The two jump inequalities at one J, as right side minus left side.
+
+    r + 2 lambda_odd + x - |n k^2 - 3k + 1 - r - J + eps|, and the same with
+    lambda_even and eps'; x = k - 1 for odd n and 2(k - 1) for even n,
+    eps = (1 + (-1)^k)/2 Re i^(n-1), eps' = (1 - 3(-1)^k)/2 Re i^(n-1).
+    """
+    re = (1, 0, -1, 0)[(n - 1) % 4]
+    eps = (1 + (-1) ** k) // 2 * re
+    eps_prime = (1 - 3 * (-1) ** k) // 2 * re
+    extra = k - 1 if n % 2 else 2 * (k - 1)
+    centre = n * k * k - 3 * k + 1 - r - J
+    return (r + 2 * lam_odd + extra - abs(centre + eps),
+            r + 2 * lam_even + extra - abs(centre + eps_prime))
+
+
+def feasible_jumps(n: int, k: int, r: int, lam: int, lam_odd: int,
+                   lam_even: int, need: int) -> list[int]:
+    """Every J with lambda > J > 0, J = n (mod 2) and J >= need at which
+    both jump inequalities hold."""
+    return [j for j in range(1, lam)
+            if (j - n) % 2 == 0 and j >= need
+            and min(jump_slacks(n, k, r, j, lam_odd, lam_even)) >= 0]
+
+
 def reconstruct_by_subset_sums(spec, j: int):
     """The multilinear polynomial pinned by a skein spec, with no checks.
 

@@ -166,6 +166,16 @@ MALFORMED_DIAGRAMS = {
     (["invariants", "--strands", "3", "--word", "1,5"], "out of range"),
     (["prohibit", "degree9", "--alpha", "1", "--beta", "1", "--gamma", "0"],
      "at least one oval"),
+    # an empty range of splittings is not a prohibition
+    (["prohibit", "degree9", "--alpha", "-1", "--beta", "0", "--gamma", "5"],
+     "oval counts cannot be negative"),
+    # the alternation bound needs both counts, not one
+    (["prohibit", "theorem11", "--n", "1", "--k", "3", "--lambda", "13",
+      "--lambda-odd", "0", "--lambda-even", "13", "--lambda-plus", "10"],
+     "needs both lambda_+ and lambda_-"),
+    (["prohibit", "theorem11", "--n", "1", "--k", "3", "--lambda", "13",
+      "--lambda-odd", "0", "--lambda-even", "13", "--lambda-plus=-4",
+      "--lambda-minus=-5"], "oval counts cannot be negative"),
     (["splice", "--file", "missing.json"], "missing.json"),
     (["invariants", "--strands", "9", "--word", ",".join(["1"] * 1001)],
      "word too large"),
@@ -201,7 +211,8 @@ MALFORMED_DIAGRAMS = {
     (["splice", "--file", "float-weight.json"], "integer weight on the edge to 1"),
     (["splice", "--file", "float-id.json"], "vertex id 0.7 is not an integer"),
     (["splice", "--file", "list-edge.json"], "malformed splice diagram"),
-], ids=["invariants", "degree9", "splice", "invariants-size", "skein-size",
+], ids=["invariants", "degree9", "degree9-negative-count",
+        "theorem11-one-sided", "theorem11-negative-count", "splice", "invariants-size", "skein-size",
         "skein-trials", "skein-maxlen", "skein-conway-strands",
         "skein-b3-strands", "closedform-verify-size", "closedform-explore-size",
         "closedform-negative-twist",

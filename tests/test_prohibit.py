@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from linksig.closedforms import sign_null_b
 from linksig.prohibit import (CurveParams, Degree9Scheme, deg9_enumerate,
                               deg9_formulas, fiedler_bound, fiedler_min_jumps, jump_window,
                               lemma23_consistent, orientation_balance,
                               pointed_alternation_min, theorem11_check,
                               verdict_curve, verdict_degree9)
-from oracles import deg9_formulas_up_to_flip, flipped_scheme
+from oracles import (curve_hypotheses_hold, deg9_formulas_up_to_flip,
+                     feasible_jumps, flipped_scheme, jump_slacks)
 
 
 class TestTheorem11:
@@ -145,6 +148,25 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             deg9_enumerate(1, 0, 0)
 
+    def test_negative_counts_refused(self):
+        # an empty range of splittings is not a prohibition
+        for counts in ((-1, 0, 5), (1, -1, 5), (1, 0, -3)):
+            with pytest.raises(ValueError, match="cannot be negative"):
+                deg9_enumerate(*counts)
+            for m_curve in (False, True):
+                with pytest.raises(ValueError, match="cannot be negative"):
+                    verdict_degree9(*counts, m_curve=m_curve)
+        with pytest.raises(ValueError, match="cannot be negative"):
+            verdict_degree9(-1, 2, 25, m_curve=True)
+
+    def test_schemes_come_in_key_order(self):
+        def key(s):
+            return (s.alpha_plus, s.beta_plus, s.gamma_plus, s.eps1, s.eps2)
+
+        for counts in ((9, 0, 17), (2, 1, 23), (8, 0, 18), (5, 2, 19)):
+            got = deg9_enumerate(*counts)
+            assert got and got == sorted(got, key=key), counts
+
 
 class TestVerdicts:
     def test_degree_seven_prohibited(self):
@@ -172,6 +194,28 @@ class TestVerdicts:
     def test_hypothesis_gate(self):
         p = CurveParams(n=1, k=3, r=0, J=3, lam=2, lam_odd=0, lam_even=0)
         assert verdict_curve(p).verdict == "hypothesis not met"
+
+    def test_family_hypotheses_come_from_their_owner(self):
+        # the report names the first failure, in the words of the owner
+        for n, k, j in ((4, 2, 2), (1, 3, 2), (2, 1, 0), (4, 2, None)):
+            p = CurveParams(n=n, k=k, J=j, lam=9)
+            asked = 2 if j is None else j
+            with pytest.raises(ValueError) as exc:
+                sign_null_b(n, k, asked, (1,) * asked)
+            assert verdict_curve(p).violated == [str(exc.value)], (n, k, j)
+        p = CurveParams(n=1, k=3, J=9, lam=9)
+        assert verdict_curve(p).violated == ["need lambda > J"]
+
+    def test_alternation_needs_both_counts(self):
+        p = CurveParams(n=1, k=3, r=0, lam=13, lam_odd=0, lam_even=13)
+        with pytest.raises(ValueError, match="both"):
+            verdict_curve(p, lam_plus=10)
+        with pytest.raises(ValueError, match="both"):
+            verdict_curve(p, lam_minus=3)
+        with pytest.raises(ValueError, match="cannot be negative"):
+            verdict_curve(p, -4, -5)
+        with pytest.raises(ValueError, match="cannot be negative"):
+            fiedler_bound(3, -1, 5)
 
     def test_degree9_admissible(self):
         report = verdict_degree9(9, 0, 17, assume_lemma23=True)
@@ -202,3 +246,53 @@ class TestCurveParams:
             CurveParams(n=0, k=1)
         with pytest.raises(ValueError):
             CurveParams(n=1, k=1, lam=-1)
+
+
+def _interval(slack) -> tuple[int, int]:
+    """The least and greatest J in a range wider than any drawn window
+    where the slack is nonnegative."""
+    inside = [j for j in range(-100, 400) if slack(j) >= 0]
+    return inside[0], inside[-1]
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 9), k=st.integers(1, 5), r=st.integers(0, 3),
+       lams=st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30)),
+       J=st.none() | st.integers(-1, 31),
+       pm=st.none() | st.tuples(st.integers(0, 30), st.integers(0, 30)))
+def test_curve_layer_matches_the_pointwise_inequalities(n, k, r, lams, J, pm):
+    lam, lam_odd, lam_even = lams
+    p = CurveParams(n=n, k=k, r=r, J=J, lam=lam, lam_odd=lam_odd,
+                    lam_even=lam_even)
+    odd = _interval(lambda j: jump_slacks(n, k, r, j, lam_odd, lam_even)[0])
+    even = _interval(lambda j: jump_slacks(n, k, r, j, lam_odd, lam_even)[1])
+    both = (max(odd[0], even[0]), min(odd[1], even[1]))
+    assert (jump_window(p, "odd"), jump_window(p, "even"), jump_window(p)) == (
+        odd, even, both)
+    report = verdict_curve(p, *(pm or (None, None)))
+    if not curve_hypotheses_hold(n, k, J, lam):
+        assert report.verdict == "hypothesis not met"
+        if J is not None:
+            with pytest.raises(ValueError):
+                theorem11_check(p)
+        return
+    details: dict = {"jump_window": list(both)}
+    violated = []
+    if J is not None:
+        s1, s2 = jump_slacks(n, k, r, J, lam_odd, lam_even)
+        details["theorem11"] = {"ineq1": s1 >= 0, "ineq2": s2 >= 0,
+                                "slack1": s1, "slack2": s2}
+        assert theorem11_check(p).as_dict() == details["theorem11"]
+        if min(s1, s2) < 0:
+            violated.append("jump window")
+        if pm and J < abs(pm[0] - pm[1]):
+            violated.append("alternation bound")
+    elif pm:
+        need = abs(pm[0] - pm[1])
+        feasible = feasible_jumps(n, k, r, lam, lam_odd, lam_even, need)
+        details |= {"alternation_min_jumps": need, "feasible_jumps": feasible}
+        if not feasible:
+            violated.append("alternation bound vs jump window")
+    assert report.details == details
+    assert report.violated == violated
+    assert report.verdict == ("prohibited" if violated else "admissible")
