@@ -32,12 +32,12 @@ class BraidWord:
         # a tuple of ints is kept as given: a copy built by tuple() of a
         # generator grows and shrinks in steps, which left about 1 KB of heap
         # behind per word of about 90 letters
-        if type(letters) is not tuple or not all(type(x) is int for x in letters):
+        if type(letters) is not tuple or not set(map(type, letters)) <= {int}:
             letters = tuple([int(x) for x in letters])
-        for ell in letters:
-            if ell == 0 or not 1 <= abs(ell) <= self.strands - 1:
-                raise ValueError(
-                    f"letter {ell} out of range for {self.strands} strands")
+        top = self.strands - 1
+        if letters and (0 in letters or min(letters) < -top or max(letters) > top):
+            bad = next(x for x in letters if x == 0 or not 1 <= abs(x) <= top)
+            raise ValueError(f"letter {bad} out of range for {self.strands} strands")
         object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
@@ -50,7 +50,7 @@ class BraidWord:
         return BraidWord(self.strands, base.letters * abs(n))
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
+        return BraidWord(self.strands, tuple([-x for x in reversed(self.letters)]))
 
     def exponent_sum(self) -> int:
         """Sum of letter signs, e(b)."""
@@ -84,8 +84,7 @@ class BraidWord:
 
     @staticmethod
     def from_text(strands: int, text: str) -> "BraidWord":
-        items = [p for p in text.replace(",", " ").split() if p]
-        return BraidWord(strands, tuple(int(p) for p in items))
+        return BraidWord(strands, tuple([int(p) for p in text.replace(",", " ").split()]))
 
 
 # -- named subwords --------------------------------------------------------
@@ -111,16 +110,13 @@ def tau_word(k: int, l: int, strands: int) -> BraidWord:
 
 
 def half_twist(k: int, strands: int | None = None) -> BraidWord:
-    """The half twist Delta_k = pi_{1,k-1} pi_{1,k-2} ... pi_{1,2} sigma_1."""
+    """The half twist Delta_k = pi_{1,k-1} pi_{1,k-2} ... pi_{1,2} sigma_1:
+    the letter runs 1..k-1, 1..k-2, ..., 1..2, 1, k(k-1)/2 letters in all."""
     m = strands if strands is not None else k
     if k < 1 or k > m:
         raise ValueError("half twist index out of range")
-    if k == 1:
-        return BraidWord(m)
-    word = BraidWord(m)
-    for top in range(k - 1, 1, -1):
-        word = word * pi_word(1, top, m)
-    return word * BraidWord(m, (1,))
+    return BraidWord(m, tuple([x for top in range(k - 1, 0, -1)
+                               for x in range(1, top + 1)]))
 
 
 def delta_small(k: int, strands: int | None = None) -> BraidWord:
@@ -191,15 +187,18 @@ def family_params(kind: str, n: int, k: int, J: int,
 
 
 def _family_word(p: FamilyParams, lo: int, hi: int) -> BraidWord:
+    """The jump blocks, then Delta_m^n on m = 2k+1 strands.  Jump j is
+    alpha_j letters -a and then tau_{a,b}, with (a, b) = (lo, hi) for odd j
+    and (hi, lo) for even j."""
     m = p.strands
-    word = BraidWord(m)
-    for j, alpha in enumerate(p.alphas, start=1):
-        if j % 2 == 1:
-            block = BraidWord(m, (-lo,) * alpha) * tau_word(lo, hi, m)
-        else:
-            block = BraidWord(m, (-hi,) * alpha) * tau_word(hi, lo, m)
-        word = word * block
-    return word * (half_twist(m, m) ** p.n)
+    blocks = [(-a, tau_word(a, b, m).letters) for a, b in ((lo, hi), (hi, lo))]
+    letters: list[int] = []
+    for j, alpha in enumerate(p.alphas):
+        twist, tau = blocks[j % 2]
+        letters += [twist] * alpha
+        letters += tau
+    letters += half_twist(m).letters * p.n
+    return BraidWord(m, tuple(letters))
 
 
 def family_length(kind: str, p: FamilyParams) -> int:

@@ -48,6 +48,12 @@ MAX_TRIALS = 4000
 #: n = 19, k = 25 (24180) took 3.8 s.
 MAX_FAMILY_DIMENSION = 12000
 
+#: the most letters that `family` builds and prints.  Building and printing
+#: take about 0.37 us and 90 bytes of peak memory a letter (n = 201, k = 70,
+#: 1983873 letters: 0.74 s and 180 MB), so memory is what this bound keeps
+#: near 200 MB.
+MAX_FAMILY_LETTERS = 2_000_000
+
 #: letters that `skein verify` appends to a drawn word before its last
 #: Conway potential: four insertions of delta = s1 s2 (b2) or of the squared
 #: half twist on three strands (b3).  The determinant forms step further but
@@ -76,6 +82,10 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_family(args) -> int:
     params = family_params(args.kind, args.n, args.k, args.J, _parse_ints(args.alpha))
+    letters = family_length(args.kind, params)
+    if letters > MAX_FAMILY_LETTERS:
+        raise ValueError(f"family word too large: {letters} letters > "
+                         f"{MAX_FAMILY_LETTERS}")
     word = family_b(params) if args.kind == "b" else family_c(params)
     print(word.to_text())
     return 0

@@ -8,7 +8,8 @@ as flags and the reports echo the assumptions.
 
 Each hypothesis has one owner: J >= 1 and J = n (mod 2) are `braid`'s
 family rules, n = 0 (mod 4) needs k = 1 is `closedforms.sign_null_b`'s proven
-range, and lambda > J is this module's one rule.
+range, and lambda > J is this module's one rule.  A verdict runs these checks
+once; its search over J walks only the counts they allow.
 
 Orientation conventions: the balance equations select one representative of
 each pair of opposite complex orientations.  The flip-closed predicates are
@@ -43,14 +44,14 @@ class CurveParams:
             raise ValueError("oval counts cannot be negative")
 
 
-def _hypothesis_failure(p: CurveParams, j: int | None) -> str | None:
-    """Why p with the jump count j (None: unset) fails a hypothesis, or None."""
+def _hypothesis_failure(p: CurveParams) -> str | None:
+    """Why p, with its jump count J if set, fails a hypothesis, or None."""
     least = 2 - p.n % 2  # the range ignores J; ask at the least J of n's parity
     try:
-        if j is not None:
-            if j >= p.lam:
+        if p.J is not None:
+            if p.J >= p.lam:
                 return "need lambda > J"
-            _check_jumps(p.n, p.k, j)
+            _check_jumps(p.n, p.k, p.J)
         sign_null_b(p.n, p.k, least, (1,) * least)
     except ValueError as exc:
         return str(exc)
@@ -88,7 +89,7 @@ def _slacks(j: int, odd: tuple[int, int], even: tuple[int, int]) -> Theorem11Res
 def theorem11_check(p: CurveParams) -> Theorem11Result:
     """The two jump-window inequalities at the given J; each slack is J's
     distance from the nearer end of its window, negative outside it."""
-    bad = _hypothesis_failure(p, p.J)
+    bad = _hypothesis_failure(p)
     if bad:
         raise ValueError(bad)
     if p.J is None:
@@ -283,7 +284,7 @@ def verdict_curve(p: CurveParams, lam_plus: int | None = None,
     if (lam_plus is None) != (lam_minus is None):
         raise ValueError("the alternation bound needs both lambda_+ and lambda_-")
     need = None if lam_plus is None else fiedler_min_jumps(lam_plus, lam_minus)
-    bad = _hypothesis_failure(p, p.J)
+    bad = _hypothesis_failure(p)
     if bad:
         return Report(verdict="hypothesis not met", violated=[bad],
                       notes=[STRICTNESS_NOTE])
@@ -299,8 +300,11 @@ def verdict_curve(p: CurveParams, lam_plus: int | None = None,
             violated.append("alternation bound")
     elif need is not None:
         details["alternation_min_jumps"] = need
-        feasible = [j for j in range(max(lo, need), hi + 1)
-                    if _hypothesis_failure(p, j) is None]
+        # the n-range check above does not depend on J: search only the J
+        # with lambda > J >= 1 and J = n (mod 2)
+        first = max(lo, need, 1)
+        first += (first - p.n) % 2
+        feasible = list(range(first, min(hi, p.lam - 1) + 1, 2))
         details["feasible_jumps"] = feasible
         if not feasible:
             violated.append("alternation bound vs jump window")

@@ -80,6 +80,56 @@ def free_reduce(letters) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def pointwise_letters(strands: int, letters) -> tuple[int, ...]:
+    """The letters `BraidWord(strands, letters)` keeps, checked one by one.
+
+    A tuple of exact ints is kept as given; anything else is converted by
+    int() letter by letter.  The first letter outside +-1..+-(strands - 1)
+    is refused by name.
+    """
+    if strands < 1:
+        raise ValueError("strand count must be >= 1")
+    if type(letters) is not tuple or not all(type(x) is int for x in letters):
+        letters = tuple([int(x) for x in letters])
+    for ell in letters:
+        if ell == 0 or not 1 <= abs(ell) <= strands - 1:
+            raise ValueError(f"letter {ell} out of range for {strands} strands")
+    return letters
+
+
+def product_half_twist(k: int, strands: int | None = None):
+    """Delta_k as the product pi_{1,k-1} pi_{1,k-2} ... pi_{1,2} sigma_1,
+    one `BraidWord` product per factor (O(k^3) letter checks)."""
+    from linksig.braid import BraidWord, pi_word
+
+    m = strands if strands is not None else k
+    if k < 1 or k > m:
+        raise ValueError("half twist index out of range")
+    if k == 1:
+        return BraidWord(m)
+    word = BraidWord(m)
+    for top in range(k - 1, 1, -1):
+        word = word * pi_word(1, top, m)
+    return word * BraidWord(m, (1,))
+
+
+def product_family_word(p, lo: int, hi: int):
+    """A jump-block family word as a product of blocks: for odd j the block
+    sigma_lo^-alpha_j tau_{lo,hi}, for even j sigma_hi^-alpha_j tau_{hi,lo},
+    then the product-built half twist on 2k+1 strands to the n-th power."""
+    from linksig.braid import BraidWord, tau_word
+
+    m = p.strands
+    word = BraidWord(m)
+    for j, alpha in enumerate(p.alphas, start=1):
+        if j % 2 == 1:
+            block = BraidWord(m, (-lo,) * alpha) * tau_word(lo, hi, m)
+        else:
+            block = BraidWord(m, (-hi,) * alpha) * tau_word(hi, lo, m)
+        word = word * block
+    return word * (product_half_twist(m, m) ** p.n)
+
+
 def dense_seifert_matrix(word) -> list[list[int]]:
     """The Seifert matrix V of a closed braid by scanning all pairs of cycles.
 

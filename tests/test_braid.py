@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linksig.braid import (BraidWord, FamilyParams, delta_small, family_b,
                            family_c, family_length, half_twist, pi_word,
                            tau_word)
 from linksig.seifert import (conway_potential, link_det, seifert_matrix,
                              signature_nullity)
-from oracles import free_reduce
+from oracles import (free_reduce, pointwise_letters, product_family_word,
+                     product_half_twist)
 
 
 class TestNamedWords:
@@ -169,3 +171,49 @@ class TestFamilies:
         up = BraidWord(4, w.letters + (3,))
         assert signature_nullity(w) == signature_nullity(up)
         assert conway_potential(w) == conway_potential(up)
+
+
+@settings(max_examples=200)
+@given(k=st.integers(1, 12), extra=st.integers(0, 2), n=st.integers(1, 9),
+       alphas=st.lists(st.integers(0, 5), min_size=7, max_size=7),
+       data=st.data())
+def test_words_equal_the_product_built_oracle(k, extra, n, alphas, data):
+    assert half_twist(k, k + extra).letters == product_half_twist(k, k + extra).letters
+    J = data.draw(st.sampled_from(range(2 - n % 2, 8, 2)))  # the parity of n
+    p = FamilyParams(n, k, J, alphas[:J])
+    assert family_b(p).letters == product_family_word(p, k, k + 1).letters
+    if k >= 2:
+        assert family_c(p).letters == product_family_word(p, k - 1, k + 2).letters
+
+
+@st.composite
+def letter_inputs(draw):
+    """A strand count 1-6 and a tuple or list of letters near the range ends
+    (0, +-(m - 1), +-m), as ints, bools or integral floats."""
+    m = draw(st.integers(1, 6))
+    letter = st.sampled_from((0, 1, -1, m - 1, 1 - m, m, -m)).flatmap(
+        lambda x: st.sampled_from((x, float(x), bool(x))))
+    letters = draw(st.lists(letter | st.integers(-m, m), max_size=6))
+    return m, draw(st.sampled_from((tuple, list)))(letters)
+
+
+@settings(max_examples=200)
+@given(letter_inputs())
+@example((1, ()))
+@example((1, [0]))
+@example((3, (True, 2.0, -2, 3)))
+def test_braid_word_matches_the_pointwise_oracle(case):
+    m, letters = case
+    try:
+        want = pointwise_letters(m, letters)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            BraidWord(m, letters)
+        assert str(got.value) == str(exc)
+        return
+    word = BraidWord(m, letters)
+    assert word.letters == want
+    assert type(word.letters) is tuple
+    assert all(type(x) is int for x in word.letters)
+    if type(letters) is tuple and all(type(x) is int for x in letters):
+        assert word.letters is letters  # kept as given, not copied

@@ -261,6 +261,19 @@ def test_closedform_limit_is_on_the_seifert_dimension(monkeypatch, capsys):
     assert main(argv[:-1]) == 0
 
 
+def test_family_limit_is_on_the_letter_count(monkeypatch, capsys):
+    # b, n = 1, k = 1, J = 1, alpha = 1: 1 + 2 + 3 letters
+    argv = ["family", "b", "--n", "1", "--k", "1", "--J", "1", "--alpha", "1"]
+    monkeypatch.setattr(cli, "MAX_FAMILY_LETTERS", 6)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "-1,-2,1,1,2,1\n"
+    monkeypatch.setattr(cli, "MAX_FAMILY_LETTERS", 5)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "family word too large: 6 letters > 5"}
+
+
 def test_trial_limit_is_on_trials_times_size_squared(monkeypatch, capsys):
     # 3 strands, maxlen 2: size 4, and 4 trials x 4^2 = 64 = 8^2
     monkeypatch.setattr(cli, "MAX_WORD_SIZE", 8)

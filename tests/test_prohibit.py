@@ -206,6 +206,28 @@ class TestVerdicts:
         p = CurveParams(n=1, k=3, J=9, lam=9)
         assert verdict_curve(p).violated == ["need lambda > J"]
 
+    def test_jump_search_stops_below_lambda(self):
+        # no alternation bound: the search starts at J = 1, not at the window
+        p = CurveParams(n=2, k=1, lam=5, lam_odd=6, lam_even=6)
+        assert verdict_curve(p, 0, 0).details["jump_window"][0] < 0
+        assert verdict_curve(p, 0, 0).details["feasible_jumps"] == [2, 4]
+        # the window holds about 4e9 jump counts; only J < lambda = 5 can pass
+        p = CurveParams(n=1, k=3, lam=5, lam_odd=10**9, lam_even=10**9)
+        report = verdict_curve(p, 0, 0)
+        assert report.details["jump_window"] == [-1999999999, 2000000003]
+        assert report.details["feasible_jumps"] == [1, 3]
+
+    def test_range_check_runs_once_per_verdict(self, monkeypatch):
+        from linksig import prohibit
+        calls = []
+        monkeypatch.setattr(prohibit, "sign_null_b",
+                            lambda *args: calls.append(args) or sign_null_b(*args))
+        p = CurveParams(n=2, k=1, lam=40, lam_odd=30, lam_even=30)
+        assert len(verdict_curve(p, 3, 1).details["feasible_jumps"]) == 19
+        assert len(calls) == 1
+        theorem11_check(CurveParams(n=2, k=1, J=2, lam=40))
+        assert len(calls) == 2
+
     def test_alternation_needs_both_counts(self):
         p = CurveParams(n=1, k=3, r=0, lam=13, lam_odd=0, lam_even=13)
         with pytest.raises(ValueError, match="both"):
