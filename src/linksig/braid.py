@@ -101,12 +101,14 @@ def pi_word(k: int, l: int, strands: int) -> BraidWord:
 
 
 def tau_word(k: int, l: int, strands: int) -> BraidWord:
-    """The mixed block pi_{l,k+1}^-1 pi_{k,l-1} (resp. pi_{l,k-1}^-1 pi_{k,l+1})."""
+    """The mixed block pi_{l,k+1}^-1 pi_{k,l-1} (resp. pi_{l,k-1}^-1 pi_{k,l+1}):
+    the letters -(k+s), ..., -l, then k, ..., l-s, for s the sign of l - k,
+    as one tuple."""
     if k == l:
         return BraidWord(strands)
-    if k < l:
-        return pi_word(l, k + 1, strands).inverse() * pi_word(k, l - 1, strands)
-    return pi_word(l, k - 1, strands).inverse() * pi_word(k, l + 1, strands)
+    s = 1 if k < l else -1
+    return BraidWord(strands, tuple([-x for x in range(k + s, l + s, s)]
+                                    + list(range(k, l, s))))
 
 
 def half_twist(k: int, strands: int | None = None) -> BraidWord:

@@ -26,9 +26,10 @@ from .splice import SpliceDiagram
 
 
 #: the largest letters x (strands - 1) that a Conway potential is started for.
-#: Its cost follows this product: random words took 9.5 s at 8 strands and
-#: 1000 letters (7000) and 12 s at 16 strands and 500 letters (7500), and it
-#: grows about as the 2.4th power of the length (48 s at 8 x 2000), so this
+#: Its cost follows this product: seeded random words at the limit took
+#: 3.9 s on 3 strands (4000 letters), 6.1 s on 5, 8.9 s on 8 (1142 letters),
+#: 12.9 s on 16 (533 letters) and 2.8 s on 33 (Python 3.11 on a shared
+#: 2-vCPU VM), and it grows faster than the square of the length, so this
 #: bound refuses what would run for more than about a quarter of a minute.
 MAX_WORD_SIZE = 8000
 

@@ -3,17 +3,24 @@
 Everything here is fraction-free (Bareiss, Math. Comp. 22, 1968).
 `exact_determinant` is the library's one dense elimination: Bareiss on a
 square matrix over any exact ring, the integers for the cyclic skein
-systems and Laurent polynomials for the Conway potential and the skein
-block identities.  Symmetric integer matrices go through
-`symmetric_invariants`, one sparse symmetric elimination that gives
-signature, nullity and determinant together: each pivot touches only its
-neighbours, which keeps the banded Seifert forms of braid closures
-(dimension up to about 800, four or five nonzeros a row) cheap.  Its
-working matrix is one dict per row, and the two positions (i, j) and
-(j, i) of an entry hold one ``(value, stamp)`` pair, written together, so
-an update costs one tuple and two dict writes.  The rows with a nonzero
-diagonal wait on a heap, each at most once, and a pivot row is emptied
-once it is used, so a stale heap entry is found by one membership test.
+systems and `link_det`, and Laurent polynomials for the Conway potential
+and the skein block identities.  Its pivot in column k is the nonzero
+entry with the fewest terms, the first of them in row order: ``len(x)``
+counts the terms of a ring element, and an int counts as one, so an
+integer matrix pivots on the first nonzero entry.  Over Laurent
+polynomials a sparse pivot keeps the products of each step and the exact
+divisions by that pivot in the next step small.
+
+Symmetric integer matrices go through `symmetric_invariants`, one sparse
+symmetric elimination that gives signature, nullity and determinant
+together: each pivot touches only its neighbours, which keeps the banded
+Seifert forms of braid closures (dimension up to about 800, four or five
+nonzeros a row) cheap.  Its working matrix is one dict per row, and the
+two positions (i, j) and (j, i) of an entry hold one ``(value, stamp)``
+pair, written together, so an update costs one tuple and two dict writes.
+The rows with a nonzero diagonal wait on a heap, each at most once, and a
+pivot row is emptied once it is used, so a stale heap entry is found by
+one membership test.
 """
 
 from __future__ import annotations
@@ -28,9 +35,20 @@ def exact_determinant(m: Sequence[Sequence]):
     """Determinant of a square matrix over an exact ring, by Bareiss elimination.
 
     The entries may be integers or any ring elements with ``+``, ``-``,
-    ``*``, an exact ``//`` and truthiness meaning nonzero, such as
-    `LaurentPolynomial`.  Every division is exact by Sylvester's identity.
-    A singular matrix gives the ring's own zero; the 0x0 matrix gives 1.
+    ``*``, an exact ``//``, truthiness meaning nonzero and ``len`` counting
+    terms, such as `LaurentPolynomial`.  The pivot of column k is its
+    nonzero entry in rows k.. with the fewest terms (an int counts as one
+    term), the first such in row order; moving it to row k flips the sign.
+    Every division is exact by Sylvester's identity.  A singular matrix
+    gives the ring's own zero; the 0x0 matrix gives 1.
+
+    The dense entry 1 + t + t^2 heads the first column, so the monomial t
+    below it is the pivot:
+
+    >>> from linksig.laurent import LaurentPolynomial
+    >>> t = LaurentPolynomial.t()
+    >>> print(exact_determinant([[1 + t + t * t, t], [t, 1 + t]]))
+    + t^3 + t^2 + 2*t + 1
     """
     a = [list(row) for row in m]
     n = len(a)
@@ -41,14 +59,20 @@ def exact_determinant(m: Sequence[Sequence]):
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return a[k][k]
+        p = fewest = 0
+        for i in range(k, n):
+            x = a[i][k]
+            if x:
+                size = 1 if isinstance(x, int) else len(x)
+                if not fewest or size < fewest:
+                    p, fewest = i, size
+                    if size == 1:
+                        break
+        if not fewest:
+            return a[k][k]
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
         piv = a[k][k]
         row_k = a[k]
         divide = prev != 1  # skip x // 1, which is all of the first step

@@ -17,15 +17,19 @@ signature and the nullity, in milliseconds at dimension 800;
 The Conway potential det(t^-1 V - t V^T) comes from the reduced Burau
 matrix of the braid, (m-1) x (m-1) for m strands (Burau 1936; Kassel-Turaev,
 Braid Groups, GTM 247): det(I - psi_r(beta)) (1 - x) / (1 - x^m) is the
-Alexander polynomial of the closure up to a unit +-x^k.  The Burau product
-is built on plain integer dicts, one per column, each entry keyed by the
-one integer e * m + r for row r and power x^e; only the entries of
-I - psi_r become Laurent polynomials, for the same dense Bareiss
-elimination as over Z (`intmatrix.exact_determinant`).  The unit is one
-closed form, `_unit_power`; the tests check it against the Seifert
-determinant.  `link_det` takes the same route at t = i, where x = -1 and
-the Burau matrix is an integer matrix: one integer Bareiss determinant of
-size m - 1 (or m, for even m), with no Seifert matrix.
+Alexander polynomial of the closure up to a unit +-x^k.  psi_r is the
+unreduced Burau matrix acting on the quotient by its fixed vector
+(1, ..., 1), so the product is built in that quotient: each column v is
+kept as q(v)_r = v_r - v_(m-1), r < m - 1, on a plain integer dict keyed
+by the one integer e * m + r for row r and power x^e, and entry (r, c) of
+I - psi_r is delta_rc - q_c[r].  Only those (m-1)^2 entries become
+Laurent polynomials, for the same dense Bareiss elimination as over Z
+(`intmatrix.exact_determinant`), which pivots on the entry with the
+fewest terms.  The unit is one closed form, `_unit_power`; the tests
+check it against the Seifert determinant.  `link_det` takes the same
+route at t = i, where x = -1 and the Burau matrix is an integer matrix:
+one integer Bareiss determinant of size m - 1 (or m, for even m), with no
+Seifert matrix.
 
 Sign conventions are pinned by three independent checks (see the test
 suite): the half twist in B_3 closes to a link of signature -1, the basic
@@ -151,17 +155,22 @@ def signature_nullity(word: BraidWord) -> tuple[int, int]:
 
 
 def _burau_columns(word: BraidWord) -> list[dict[int, int]]:
-    """Columns of the unreduced Burau matrix of the word, in the variable x.
+    """Columns of the Burau matrix of the word modulo (1, ..., 1), in x.
 
-    Column c is one sparse dict {e * m + r: coefficient} for the entry at
-    row r, 0 <= r < m, and the power x^e, with m the number of strands and
-    no zero coefficients; ``divmod(key, m)`` gives back (e, r), and a shift
-    by x^(+-1) adds +-m to every key.  The product of the letter matrices
-    is built from the identity one letter at a time; a letter on index i
-    rewrites only columns i and i+1.
+    The unreduced Burau matrix fixes the vector (1, ..., 1), so each of its
+    columns v is kept as q(v)_r = v_r - v_(m-1) for rows 0 <= r < m - 1,
+    with m the number of strands: column c starts as the unit vector e_c
+    for c < m - 1, and the last column as -(1, ..., 1).  Column c is one
+    sparse dict {e * m + r: coefficient} for the entry at row r and the
+    power x^e, with no zero coefficients; ``divmod(key, m)`` gives back
+    (e, r), and a shift by x^(+-1) adds +-m to every key.  The letters act
+    on columns, so they commute with q: the product is built from the
+    start columns one letter at a time, and a letter on index i rewrites
+    only columns i and i+1.
     """
     m = word.strands
-    cols = [{c: 1} for c in range(m)]
+    cols = [{c: 1} for c in range(m - 1)]
+    cols.append({r: -1 for r in range(m - 1)})
     for ell in word.letters:
         i = abs(ell) - 1
         a, b = cols[i], cols[i + 1]
@@ -214,14 +223,13 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
     m = word.strands
     if m == 1:
         return LaurentPolynomial.one()  # the unknot; I - psi_r is 0 x 0
-    # entry (r, c) of I - psi_r is delta_rc - col_c[r] + col_c[m-1]
+    # entry (r, c) of I - psi_r is delta_rc - q_c[r]
     rows = [[{0: 1} if r == c else {} for c in range(m - 1)] for r in range(m - 1)]
     for c, col in enumerate(_burau_columns(word)[:m - 1]):
         for key, v in col.items():
             e, r = divmod(key, m)
-            targets, v = (rows, v) if r == m - 1 else ((rows[r],), -v)
-            for row in targets:
-                row[c][e] = row[c].get(e, 0) + v
+            entry = rows[r][c]
+            entry[e] = entry.get(e, 0) - v
     det = exact_determinant([[LaurentPolynomial(p) for p in row] for row in rows])
     if not det:
         return det

@@ -8,6 +8,7 @@ computation to agree with.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 
 def cofactor_determinant(m) -> int:
@@ -25,6 +26,24 @@ def cofactor_determinant(m) -> int:
         minor = [[row[c] for c in range(n) if c != j] for row in rest]
         term = m[0][j] * cofactor_determinant(minor)
         total += term if j % 2 == 0 else -term
+    return total
+
+
+def leibniz_determinant(m):
+    """The permutation sum of sign(p) * m[0][p(0)] * ... * m[n-1][p(n-1)].
+
+    Over any commutative ring, with no division and no pivot; for n up to
+    about 6.  The 0x0 matrix has the one empty permutation and gives 1.
+    """
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = 1 if inversions % 2 == 0 else -1
+        for i in range(n):
+            term = m[i][perm[i]] * term
+        total = total + term
     return total
 
 
@@ -113,21 +132,86 @@ def product_half_twist(k: int, strands: int | None = None):
     return word * BraidWord(m, (1,))
 
 
+def product_tau_word(k: int, l: int, strands: int):
+    """The mixed block pi_{l,k+1}^-1 pi_{k,l-1} (resp. pi_{l,k-1}^-1
+    pi_{k,l+1}) as the product of an inverted `pi_word` and a `pi_word`."""
+    from linksig.braid import BraidWord, pi_word
+
+    if k == l:
+        return BraidWord(strands)
+    if k < l:
+        return pi_word(l, k + 1, strands).inverse() * pi_word(k, l - 1, strands)
+    return pi_word(l, k - 1, strands).inverse() * pi_word(k, l + 1, strands)
+
+
 def product_family_word(p, lo: int, hi: int):
     """A jump-block family word as a product of blocks: for odd j the block
     sigma_lo^-alpha_j tau_{lo,hi}, for even j sigma_hi^-alpha_j tau_{hi,lo},
-    then the product-built half twist on 2k+1 strands to the n-th power."""
-    from linksig.braid import BraidWord, tau_word
+    with both mixed blocks built by `product_tau_word`, then the
+    product-built half twist on 2k+1 strands to the n-th power."""
+    from linksig.braid import BraidWord
 
     m = p.strands
     word = BraidWord(m)
     for j, alpha in enumerate(p.alphas, start=1):
         if j % 2 == 1:
-            block = BraidWord(m, (-lo,) * alpha) * tau_word(lo, hi, m)
+            block = BraidWord(m, (-lo,) * alpha) * product_tau_word(lo, hi, m)
         else:
-            block = BraidWord(m, (-hi,) * alpha) * tau_word(hi, lo, m)
+            block = BraidWord(m, (-hi,) * alpha) * product_tau_word(hi, lo, m)
         word = word * block
     return word * (product_half_twist(m, m) ** p.n)
+
+
+def unreduced_burau_columns(word) -> list[dict[int, int]]:
+    """Columns of the unreduced m x m Burau matrix of the word, in x.
+
+    Column c is one sparse dict {e * m + r: coefficient} for row r,
+    0 <= r < m, and the power x^e, built from the identity one letter at a
+    time.
+    """
+    from linksig.seifert import _merge
+
+    m = word.strands
+    cols = [{c: 1} for c in range(m)]
+    for ell in word.letters:
+        i = abs(ell) - 1
+        a, b = cols[i], cols[i + 1]
+        if ell > 0:
+            # col_i <- (1-x) col_i + col_{i+1},  col_{i+1} <- x col_i
+            s = {k + m: v for k, v in a.items()}
+            cols[i], cols[i + 1] = _merge(b, a, s), s
+        else:
+            # col_i <- x^-1 col_{i+1},  col_{i+1} <- col_i + (1-x^-1) col_{i+1}
+            s = {k - m: v for k, v in b.items()}
+            cols[i], cols[i + 1] = s, _merge(a, b, s)
+    return cols
+
+
+def unreduced_burau_potential(word):
+    """The Conway potential from the unreduced Burau columns: entry (r, c)
+    of I - psi_r is delta_rc - col_c[r] + col_c[m-1], row m - 1 of the
+    unreduced matrix added into every row."""
+    from linksig.intmatrix import exact_determinant
+    from linksig.laurent import LaurentPolynomial
+    from linksig.seifert import _unit_power
+
+    m = word.strands
+    if m == 1:
+        return LaurentPolynomial.one()
+    rows = [[{0: 1} if r == c else {} for c in range(m - 1)] for r in range(m - 1)]
+    for c, col in enumerate(unreduced_burau_columns(word)[:m - 1]):
+        for key, v in col.items():
+            e, r = divmod(key, m)
+            targets, v = (rows, v) if r == m - 1 else ((rows[r],), -v)
+            for row in targets:
+                row[c][e] = row[c].get(e, 0) + v
+    det = exact_determinant([[LaurentPolynomial(p) for p in row] for row in rows])
+    if not det:
+        return det
+    alexander = det // LaurentPolynomial({j: 1 for j in range(m)})
+    k = _unit_power(word)
+    omega = alexander.substitute_power(2).shift(k)
+    return -omega if k % 2 else omega
 
 
 def dense_seifert_matrix(word) -> list[list[int]]:

@@ -7,7 +7,7 @@ from linksig.braid import (BraidWord, FamilyParams, delta_small, family_b,
 from linksig.seifert import (conway_potential, link_det, seifert_matrix,
                              signature_nullity)
 from oracles import (free_reduce, pointwise_letters, product_family_word,
-                     product_half_twist)
+                     product_half_twist, product_tau_word)
 
 
 class TestNamedWords:
@@ -26,6 +26,18 @@ class TestNamedWords:
     def test_tau_wide(self):
         assert tau_word(1, 4, 5).letters == (-2, -3, -4, 1, 2, 3)
         assert tau_word(4, 1, 5).letters == (-3, -2, -1, 4, 3, 2)
+
+    def test_tau_equals_the_product_built_oracle(self):
+        for m in range(1, 14):
+            for k in range(1, m):
+                for l in range(1, m):
+                    assert (tau_word(k, l, m).letters
+                            == product_tau_word(k, l, m).letters), (k, l, m)
+
+    def test_tau_out_of_range(self):
+        for k, l in ((0, 2), (2, 0), (1, 5), (5, 1)):
+            with pytest.raises(ValueError):
+                tau_word(k, l, 5)
 
     def test_pi(self):
         assert pi_word(2, 4, 5).letters == (2, 3, 4)

@@ -6,7 +6,9 @@ Burau matrix and the signature and nullity from the Seifert matrix
 determinant det(t^-1 V - t V^T) serves as the oracle for
 `conway_potential`, exactly and with no freedom of units.  A second Burau
 build, by full matrix products of the letter matrices, checks the Seifert
-matrix up to units with no surface or orientation convention in common.
+matrix up to units with no surface or orientation convention in common,
+and checks the library's Burau columns, which are kept modulo the fixed
+vector (1, ..., 1), and the unreduced columns of the oracle route.
 """
 
 import random
@@ -18,6 +20,7 @@ from linksig.intmatrix import exact_determinant
 from linksig.laurent import LaurentPolynomial
 from linksig.seifert import (_burau_columns, conway_potential,
                              invariants_report, link_det, seifert_matrix)
+from oracles import unreduced_burau_columns, unreduced_burau_potential
 from strategies import burau_words
 
 L = LaurentPolynomial
@@ -59,14 +62,34 @@ def _unreduced_burau(word: BraidWord):
 @example(BraidWord(8, tuple((-1) ** k * (3 * k % 7 + 1) for k in range(40))))
 def test_burau_columns_equal_letter_matrix_products(word):
     mat = _unreduced_burau(word)
-    cols = _burau_columns(word)
-    assert len(cols) == word.strands
     m = word.strands
+
+    def decode(col):
+        # a key e * m + r holds the coefficient of x^e in row r
+        return {divmod(key, m)[::-1]: v for key, v in col.items()}
+
+    unreduced = unreduced_burau_columns(word)
+    assert len(unreduced) == m
+    for c, col in enumerate(unreduced):
+        assert decode(col) == {(r, e): v for r in range(m)
+                               for e, v in mat[r][c].items()}, (word.letters, c)
+    # the library keeps each column v modulo (1, ..., 1): v_r - v_(m-1)
+    cols = _burau_columns(word)
+    assert len(cols) == m
     for c, col in enumerate(cols):
-        # a key e * m + r holds the coefficient of x^e in row r, 0 <= r < m
-        decoded = {divmod(key, m)[::-1]: v for key, v in col.items()}
-        assert decoded == {(r, e): v for r in range(m)
-                           for e, v in mat[r][c].items()}, (word.letters, c)
+        assert decode(col) == {(r, e): v for r in range(m - 1)
+                               for e, v in (mat[r][c] - mat[m - 1][c]).items()
+                               }, (word.letters, c)
+
+
+def test_conway_potential_equals_unreduced_burau_route():
+    rng = random.Random(1515)
+    for _ in range(300):
+        m = rng.randint(2, 16)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, m - 1)
+                        for _ in range(rng.randint(0, 40)))
+        w = BraidWord(m, letters)
+        assert conway_potential(w) == unreduced_burau_potential(w), (m, letters)
 
 
 def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:

@@ -2,14 +2,14 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linksig.intmatrix import (exact_determinant,
                                signature_nullity_of_symmetric,
                                symmetric_invariants)
 from linksig.laurent import LaurentPolynomial
-from oracles import (cofactor_determinant, congruence, rational_signature,
-                     random_unimodular)
+from oracles import (cofactor_determinant, congruence, leibniz_determinant,
+                     rational_signature, random_unimodular)
 
 
 def nonzeros(m):
@@ -56,6 +56,46 @@ def banded_zero_heavy(draw):
         for j in range(i + 1, min(n, i + width + 1)):
             m[i][j] = m[j][i] = draw(off)
     return m
+
+
+#: Laurent entries from monomials to five terms, with signs and gaps
+LAURENT_ENTRIES = tuple(LaurentPolynomial(c) for c in (
+    {0: 1}, {1: -1}, {-2: 3}, {0: 2, 1: -1}, {-1: 1, 1: 1}, {0: 1, 2: -3},
+    {-1: 2, 0: -1, 1: 1}, {0: 1, 1: 1, 2: 1}, {-3: 1, 0: 2, 3: -1},
+    {-2: -1, -1: 1, 0: 3, 1: -2}, {0: 1, 1: -2, 2: 1, 3: 2, 4: -1}))
+
+
+@st.composite
+def laurent_or_int_matrices(draw):
+    """Square matrices of size 0-5, over Z[t, t^-1] or over Z.
+
+    Zero entries are common and about a third of the matrices have an
+    all-zero column, so pivots are often below the diagonal (row swaps) and
+    singular matrices stop early; Laurent entries range from monomials to
+    five terms, so the fewest-terms pivot is often not the first nonzero
+    entry.
+    """
+    n = draw(st.integers(min_value=0, max_value=5))
+    if draw(st.booleans()):
+        entry = st.sampled_from((0,) * 4 + LAURENT_ENTRIES)
+    else:
+        entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    zero_col = draw(st.integers(0, 3 * n))  # no zero column when >= n
+    return [[0 if c == zero_col else draw(entry) for c in range(n)]
+            for _ in range(n)]
+
+
+_t = LaurentPolynomial.t()
+_dense = 1 + _t + _t * _t
+
+
+@settings(max_examples=400)
+@given(laurent_or_int_matrices())
+@example([[_dense, _t, 2], [0, 1 - _t, _t], [_t, 3, _dense]])  # swap rows 0, 2
+@example([[0, _t], [_dense, 1]])
+@example([[_t, _dense], [0, 0]])  # singular after one pivot
+def test_exact_determinant_matches_leibniz(m):
+    assert exact_determinant(m) == leibniz_determinant(m)
 
 
 class TestDeterminant:
