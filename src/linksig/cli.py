@@ -55,6 +55,14 @@ MAX_FAMILY_DIMENSION = 12000
 #: near 200 MB.
 MAX_FAMILY_LETTERS = 2_000_000
 
+#: the largest J that `skeinpoly a --symbolic` expands.  a_J^+- has about
+#: L_J monomials (a Lucas number: 103682 at J = 24), so memory and output
+#: grow about 1.6x and time about 1.8x with each step in J: J = 24 took
+#: 2.9 s, 220 MB of peak memory and 5.4 MB of JSON, J = 26 10 s, 560 MB and
+#: 15 MB (Python 3.11 on a shared 2-vCPU VM).  Memory is what this bound
+#: keeps near 200 MB, as for `MAX_FAMILY_LETTERS`.
+MAX_SYMBOLIC_J = 24
+
 #: letters that `skein verify` appends to a drawn word before its last
 #: Conway potential: four insertions of delta = s1 s2 (b2) or of the squared
 #: half twist on three strands (b3).  The determinant forms step further but
@@ -109,6 +117,9 @@ def _cmd_splice(args) -> int:
 
 def _cmd_skeinpoly(args) -> int:
     if args.symbolic:
+        if args.J > MAX_SYMBOLIC_J:
+            raise ValueError(f"--J must be at most {MAX_SYMBOLIC_J} for --symbolic, "
+                             f"got {args.J}")
         poly = a_pm_symbolic(args.J, 1 if args.sign == "+" else -1)
         terms = {"*".join(f"x{j}" for j in sorted(s)) or "1": str(c)
                  for s, c in poly.coeffs}

@@ -173,10 +173,6 @@ class Degree9Scheme:
     def beta(self) -> int:
         return self.beta_plus + self.beta_minus
 
-    @property
-    def gamma(self) -> int:
-        return self.gamma_plus + self.gamma_minus
-
     def notation(self) -> str:
         return (f"<J | {self.alpha_plus}+ {self.alpha_minus}- "
                 f"1{'+' if self.eps2 > 0 else '-'}< {self.beta_plus}+ "

@@ -4,8 +4,10 @@ A skein system of parity nu is a sequence f_J (J = nu, nu+2, ...) of
 polynomials, multilinear and invariant under cyclic shift, satisfying the
 reduction f_J(x1, 0, x3, ..., xJ) = f_{J-2}(x1+x3, x4, ..., xJ).  The
 normalized family determinants i^alpha * det are such systems in the twist
-counts, so each is pinned by a short list of initial values; the explicit
-realization is through the circulant-band matrices A_J^+- below.
+counts, so each is pinned by a short list of initial values.  The explicit
+realization a_J^+- is the determinant of a circulant band matrix A_J^+-,
+computed as the trace of a product of 2x2 transfer matrices, on integers
+(`a_pm`) or on polynomials (`a_pm_symbolic`).
 
 Coefficients live in the Gaussian integers so the same representation
 carries the integer-valued systems and their i-weighted homogeneous
@@ -14,6 +16,7 @@ expansions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -21,7 +24,6 @@ from typing import Callable, Sequence
 
 from .braid import family_params
 from .gaussian import GaussianInteger, i_power
-from .intmatrix import exact_determinant
 
 
 @dataclass(frozen=True)
@@ -115,71 +117,58 @@ def axiom_iii_holds(f_j: MultilinearCyclicPoly,
 
 
 # ---------------------------------------------------------------------------
-# the circulant-band matrices and their normalized determinants
+# the normalized determinants a_J^+- as one transfer product
+#
+# A_J^s = -2 diag(x) + the cyclic band of ones with s in the two corners is a
+# periodic Jacobi matrix, so det A_J^s = tr(T_J ... T_1) + 2s(-1)^(J+1) with
+# T_k = [[-2x_k, -1], [1, 0]].  Both routes below carry the two rows
+# (a, b; c, d) of the product, one factor T_k at a time.
 
 
-def banded_matrix(j: int, sign: int, xs: Sequence[int]) -> list[list[int]]:
-    """-2 diag(x) + off-diagonal band of ones +- ones in the corners.
+def _pattern(j: int, sign: int) -> tuple[int, int]:
+    """(e, c) with a_J^sign = e * tr(T_J ... T_1) + c.
 
-    For j == 2 the band and the corner coincide, giving off-diagonal
-    entries 2 and 0 for the two signs.
+    a_J^s is s det A_J^s for J = 0, 1 mod 4 and -s det A_J^-s for
+    J = 2, 3 mod 4; either way the corner term becomes 2(-1)^(J+1).
     """
-    if j < 1:
-        raise ValueError("arity must be positive")
-    if len(xs) != j:
-        raise ValueError("need exactly j entries")
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    m = [[0] * j for _ in range(j)]
-    for idx in range(j):
-        m[idx][idx] = -2 * xs[idx]
-    for idx in range(j - 1):
-        m[idx][idx + 1] += 1
-        m[idx + 1][idx] += 1
-    if j == 1:
-        m[0][0] += 2 * sign
-    else:
-        m[0][j - 1] += sign
-        m[j - 1][0] += sign
-    return m
-
-
-def A_matrix_det(j: int, sign: int, xs: Sequence[int]) -> int:
-    return exact_determinant(banded_matrix(j, sign, list(xs)))
+    if j < 1:
+        raise ValueError("arity must be positive")
+    return (sign if j % 4 in (0, 1) else -sign), (2 if j % 2 else -2)
 
 
 def a_pm(j: int, sign: int, xs: Sequence[int]) -> int:
-    """The normalized determinant: the J mod 4 pattern of signed band dets."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +-1")
-    if j % 4 in (0, 1):
-        return sign * A_matrix_det(j, sign, xs)
-    return -sign * A_matrix_det(j, -sign, xs)
+    """The normalized determinant a_J^sign at the integers x_1..x_J."""
+    e, c0 = _pattern(j, sign)
+    if len(xs) != j:
+        raise ValueError("need exactly j entries")
+    a, b, c, d = 1, 0, 0, 1
+    for x in xs:
+        a, b, c, d = -2 * x * a - c, -2 * x * b - d, a, b
+    return e * (a + d) + c0
 
 
-def A_matrix_det_symbolic(j: int, sign: int) -> MultilinearCyclicPoly:
-    """det A_J^+- as a multilinear polynomial in x_1..x_J.
-
-    Splitting the matrix into diagonal and constant band, the coefficient of
-    the monomial over S is (-2)^|S| times the complementary principal minor
-    of the band part.
-    """
-    band = banded_matrix(j, sign, [0] * j)
-    data: dict[frozenset[int], GaussianInteger] = {}
-    for size in range(j + 1):
-        for subset in combinations(range(j), size):
-            rest = [r for r in range(j) if r not in subset]
-            minor = [[band[r][c] for c in rest] for r in rest]
-            coeff = (-2) ** size * exact_determinant(minor)
-            if coeff:
-                data[frozenset(v + 1 for v in subset)] = GaussianInteger(coeff, 0)
-    return MultilinearCyclicPoly.from_dict(j, data)
+def _times_t(top: dict[frozenset[int], int], bottom: dict[frozenset[int], int],
+             xk: frozenset[int]) -> dict[frozenset[int], int]:
+    """-2 x_k top - bottom; no support holds k yet, so no term cancels."""
+    return ({s | xk: -2 * v for s, v in top.items()}
+            | {s: -v for s, v in bottom.items()})
 
 
 def a_pm_symbolic(j: int, sign: int) -> MultilinearCyclicPoly:
-    if j % 4 in (0, 1):
-        return A_matrix_det_symbolic(j, sign).scale(sign)
-    return A_matrix_det_symbolic(j, -sign).scale(-sign)
+    """a_J^sign as a multilinear polynomial in x_1..x_J (about L_J terms)."""
+    e, c0 = _pattern(j, sign)
+    one = {frozenset(): 1}
+    a, b, c, d = one, {}, {}, one
+    for k in range(1, j + 1):
+        xk = frozenset([k])
+        a, b, c, d = _times_t(a, c, xk), _times_t(b, d, xk), a, b
+    trace = Counter(a)
+    trace.update(d)
+    trace[frozenset()] += e * c0
+    return MultilinearCyclicPoly.from_dict(
+        j, {s: GaussianInteger(e * v, 0) for s, v in trace.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +177,12 @@ def a_pm_symbolic(j: int, sign: int) -> MultilinearCyclicPoly:
 
 def cycle_matchings(j: int, edges: int) -> list[tuple[tuple[int, int], ...]]:
     """All sets of `edges` pairwise-disjoint edges of the J-cycle."""
-    if j == 1:
-        all_edges: list[tuple[int, int]] = []
-    elif j == 2:
-        all_edges = [(1, 2)]
+    if j <= 2:  # the 1-cycle has no edge and the 2-cycle one
+        all_edges = [(1, 2)][:j - 1]
     else:
-        all_edges = [(idx, idx + 1) for idx in range(1, j)] + [(j, 1)]
-    out = []
-    for combo in combinations(all_edges, edges):
-        used: set[int] = set()
-        ok = True
-        for a, b in combo:
-            if a in used or b in used:
-                ok = False
-                break
-            used.update((a, b))
-        if ok:
-            out.append(combo)
-    return out
+        all_edges = [(idx, idx % j + 1) for idx in range(1, j + 1)]
+    return [combo for combo in combinations(all_edges, edges)
+            if len({v for e in combo for v in e}) == 2 * edges]
 
 
 def f_Jk(j: int, k: int) -> MultilinearCyclicPoly:

@@ -365,6 +365,65 @@ def feasible_jumps(n: int, k: int, r: int, lam: int, lam_odd: int,
             and min(jump_slacks(n, k, r, j, lam_odd, lam_even)) >= 0]
 
 
+def banded_matrix(j: int, sign: int, xs) -> list[list[int]]:
+    """-2 diag(x) + off-diagonal band of ones +- ones in the corners.
+
+    For j == 2 the band and the corner coincide, giving off-diagonal
+    entries 2 and 0 for the two signs.
+    """
+    if j < 1:
+        raise ValueError("arity must be positive")
+    if len(xs) != j:
+        raise ValueError("need exactly j entries")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +-1")
+    m = [[0] * j for _ in range(j)]
+    for idx in range(j):
+        m[idx][idx] = -2 * xs[idx]
+    for idx in range(j - 1):
+        m[idx][idx + 1] += 1
+        m[idx + 1][idx] += 1
+    if j == 1:
+        m[0][0] += 2 * sign
+    else:
+        m[0][j - 1] += sign
+        m[j - 1][0] += sign
+    return m
+
+
+def A_matrix_det(j: int, sign: int, xs) -> int:
+    """det A_J^+- by dense Bareiss, where the library takes the trace of a
+    2x2 transfer product."""
+    from linksig.intmatrix import exact_determinant
+
+    return exact_determinant(banded_matrix(j, sign, list(xs)))
+
+
+def A_matrix_det_symbolic(j: int, sign: int):
+    """det A_J^+- as a multilinear polynomial in x_1..x_J.
+
+    Splitting the matrix into diagonal and constant band, the coefficient of
+    the monomial over S is (-2)^|S| times the complementary principal minor
+    of the band part.
+    """
+    from itertools import combinations
+
+    from linksig.gaussian import GaussianInteger
+    from linksig.intmatrix import exact_determinant
+    from linksig.skeinpoly import MultilinearCyclicPoly
+
+    band = banded_matrix(j, sign, [0] * j)
+    data = {}
+    for size in range(j + 1):
+        for subset in combinations(range(j), size):
+            rest = [r for r in range(j) if r not in subset]
+            minor = [[band[r][c] for c in rest] for r in rest]
+            coeff = (-2) ** size * exact_determinant(minor)
+            if coeff:
+                data[frozenset(v + 1 for v in subset)] = GaussianInteger(coeff, 0)
+    return MultilinearCyclicPoly.from_dict(j, data)
+
+
 def reconstruct_by_subset_sums(spec, j: int):
     """The multilinear polynomial pinned by a skein spec, with no checks.
 

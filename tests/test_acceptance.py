@@ -20,11 +20,11 @@ from linksig.closedforms import sign_null_b, sign_null_c, sign_null_delta
 from linksig.prohibit import (CurveParams, Degree9Scheme, deg9_enumerate,
                               jump_window, verdict_curve)
 from linksig.seifert import conway_potential, link_det, signature_nullity
-from linksig.skeinpoly import (A_matrix_det, A_matrix_det_symbolic,
-                               MultilinearCyclicPoly, a_pm, a_pm_homogeneous,
+from linksig.skeinpoly import (MultilinearCyclicPoly, a_pm, a_pm_homogeneous,
                                a_pm_symbolic, axiom_iii_holds, det_table_all_ones,
                                tilde_closed_form)
 from linksig.splice import b_family_diagram, c_family_diagram, torus_delta_diagram
+from oracles import A_matrix_det, A_matrix_det_symbolic
 
 G = GaussianInteger
 

@@ -4,6 +4,8 @@ import pytest
 
 from linksig import cli
 from linksig.cli import main
+from linksig.gaussian import GaussianInteger as G
+from linksig.genskein import DELTA3_COEFFS
 
 
 def run(capsys, *argv):
@@ -211,6 +213,11 @@ MALFORMED_DIAGRAMS = {
     (["splice", "--file", "float-weight.json"], "integer weight on the edge to 1"),
     (["splice", "--file", "float-id.json"], "vertex id 0.7 is not an integer"),
     (["splice", "--file", "list-edge.json"], "malformed splice diagram"),
+    (["skeinpoly", "a", "--J", "0", "--sign", "+"], "arity must be positive"),
+    (["skeinpoly", "a", "--J", "3", "--sign", "-", "--x", "1,2"],
+     "need exactly j entries"),
+    (["skeinpoly", "a", "--J", "25", "--sign", "+", "--symbolic"],
+     "--J must be at most 24 for --symbolic, got 25"),
 ], ids=["invariants", "degree9", "degree9-negative-count",
         "theorem11-one-sided", "theorem11-negative-count", "splice", "invariants-size", "skein-size",
         "skein-trials", "skein-maxlen", "skein-conway-strands",
@@ -219,7 +226,8 @@ MALFORMED_DIAGRAMS = {
         "skein-trials-bound", "skein-trials-size", "skein-b3-inserted-size",
         "splice-empty", "splice-unsigned", "splice-unknown-vertex",
         "splice-misspelled-kind", "splice-bool-sign", "splice-float-weight",
-        "splice-float-id", "splice-list-edge"])
+        "splice-float-id", "splice-list-edge", "skeinpoly-arity",
+        "skeinpoly-length", "skeinpoly-symbolic-size"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, diagram in MALFORMED_DIAGRAMS.items():
@@ -286,3 +294,32 @@ def test_trial_limit_is_on_trials_times_size_squared(monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_TRIALS", 3)
     assert main(argv + ["--trials", "4"]) == 2
     assert "--trials must be at most 3, got 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("relation, target, name, wrong", [
+    # a Conway potential off by one breaks the crossing-switch relation
+    ("conway", cli, "conway_potential",
+     lambda conway: lambda word: conway(word) + 1),
+    # five-term coefficients that do not cancel
+    ("b2", cli.RelationSpec, "delta3_order4",
+     lambda _: staticmethod(lambda: cli.RelationSpec(
+         "delta3_order4", DELTA3_COEFFS[:-1] + (DELTA3_COEFFS[-1] + 1,)))),
+    # a determinant form that is off by one
+    ("b3", cli, "det_relation_check",
+     lambda check: lambda word, kind: check(word, kind) + G(1, 0)),
+    # a block identity that is off by one
+    ("blocks", cli, "block_identity_residual",
+     lambda residual: lambda *blocks: residual(*blocks) + 1),
+], ids=["conway", "b2-coefficients", "b3-det", "blocks"])
+def test_skein_verify_reports_failures(monkeypatch, capsys, relation, target,
+                                       name, wrong):
+    monkeypatch.setattr(target, name, wrong(getattr(target, name)))
+    code, out = run(capsys, "skein", "verify", "--relation", relation,
+                    "--trials", "6", "--seed", "3")
+    *failures, summary = out.splitlines()
+    vanished, trials = map(int, summary.split(" ")[0].split("/"))
+    assert code == 1
+    assert summary.endswith(" residuals vanished")
+    assert trials == 6 and vanished < trials
+    assert len(failures) == trials - vanished
+    assert all(line.startswith("trial ") and "nonzero" in line for line in failures)

@@ -9,15 +9,15 @@ from hypothesis import given, settings, strategies as st
 from linksig.braid import FamilyParams, family_b, family_c
 from linksig.gaussian import GaussianInteger, i_power
 from linksig.seifert import link_det
-from linksig.skeinpoly import (A_matrix_det, A_matrix_det_symbolic,
-                               FormulaNotEstablished, InconsistentSpecError,
+from linksig.skeinpoly import (FormulaNotEstablished, InconsistentSpecError,
                                MultilinearCyclicPoly, SkeinSystemSpec, a_minus_even_spec,
                                a_plus_spec, a_pm, a_pm_homogeneous, a_pm_symbolic,
-                               axiom_iii_holds, banded_matrix,
+                               axiom_iii_holds,
                                cycle_matchings, f_Jk, family_det_closed_form,
                                det_table_all_ones, reconstruct_from_initial,
                                tilde_closed_form)
-from oracles import check_skein_axioms, reconstruct_by_subset_sums
+from oracles import (A_matrix_det, A_matrix_det_symbolic, banded_matrix,
+                     check_skein_axioms, reconstruct_by_subset_sums)
 
 G = GaussianInteger
 
@@ -69,6 +69,38 @@ class TestBandedMatrices:
                 for _ in range(5):
                     xs = [rng.randint(-3, 3) for _ in range(j)]
                     assert poly.evaluate(xs) == G(A_matrix_det(j, sign, xs), 0)
+
+
+def band_sign(j, sign):
+    """e with a_J^sign = e det A_J^e: the J mod 4 pattern of band determinants."""
+    return sign if j % 4 in (0, 1) else -sign
+
+
+class TestTransferProduct:
+    """The library's transfer product against the band-matrix oracles."""
+
+    @settings(max_examples=200)
+    @given(st.sampled_from((1, -1)),
+           st.lists(st.integers(-5, 5), min_size=1, max_size=12))
+    def test_numeric_matches_bareiss(self, sign, xs):
+        j, e = len(xs), band_sign(len(xs), sign)
+        assert a_pm(j, sign, xs) == e * A_matrix_det(j, e, xs)
+
+    def test_numeric_matches_bareiss_near_sixty(self):
+        rng = random.Random(60)
+        for j in (59, 60):
+            for sign in (1, -1):
+                xs = [rng.randint(-5, 5) for _ in range(j)]
+                e = band_sign(j, sign)
+                assert a_pm(j, sign, xs) == e * A_matrix_det(j, e, xs), (j, sign)
+
+    def test_symbolic_matches_principal_minors(self):
+        # every J <= 10 and both signs, not a sample
+        for j in range(1, 11):
+            for sign in (1, -1):
+                e = band_sign(j, sign)
+                want = A_matrix_det_symbolic(j, e).scale(e)
+                assert a_pm_symbolic(j, sign) == want, (j, sign)
 
 
 class TestNormalizedValues:
@@ -283,6 +315,47 @@ class TestClosedForms:
         t1 = i_power(4) * link_det(family_b(p1))
         t2 = i_power(4) * link_det(family_b(p2))
         assert t1 == t2
+
+
+#: library refusals: a call that must raise ValueError, and its message
+REFUSALS = {
+    "a_pm-arity": (lambda: a_pm(0, 1, []), "arity must be positive"),
+    "a_pm-length": (lambda: a_pm(3, 1, [1, 2]), "need exactly j entries"),
+    "a_pm-sign": (lambda: a_pm(1, 0, [1]), "sign must be +-1"),
+    "a_pm_symbolic-arity": (lambda: a_pm_symbolic(-1, 1),
+                            "arity must be positive"),
+    "a_pm_symbolic-sign": (lambda: a_pm_symbolic(3, 2), "sign must be +-1"),
+    "a_pm_homogeneous-sign": (lambda: a_pm_homogeneous(2, 0), "sign must be +-1"),
+    "f_Jk-parity": (lambda: f_Jk(3, 2),
+                    "k must have the parity of J and lie in [0, J]"),
+    "f_Jk-above": (lambda: f_Jk(3, 5),
+                   "k must have the parity of J and lie in [0, J]"),
+    "from_dict-variable": (lambda: MultilinearCyclicPoly.from_dict(
+        2, {frozenset([3]): G(1, 0)}), "monomial variable out of range"),
+    "from_dict-zero-variable": (lambda: MultilinearCyclicPoly.from_dict(
+        2, {frozenset([0, 1]): G(1, 0)}), "monomial variable out of range"),
+    "evaluate-arity": (lambda: f_Jk(3, 1).evaluate([1, 1]),
+                       "wrong number of arguments"),
+    "add-arity": (lambda: f_Jk(3, 1) + f_Jk(1, 1), "arity mismatch"),
+    "axiom-arity": (lambda: axiom_iii_holds(f_Jk(3, 1), f_Jk(3, 1)),
+                    "arities must differ by 2"),
+    "spec-parity": (lambda: SkeinSystemSpec(3, G(0, 0), lambda j: G(0, 0)),
+                    "parity must be 1 or 2"),
+    "spec-c1": (lambda: SkeinSystemSpec(2, G(0, 0), lambda j: G(0, 0)),
+                "parity-2 systems need c1 = f_2(1,0)"),
+    "reconstruct-parity": (lambda: reconstruct_from_initial(a_plus_spec(), 4),
+                           "arity does not match the parity"),
+    "reconstruct-below": (lambda: reconstruct_from_initial(a_minus_even_spec(), 0),
+                          "arity does not match the parity"),
+}
+
+
+@pytest.mark.parametrize("call, message", list(REFUSALS.values()),
+                         ids=list(REFUSALS))
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_binomial_rational_identity():
