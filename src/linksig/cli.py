@@ -63,13 +63,6 @@ MAX_FAMILY_LETTERS = 2_000_000
 #: keeps near 200 MB, as for `MAX_FAMILY_LETTERS`.
 MAX_SYMBOLIC_J = 24
 
-#: letters that `skein verify` appends to a drawn word before its last
-#: Conway potential: four insertions of delta = s1 s2 (b2) or of the squared
-#: half twist on three strands (b3).  The determinant forms step further but
-#: take `link_det`'s integer Burau matrix, milliseconds at these lengths.
-INSERTED_LETTERS = {"conway": 0, "b2": 4 * 2, "b3": 4 * 6}
-
-
 def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
@@ -171,12 +164,17 @@ def _cmd_skein(args) -> int:
             raise ValueError(f"--{name} must be nonnegative, got {value}")
     if args.trials > MAX_TRIALS:
         raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+    relations = {"b2": RelationSpec.delta3_order4, "b3": RelationSpec.delta3sq_order4}
+    spec = relations[args.relation]() if args.relation in relations else None
     if args.relation != "blocks":
-        least = 2 if args.relation == "conway" else 3
+        least = spec.twist.strands if spec else 2
         if args.strands < least:
             raise ValueError(f"--strands must be at least {least} for "
                              f"--relation {args.relation}, got {args.strands}")
-        letters = args.maxlen + INSERTED_LETTERS[args.relation]
+        # the letters appended before the last Conway potential: four
+        # twists.  The determinant form steps further but takes `link_det`'s
+        # integer Burau matrix, milliseconds at these lengths.
+        letters = args.maxlen + (4 * len(spec.twist.letters) if spec else 0)
         _check_word_size(letters, args.strands)
         # a trial costs about the square of its word size (conway: 0.13 ms
         # at size 20, 2.4 ms at 200, 22 ms at 750, 11 s at 7000; b2: 2.6 s
@@ -211,21 +209,16 @@ def _cmd_skein(args) -> int:
                                            for mid in ((j,), (-j,), ()))
             residual = (conway_potential(with_pos) - conway_potential(with_neg)
                         - LaurentPolynomial.t_binomial(1) * conway_potential(without))
-        elif args.relation == "b2":
-            residual = relation_residual(word, RelationSpec.delta3_order4())
         else:
-            residual = relation_residual(word, RelationSpec.delta3sq_order4())
+            residual = relation_residual(word, spec)
         if not residual.is_zero():
             failures += 1
             print(f"trial {trial}: nonzero residual on braid "
                   f"[{word.to_text()}] in B_{word.strands}")
-        elif args.relation in ("b2", "b3"):
-            kind = ("delta3_order4" if args.relation == "b2"
-                    else "Delta3sq_order4")
-            if not det_relation_check(word, kind).is_zero():
-                failures += 1
-                print(f"trial {trial}: nonzero det residual on braid "
-                      f"[{word.to_text()}]")
+        elif spec and not det_relation_check(word, spec).is_zero():
+            failures += 1
+            print(f"trial {trial}: nonzero det residual on braid "
+                  f"[{word.to_text()}]")
     print(f"{args.trials - failures}/{args.trials} residuals vanished")
     return 1 if failures else 0
 
@@ -327,6 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; bad input prints a JSON error on stderr, exit 2."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a list like "-1,2" for an option: join it to its option
+    for i in reversed(range(len(argv) - 1)):
+        value = argv[i + 1]
+        if (argv[i] in ("--word", "--x", "--alpha")
+                and value[:1] == "-" and value[1:2].isdigit()):
+            argv[i:i + 2] = [f"{argv[i]}={value}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,11 +1,12 @@
 """Generalized skein relations for three-strand twist insertions.
 
 The classical crossing relation is a 3-term recurrence in powers of the
-2-strand twist.  Inserting powers of the 3-strand twist delta = s1 s2 (or
-of the squared half twist on three strands) satisfies 5-term recurrences
-whose coefficients are fixed Laurent polynomials; the block-matrix identity
-behind them holds for arbitrary matrices in the corner blocks and is checked
-here symbolically.
+2-strand twist.  Inserting powers of a 3-strand twist tau (delta = s1 s2, or
+the squared half twist on three strands) satisfies 5-term recurrences whose
+coefficients are fixed Laurent polynomials.  A relation is one
+`RelationSpec`: its twist, its coefficients and its determinant step.  The
+block-matrix identity behind the relations holds for arbitrary matrices in
+the corner blocks and is checked here symbolically.
 """
 
 from __future__ import annotations
@@ -47,31 +48,35 @@ DELTA3SQ_COEFFS = (
 
 @dataclass(frozen=True)
 class RelationSpec:
-    kind: str
+    """A five-term relation: its twist, its coefficients and its determinant step.
+
+    The potentials of word * twist**j, j = 0..4, weighted by the
+    coefficients, sum to 0.  At t = i the coefficients weigh determinants,
+    and that form holds in steps of twist**det_power.
+    """
     coefficients: tuple[LaurentPolynomial, ...]
+    twist: BraidWord
+    det_power: int
 
     @staticmethod
     def delta3_order4() -> "RelationSpec":
-        return RelationSpec("delta3_order4", DELTA3_COEFFS)
+        return RelationSpec(DELTA3_COEFFS, delta_small(3), 1)
 
     @staticmethod
     def delta3sq_order4() -> "RelationSpec":
-        return RelationSpec("Delta3sq_order4", DELTA3SQ_COEFFS)
+        # the determinant form steps by the fourth power of the half twist
+        return RelationSpec(DELTA3SQ_COEFFS, half_twist(3) ** 2, 2)
 
-
-def _insertion(word: BraidWord, kind: str) -> BraidWord:
-    if word.strands < 3:
-        raise ValueError("the relations need at least three strands")
-    if kind == "delta3_order4":
-        return delta_small(3, word.strands)
-    if kind == "Delta3sq_order4":
-        return half_twist(3, word.strands) ** 2
-    raise ValueError(f"unknown relation kind {kind!r}")
+    def step(self, word: BraidWord, power: int) -> BraidWord:
+        """twist**power on the strands of word."""
+        if word.strands < self.twist.strands:
+            raise ValueError("the relations need at least three strands")
+        return BraidWord(word.strands, self.twist.letters * power)
 
 
 def relation_residual(word: BraidWord, spec: RelationSpec) -> LaurentPolynomial:
     """Sum of coefficient * potential over the five twisted closures; contract: 0."""
-    step = _insertion(word, spec.kind)
+    step = spec.step(word, 1)
     total = LaurentPolynomial.zero()
     current = word
     for coeff in spec.coefficients:
@@ -80,16 +85,12 @@ def relation_residual(word: BraidWord, spec: RelationSpec) -> LaurentPolynomial:
     return total
 
 
-def det_relation_check(word: BraidWord, kind: str) -> GaussianInteger:
-    """The determinant form of the relations (coefficients at t = i); contract: 0."""
-    step = _insertion(word, kind)
-    coeffs = DELTA3_COEFFS
-    if kind == "Delta3sq_order4":
-        step = step ** 2  # this form steps by the fourth power of the half twist
-        coeffs = DELTA3SQ_COEFFS
+def det_relation_check(word: BraidWord, spec: RelationSpec) -> GaussianInteger:
+    """The determinant form of the relation (coefficients at t = i); contract: 0."""
+    step = spec.step(word, spec.det_power)
     total = GaussianInteger(0, 0)
     current = word
-    for coeff in coeffs:
+    for coeff in spec.coefficients:
         w = coeff.eval_at_i()
         if w:
             total = total + link_det(current) * w
@@ -115,13 +116,6 @@ def _block_B() -> list[list[LaurentPolynomial]]:
     ]
 
 
-def _block_Bstar() -> list[list[LaurentPolynomial]]:
-    return [
-        [_lp({1: -1}), _lp({-1: 1})],
-        [LaurentPolynomial.zero(), _lp({1: -1})],
-    ]
-
-
 def bar_transpose_negate(m: list[list[LaurentPolynomial]]) -> list[list[LaurentPolynomial]]:
     """-(transpose with t -> 1/t); the star pairing of symmetrized blocks."""
     rows = len(m)
@@ -139,7 +133,7 @@ def build_symmetrized(v0: list[list[LaurentPolynomial]],
     """The (s + 2j)-dimensional block matrix with j twist blocks appended.
 
     Layout: v0 on top, then the 2x2 block w, then j-1 copies of the twist
-    block A, joined by the fixed off-diagonal blocks B and B*.  ustar
+    block A, joined by the fixed block B and its star B*.  ustar
     defaults to the star of u, which is what an actual symmetrized matrix
     carries, but the identity holds for any choice.
     """
@@ -172,7 +166,8 @@ def build_symmetrized(v0: list[list[LaurentPolynomial]],
         for c in range(2):
             m[r][s + c] = u[r][c]
             m[s + c][r] = ustar[c][r]
-    b, bstar = _block_B(), _block_Bstar()
+    b = _block_B()
+    bstar = bar_transpose_negate(b)
     for t in range(j - 1):
         off = s + 2 * t
         for r in range(2):
@@ -194,20 +189,19 @@ def block_identity_residual(v0: list[list[LaurentPolynomial]],
     return total
 
 
-def _tail_matrix(j: int, w: list[list[LaurentPolynomial]]) -> list[list[LaurentPolynomial]]:
-    """The lower-right 2j x 2j minor of the block matrix, with w in the corner."""
-    return build_symmetrized([], [], w, j)
-
-
 def coefficient_table(j: int) -> dict[str, LaurentPolynomial]:
-    """The expansion det(tail) = a0 + a1 det(w) + sum a_mn w_mn, for j in 2..4."""
+    """The expansion det(tail) = a0 + a1 det(w) + sum a_mn w_mn, for j in 2..4.
+
+    The tail is the lower-right 2j x 2j minor of the block matrix, with w in
+    the corner.
+    """
     if j < 2:
         raise ValueError("the table starts at j = 2")
     zero = LaurentPolynomial.zero()
     one = LaurentPolynomial.one()
 
     def det_with(w11, w12, w21, w22):
-        return exact_determinant(_tail_matrix(j, [[w11, w12], [w21, w22]]))
+        return exact_determinant(build_symmetrized([], [], [[w11, w12], [w21, w22]], j))
 
     a0 = det_with(zero, zero, zero, zero)
     a11 = det_with(one, zero, zero, zero) - a0

@@ -335,8 +335,6 @@ class FactorProduct:
         for vec, power in raw:
             if len(vec) != nvars:
                 raise ValueError("exponent vector of wrong length")
-            if power == 0:
-                continue
             first = next((c for c in vec if c != 0), 0)
             if first < 0:
                 vec = tuple(-c for c in vec)

@@ -296,9 +296,9 @@ def test_criterion_9_generalized_relations():
         m = rng.choice([3, 4, 5])
         word = random_braid(rng, m, 10)
         assert relation_residual(word, spec3).is_zero(), trial
-        assert det_relation_check(word, "delta3_order4").is_zero(), trial
+        assert det_relation_check(word, spec3).is_zero(), trial
         assert relation_residual(word, spec_sq).is_zero(), trial
-        assert det_relation_check(word, "Delta3sq_order4").is_zero(), trial
+        assert det_relation_check(word, spec_sq).is_zero(), trial
     for trial in range(20):
         s = rng.randint(0, 3)
         v0 = [[random_laurent(rng) for _ in range(s)] for _ in range(s)]

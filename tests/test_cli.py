@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -22,6 +23,21 @@ def test_invariants(capsys):
     assert data["signature"] == -1
     assert data["det"] == "2i"
     assert data["conway_text"] == "+ t - t^-1"
+
+
+def test_list_values_may_begin_with_a_negative_letter(capsys):
+    # argparse reads "-1,2" as an option unless it is joined with "="
+    joined = run(capsys, "invariants", "--strands", "3", "--word=-1,2")
+    assert joined[0] == 0
+    assert run(capsys, "invariants", "--strands", "3", "--word", "-1,2") == joined
+    assert run(capsys, "skeinpoly", "a", "--J", "3", "--sign", "+",
+               "--x", "-1,2,1") == run(capsys, "skeinpoly", "a", "--J", "3",
+                                       "--sign", "+", "--x=-1,2,1")
+    assert main(["closedform", "c", "--n", "4", "--k", "2", "--J", "2",
+                 "--alpha", "-1,5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"error": "alphas must be nonnegative"}\n'
 
 
 def test_family_prints_word(capsys):
@@ -72,6 +88,13 @@ def test_closedform_explore_unproven(capsys):
     data = json.loads(out)
     assert "not established" in data["closed_form"]
     assert "direct" in data
+    # the wide family at n = 0 mod 4 has no closed-form determinant either
+    code, out = run(capsys, "closedform", "c", "--n", "4", "--k", "2",
+                    "--J", "2", "--alpha", "1,1", "--explore")
+    assert code == 0
+    data = json.loads(out)
+    assert data["det"] is None
+    assert data["direct"] == {"sign": -24, "null": 2}
     # without --explore an unproven closed form is a failure
     for kind in ("b", "c"):
         code, out = run(capsys, "closedform", kind, "--n", "4", "--k", "2",
@@ -302,11 +325,11 @@ def test_trial_limit_is_on_trials_times_size_squared(monkeypatch, capsys):
      lambda conway: lambda word: conway(word) + 1),
     # five-term coefficients that do not cancel
     ("b2", cli.RelationSpec, "delta3_order4",
-     lambda _: staticmethod(lambda: cli.RelationSpec(
-         "delta3_order4", DELTA3_COEFFS[:-1] + (DELTA3_COEFFS[-1] + 1,)))),
+     lambda make: staticmethod(lambda: dataclasses.replace(
+         make(), coefficients=DELTA3_COEFFS[:-1] + (DELTA3_COEFFS[-1] + 1,)))),
     # a determinant form that is off by one
     ("b3", cli, "det_relation_check",
-     lambda check: lambda word, kind: check(word, kind) + G(1, 0)),
+     lambda check: lambda word, spec: check(word, spec) + G(1, 0)),
     # a block identity that is off by one
     ("blocks", cli, "block_identity_residual",
      lambda residual: lambda *blocks: residual(*blocks) + 1),

@@ -36,18 +36,18 @@ class TestCoefficients:
 class TestResiduals:
     def test_empty_word(self):
         assert relation_residual(BraidWord(3), RelationSpec.delta3_order4()).is_zero()
-        assert det_relation_check(BraidWord(3), "delta3_order4").is_zero()
+        assert det_relation_check(BraidWord(3), RelationSpec.delta3_order4()).is_zero()
 
     def test_single_negative_crossing_det_relation(self):
         b = BraidWord(3, (-1,))
-        assert det_relation_check(b, "Delta3sq_order4").is_zero()
+        assert det_relation_check(b, RelationSpec.delta3sq_order4()).is_zero()
 
     def test_requires_three_strands(self):
         with pytest.raises(ValueError):
             relation_residual(BraidWord(2, (1,)), RelationSpec.delta3_order4())
-        for kind in ("delta3_order4", "Delta3sq_order4"):
+        for spec in (RelationSpec.delta3_order4(), RelationSpec.delta3sq_order4()):
             with pytest.raises(ValueError, match="at least three strands"):
-                det_relation_check(BraidWord(2, (1,)), kind)
+                det_relation_check(BraidWord(2, (1,)), spec)
 
     def test_seeded_random_braids(self):
         rng = random.Random(2023)
@@ -56,8 +56,8 @@ class TestResiduals:
             b = random_braid(rng, m, 10)
             assert relation_residual(b, RelationSpec.delta3_order4()).is_zero()
             assert relation_residual(b, RelationSpec.delta3sq_order4()).is_zero()
-            assert det_relation_check(b, "delta3_order4").is_zero()
-            assert det_relation_check(b, "Delta3sq_order4").is_zero()
+            assert det_relation_check(b, RelationSpec.delta3_order4()).is_zero()
+            assert det_relation_check(b, RelationSpec.delta3sq_order4()).is_zero()
 
 
 class TestBlocks:

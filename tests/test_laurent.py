@@ -26,6 +26,9 @@ class TestArithmetic:
     def test_zero_pruning(self):
         assert lp({1: 0, 2: 3})[1] == 0
         assert lp({1: 0, 2: 3}).exponents() == [2]
+        # without its own branch t_binomial(0) would be {0: 1, -0: -1} = -1
+        assert LaurentPolynomial.t_binomial(0) == 0
+        assert LaurentPolynomial.one() != "1"
 
     def test_len_counts_stored_terms(self):
         assert len(lp({})) == 0
@@ -118,6 +121,7 @@ class TestGaussian:
         assert (GaussianInteger(1, 2) * GaussianInteger(3, -1)
                 == GaussianInteger(5, 5))
         assert GaussianInteger(2, 3).conj() == GaussianInteger(2, -3)
+        assert 3 - GaussianInteger(1, 2) == GaussianInteger(2, -2)
 
     def test_i_power(self):
         assert i_power(0) == GaussianInteger(1, 0)
@@ -127,5 +131,6 @@ class TestGaussian:
     def test_format_parse_roundtrip(self):
         for z in (GaussianInteger(0, 0), GaussianInteger(3, 2),
                   GaussianInteger(-4, 0), GaussianInteger(0, 2),
-                  GaussianInteger(1, -1), GaussianInteger(0, -1)):
+                  GaussianInteger(1, -1), GaussianInteger(0, -1),
+                  GaussianInteger(3, 1)):
             assert parse_gaussian(str(z)) == z

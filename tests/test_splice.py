@@ -1,15 +1,21 @@
 import json
+import random
 from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from linksig.braid import BraidWord, FamilyParams, family_b, family_c, half_twist
-from linksig.gaussian import GaussianInteger, i_power
+from linksig.braid import (BraidWord, FamilyParams, delta_small, family_b, family_c,
+                           half_twist)
+from linksig.closedforms import epsilons, sign_null_b, sign_null_delta
+from linksig.gaussian import GaussianInteger, i_power, parse_gaussian
+from linksig.genskein import build_symmetrized, coefficient_table
 from linksig.laurent import LaurentPolynomial
+from linksig.prohibit import (CurveParams, Degree9Scheme, jump_window,
+                              pointed_alternation_min, theorem11_check)
 from linksig.seifert import conway_potential, link_det
-from linksig.skeinpoly import det_table_all_ones
-from linksig.splice import (ENFormulaInapplicable, SpliceDiagram,
+from linksig.skeinpoly import FormulaNotEstablished, det_table_all_ones
+from linksig.splice import (ENFormulaInapplicable, FactorProduct, SpliceDiagram,
                             b_family_diagram, c_family_diagram, ring_family_diagram,
                             ring_family_det_skein, torus_delta_diagram)
 from oracles import expanded_omega, path_linking_ell
@@ -281,10 +287,38 @@ class TestNabla:
             d = ring_family_diagram(q, ps)
             assert d.link_determinant().is_zero(), (q, ps)
             assert ring_family_det_skein(q, ps).is_zero()
+        # a zero winding splits the link, which no diagram draws
+        assert ring_family_det_skein(3, [1, 0]).is_zero()
 
     def test_single_ring_nonzero(self):
         d = ring_family_diagram(1, [1])
         assert not d.link_determinant().is_zero()
+
+
+def test_factor_product_ignores_zero_powers():
+    # a zero power merges as 0 and is dropped with the cancelled factors, so
+    # inserting some changes neither the product nor a refusal
+    rng = random.Random(8)
+
+    def build(nvars, raw):
+        try:
+            return FactorProduct.build(nvars, 1, raw)
+        except ZeroDivisionError:
+            return ZeroDivisionError
+
+    refused = 0
+    for _ in range(3000):
+        nvars = rng.randint(1, 3)
+        vector = lambda: tuple(rng.randint(-1, 1) for _ in range(nvars))
+        raw = [(vector(), rng.choice((-2, -1, 1, 2)))
+               for _ in range(rng.randint(0, 5))]
+        padded = list(raw)
+        for _ in range(rng.randint(1, 3)):
+            padded.insert(rng.randint(0, len(padded)), (vector(), 0))
+        want = build(nvars, raw)
+        assert build(nvars, padded) == want, (nvars, raw, padded)
+        refused += want is ZeroDivisionError
+    assert refused > 0
 
 
 class TestNamedBuilders:
@@ -315,3 +349,111 @@ class TestNamedBuilders:
             p = FamilyParams(n, k, J, (1,) * J)
             assert (b_family_diagram(n, k, J).link_determinant()
                     == link_det(family_b(p)))
+
+
+def _diagram(kinds, edges):
+    """A splice diagram from {id: kind} (arrowheads signed +1) and edges."""
+    return SpliceDiagram({v: {"kind": k, **({"sign": 1} if k == "arrowhead" else {})}
+                          for v, k in kinds.items()}, edges)
+
+
+_A, _P = "arrowhead", "plain"
+_L = LaurentPolynomial
+_W = [[_L.one(), _L.zero()], [_L.zero(), _L.one()]]
+_CURVE = CurveParams(n=1, k=3, lam=13, lam_odd=0, lam_even=13)
+
+#: library refusals that no other test raises, package-wide: a call, the
+#: exception it must raise and its full message
+LIBRARY_REFUSALS = {
+    "braid-strands": (lambda: BraidWord(0), ValueError,
+                      "strand count must be >= 1"),
+    "half_twist-index": (lambda: half_twist(4, 3), ValueError,
+                         "half twist index out of range"),
+    "delta_small-index": (lambda: delta_small(0), ValueError,
+                          "index out of range"),
+    "epsilons-n": (lambda: epsilons(0, 1), ValueError,
+                   "n and k must be positive"),
+    "sign_null_delta-k": (lambda: sign_null_delta(1, 0), ValueError,
+                          "n and k must be positive"),
+    "sign_null_b-special-pair": (
+        lambda: sign_null_b(4, 2, 2, (1, 0)), FormulaNotEstablished,
+        "narrow family special pair needs k = 1 when n = 0 mod 4"),
+    "gaussian-negative-power": (
+        lambda: GaussianInteger(1, 1) ** -1, ValueError,
+        "negative powers are not defined for Gaussian integers"),
+    "gaussian-coerce": (lambda: GaussianInteger(1, 0) + "i", TypeError,
+                        "cannot interpret 'i' as a Gaussian integer"),
+    "parse_gaussian-empty": (lambda: parse_gaussian(""), ValueError,
+                             "empty Gaussian integer literal"),
+    "laurent-negative-power": (
+        lambda: _L.t() ** -1, ValueError,
+        "negative powers require exact_div against the inverse"),
+    "laurent-coerce": (lambda: _L.one() + "t", TypeError,
+                       "cannot interpret 't' as a Laurent polynomial"),
+    "laurent-divide-by-zero": (lambda: _L.t() // 0, ZeroDivisionError,
+                               "Laurent polynomial division by zero"),
+    "substitute_power-zero": (lambda: _L.t().substitute_power(0), ValueError,
+                              "substitution exponent must be nonzero"),
+    "build_symmetrized-v0": (
+        lambda: build_symmetrized([[_L.one(), _L.one()]], [], _W, 1),
+        ValueError, "v0 must be square"),
+    "build_symmetrized-w": (lambda: build_symmetrized([], [], [[_L.one()]], 1),
+                            ValueError, "w must be 2 x 2"),
+    "build_symmetrized-ustar": (
+        lambda: build_symmetrized([], [], _W, 1, [[_L.one()]]),
+        ValueError, "ustar must be 2 x s"),
+    "coefficient_table-j": (lambda: coefficient_table(1), ValueError,
+                            "the table starts at j = 2"),
+    "theorem11_check-J": (lambda: theorem11_check(_CURVE), ValueError,
+                          "theorem11_check needs an explicit jump count J"),
+    "jump_window-which": (lambda: jump_window(_CURVE, "all"), ValueError,
+                          "which must be 'odd', 'even', or 'both'"),
+    "pointed_alternation_min-sign": (
+        lambda: pointed_alternation_min(Degree9Scheme(1, 0, 0, 0, 0, 0, 1, 1), 0),
+        ValueError, "sign_v must be +-1"),
+    "degree9-nest-sign": (lambda: Degree9Scheme(1, 0, 0, 0, 0, 0, 1, 0),
+                          ValueError, "the nest signs must be +-1"),
+    "splice-duplicate-edge": (
+        lambda: _diagram({0: _A, 1: _A}, [(0, 1, None, None), (1, 0, None, None)]),
+        ValueError, "edges must join distinct vertices, once"),
+    "splice-self-loop": (lambda: _diagram({0: _A}, [(0, 0, None, None)]),
+                         ValueError, "edges must join distinct vertices, once"),
+    "splice-empty": (lambda: _diagram({}, []), ValueError, "empty diagram"),
+    "splice-cycle-and-isolated": (
+        lambda: _diagram({0: _P, 1: _P, 2: _P, 3: _A},
+                         [(0, 1, None, None), (1, 2, None, None), (2, 0, None, None)]),
+        ValueError, "diagram is not connected"),
+    "splice-arrowhead-valence": (
+        lambda: _diagram({0: _A, 1: _P, 2: _P, 3: _P},
+                         [(0, 1, None, None), (0, 2, None, None), (0, 3, None, None)]),
+        ValueError, "arrowhead 0 must have valence 1"),
+    "splice-weighted-leaf": (lambda: _diagram({0: _P, 1: _A}, [(0, 1, 5, None)]),
+                             ValueError, "non-node 0 carries a weight"),
+    "splice-sign-of-plain": (lambda: SpliceDiagram.unknot().sign(0), ValueError,
+                             "vertex 0 is not an arrowhead"),
+    "cable-core": (lambda: SpliceDiagram.unknot().cable(1, 1, 2, 3, core="kept"),
+                   ValueError, "core must be 'removed' or 'remained'"),
+    "cable-d": (lambda: SpliceDiagram.unknot().cable(1, 0, 2, 3), ValueError,
+                "d must be a positive integer"),
+    "factor-product-length": (lambda: FactorProduct.build(2, 1, [((1,), 1)]),
+                              ValueError, "exponent vector of wrong length"),
+    "factor-product-zero-denominator": (
+        lambda: FactorProduct.build(1, 1, [((0,), -1)]), ZeroDivisionError,
+        "formal cancellation leaves a vanishing denominator factor"),
+    "torus_delta_diagram-n": (lambda: torus_delta_diagram(0, 1), ValueError,
+                              "n and k must be positive"),
+    "ring_family-no-rings": (lambda: ring_family_diagram(3, []), ValueError,
+                             "at least one ring is required"),
+    "ring_family-zero-winding": (
+        lambda: ring_family_diagram(3, [1, 0]), ValueError,
+        "zero winding splits the link; its potential is 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", list(LIBRARY_REFUSALS.values()),
+                         ids=list(LIBRARY_REFUSALS))
+def test_library_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
