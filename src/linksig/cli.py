@@ -18,9 +18,8 @@ from .closedforms import FormulaNotEstablished, sign_null_b, sign_null_c
 from .genskein import (RelationSpec, block_identity_residual,
                        det_relation_check, random_braid, random_laurent,
                        relation_residual)
-from .laurent import LaurentPolynomial
 from .prohibit import CurveParams, verdict_curve, verdict_degree9
-from .seifert import conway_potential, invariants_report, signature_nullity
+from .seifert import invariants_report, signature_nullity
 from .skeinpoly import a_pm, a_pm_symbolic, family_det_closed_form
 from .splice import SpliceDiagram
 
@@ -164,17 +163,17 @@ def _cmd_skein(args) -> int:
             raise ValueError(f"--{name} must be nonnegative, got {value}")
     if args.trials > MAX_TRIALS:
         raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
-    relations = {"b2": RelationSpec.delta3_order4, "b3": RelationSpec.delta3sq_order4}
+    relations = {"conway": RelationSpec.conway, "b2": RelationSpec.delta3_order4,
+                 "b3": RelationSpec.delta3sq_order4}
     spec = relations[args.relation]() if args.relation in relations else None
-    if args.relation != "blocks":
-        least = spec.twist.strands if spec else 2
-        if args.strands < least:
-            raise ValueError(f"--strands must be at least {least} for "
+    if spec:
+        if args.strands < spec.twist.strands:
+            raise ValueError(f"--strands must be at least {spec.twist.strands} for "
                              f"--relation {args.relation}, got {args.strands}")
-        # the letters appended before the last Conway potential: four
-        # twists.  The determinant form steps further but takes `link_det`'s
-        # integer Burau matrix, milliseconds at these lengths.
-        letters = args.maxlen + (4 * len(spec.twist.letters) if spec else 0)
+        # the letters appended before the last Conway potential: a twist per
+        # coefficient after the first.  The determinant form steps further but
+        # takes `link_det`'s integer Burau matrix, milliseconds at these lengths.
+        letters = args.maxlen + (len(spec.coefficients) - 1) * len(spec.twist.letters)
         _check_word_size(letters, args.strands)
         # a trial costs about the square of its word size (conway: 0.13 ms
         # at size 20, 2.4 ms at 200, 22 ms at 750, 11 s at 7000; b2: 2.6 s
@@ -187,7 +186,7 @@ def _cmd_skein(args) -> int:
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
-        if args.relation == "blocks":
+        if spec is None:
             s = rng.randint(0, 3)
             v0 = [[random_laurent(rng) for _ in range(s)] for _ in range(s)]
             u = [[random_laurent(rng) for _ in range(2)] for _ in range(s)]
@@ -199,23 +198,11 @@ def _cmd_skein(args) -> int:
                 print(f"trial {trial}: nonzero block residual {residual}")
             continue
         word = random_braid(rng, args.strands, args.maxlen)
-        if args.relation == "conway":
-            if not word.letters:
-                continue
-            pos = rng.randrange(len(word.letters))
-            j = abs(word.letters[pos])
-            head, tail = word.letters[:pos], word.letters[pos + 1:]
-            with_pos, with_neg, without = (BraidWord(word.strands, head + mid + tail)
-                                           for mid in ((j,), (-j,), ()))
-            residual = (conway_potential(with_pos) - conway_potential(with_neg)
-                        - LaurentPolynomial.t_binomial(1) * conway_potential(without))
-        else:
-            residual = relation_residual(word, spec)
-        if not residual.is_zero():
+        if not relation_residual(word, spec).is_zero():
             failures += 1
             print(f"trial {trial}: nonzero residual on braid "
                   f"[{word.to_text()}] in B_{word.strands}")
-        elif spec and not det_relation_check(word, spec).is_zero():
+        elif not det_relation_check(word, spec).is_zero():
             failures += 1
             print(f"trial {trial}: nonzero det residual on braid "
                   f"[{word.to_text()}]")

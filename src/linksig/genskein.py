@@ -1,12 +1,12 @@
-"""Generalized skein relations for three-strand twist insertions.
+"""Skein relations: recurrences in powers of a twist.
 
-The classical crossing relation is a 3-term recurrence in powers of the
-2-strand twist.  Inserting powers of a 3-strand twist tau (delta = s1 s2, or
-the squared half twist on three strands) satisfies 5-term recurrences whose
-coefficients are fixed Laurent polynomials.  A relation is one
-`RelationSpec`: its twist, its coefficients and its determinant step.  The
-block-matrix identity behind the relations holds for arbitrary matrices in
-the corner blocks and is checked here symbolically.
+A relation is one `RelationSpec`: its twist, its coefficients and its
+determinant step.  The Conway potentials of a word with 0, 1, 2, ... twists
+appended, weighted by the coefficients, sum to zero.  The classical crossing
+relation has three terms, in powers of delta_2 = s1; the generalized ones
+have five, in powers of delta_3 = s1 s2 and of the squared half twist
+Delta_3^2.  The block-matrix identity behind the five-term relations holds
+for arbitrary matrices in the corner blocks and is checked here symbolically.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ _T = LaurentPolynomial.t
 def _lp(d: dict[int, int]) -> LaurentPolynomial:
     return LaurentPolynomial(d)
 
+
+#: coefficients (1, t - 1/t, -1) of the crossing relation in delta_2 powers:
+#: Omega(L+) - Omega(L-) = (t - 1/t) Omega(L0) with L- = w, L0 = w s1
+CONWAY_COEFFS = (_lp({0: 1}), _lp({1: 1, -1: -1}), _lp({0: -1}))
 
 #: coefficients (1, c1, c2, c3, 1) of the 5-term relation in delta_3 powers
 DELTA3_COEFFS = (
@@ -48,15 +52,20 @@ DELTA3SQ_COEFFS = (
 
 @dataclass(frozen=True)
 class RelationSpec:
-    """A five-term relation: its twist, its coefficients and its determinant step.
+    """A recurrence in powers of a twist, with its determinant step.
 
-    The potentials of word * twist**j, j = 0..4, weighted by the
-    coefficients, sum to 0.  At t = i the coefficients weigh determinants,
-    and that form holds in steps of twist**det_power.
+    The potentials of word * twist**j, one j per coefficient from 0 up,
+    weighted by the coefficients, sum to 0: three terms for delta_2, five
+    for delta_3 and Delta_3^2.  At t = i the coefficients weigh
+    determinants, and that form holds in steps of twist**det_power.
     """
     coefficients: tuple[LaurentPolynomial, ...]
     twist: BraidWord
     det_power: int
+
+    @staticmethod
+    def conway() -> "RelationSpec":
+        return RelationSpec(CONWAY_COEFFS, delta_small(2), 1)
 
     @staticmethod
     def delta3_order4() -> "RelationSpec":
@@ -70,12 +79,13 @@ class RelationSpec:
     def step(self, word: BraidWord, power: int) -> BraidWord:
         """twist**power on the strands of word."""
         if word.strands < self.twist.strands:
-            raise ValueError("the relations need at least three strands")
+            raise ValueError(
+                f"the relation needs at least {self.twist.strands} strands")
         return BraidWord(word.strands, self.twist.letters * power)
 
 
 def relation_residual(word: BraidWord, spec: RelationSpec) -> LaurentPolynomial:
-    """Sum of coefficient * potential over the five twisted closures; contract: 0."""
+    """Sum of coefficient * potential over the twisted closures; contract: 0."""
     step = spec.step(word, 1)
     total = LaurentPolynomial.zero()
     current = word

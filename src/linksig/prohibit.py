@@ -131,6 +131,11 @@ def pointed_alternation_min(scheme: "Degree9Scheme", sign_v: int) -> int:
 # ---------------------------------------------------------------------------
 # degree nine
 
+#: Harnack's bound: a degree-nine curve has genus 28, so at most 28 ovals
+#: besides its odd component.  A scheme with nests alpha, beta, gamma has
+#: alpha + beta + gamma + 2 ovals.
+MAX_OVALS_DEG9 = 28
+
 
 @dataclass(frozen=True)
 class Degree9Scheme:
@@ -317,13 +322,17 @@ def verdict_degree9(alpha: int, beta: int, gamma: int,
     if assume_lemma23:
         assumptions.append("separation lemma applies (|d_gamma|>1, alpha>0 => beta>0)")
     if m_curve:
-        assumptions.append("maximal curve (oval count 28)")
-        if alpha + beta + gamma + 2 != 28:
+        assumptions.append(f"maximal curve (oval count {MAX_OVALS_DEG9})")
+        if alpha + beta + gamma + 2 != MAX_OVALS_DEG9:
             return Report(
                 verdict="hypothesis not met",
                 violated=["maximal-curve oval count"],
                 assumptions=assumptions,
             )
+    if alpha + beta + gamma + 2 > MAX_OVALS_DEG9:
+        return Report(verdict="prohibited",
+                      violated=[f"Harnack bound: more than {MAX_OVALS_DEG9} ovals"],
+                      assumptions=assumptions)
     schemes = deg9_enumerate(alpha, beta, gamma,
                              lemma23_applicable=assume_lemma23)
     if schemes:

@@ -40,9 +40,9 @@ class MultilinearCyclicPoly:
             ((s, c) for s, c in data.items() if not c.is_zero()),
             key=lambda it: (len(it[0]), sorted(it[0])),
         ))
-        for s, _ in items:
-            if any(not 1 <= j <= arity for j in s):
-                raise ValueError("monomial variable out of range")
+        variables = frozenset(range(1, arity + 1))
+        if not all(s <= variables for s, _ in items):
+            raise ValueError("monomial variable out of range")
         return MultilinearCyclicPoly(arity, items)
 
     def as_dict(self) -> dict[frozenset[int], GaussianInteger]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from linksig import cli
+from linksig import cli, genskein
 from linksig.cli import main
 from linksig.gaussian import GaussianInteger as G
 from linksig.genskein import DELTA3_COEFFS
@@ -139,6 +139,11 @@ def test_prohibit_degree9(capsys):
     data = json.loads(out)
     assert data["verdict"] == "admissible"
     assert len(data["schemes"]) == 1
+    # past Harnack's bound of 28 ovals: prohibited without a sieve
+    code, out = run(capsys, "prohibit", "degree9", "--alpha", "100",
+                    "--beta", "100", "--gamma", "100")
+    assert code == 1
+    assert json.loads(out)["violated"] == ["Harnack bound: more than 28 ovals"]
 
 
 def test_bad_command_rejected():
@@ -306,10 +311,11 @@ def test_family_limit_is_on_the_letter_count(monkeypatch, capsys):
 
 
 def test_trial_limit_is_on_trials_times_size_squared(monkeypatch, capsys):
-    # 3 strands, maxlen 2: size 4, and 4 trials x 4^2 = 64 = 8^2
+    # 3 strands, maxlen 0 and the 2 appended letters: size 4, and
+    # 4 trials x 4^2 = 64 = 8^2
     monkeypatch.setattr(cli, "MAX_WORD_SIZE", 8)
     argv = ["skein", "verify", "--relation", "conway", "--strands", "3",
-            "--maxlen", "2"]
+            "--maxlen", "0"]
     assert main(argv + ["--trials", "4"]) == 0
     capsys.readouterr()
     assert main(argv + ["--trials", "5"]) == 2
@@ -319,9 +325,21 @@ def test_trial_limit_is_on_trials_times_size_squared(monkeypatch, capsys):
     assert "--trials must be at most 3, got 4" in capsys.readouterr().err
 
 
+def test_skein_verify_checks_empty_words(monkeypatch, capsys):
+    # every word drawn is empty; each trial still checks the relation
+    argv = ["skein", "verify", "--relation", "conway", "--strands", "2",
+            "--maxlen", "0", "--trials", "3"]
+    assert run(capsys, *argv) == (0, "3/3 residuals vanished\n")
+    conway = genskein.conway_potential
+    monkeypatch.setattr(genskein, "conway_potential", lambda word: conway(word) + 1)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[-1] == "0/3 residuals vanished"
+
+
 @pytest.mark.parametrize("relation, target, name, wrong", [
     # a Conway potential off by one breaks the crossing-switch relation
-    ("conway", cli, "conway_potential",
+    ("conway", genskein, "conway_potential",
      lambda conway: lambda word: conway(word) + 1),
     # five-term coefficients that do not cancel
     ("b2", cli.RelationSpec, "delta3_order4",

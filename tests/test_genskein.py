@@ -4,8 +4,8 @@ import pytest
 
 from linksig.braid import BraidWord
 from linksig.gaussian import GaussianInteger
-from linksig.genskein import (DELTA3_COEFFS, DELTA3SQ_COEFFS, RelationSpec,
-                              bar_transpose_negate, block_identity_residual,
+from linksig.genskein import (CONWAY_COEFFS, DELTA3_COEFFS, DELTA3SQ_COEFFS,
+                              RelationSpec, bar_transpose_negate, block_identity_residual,
                               build_symmetrized, coefficient_table,
                               det_relation_check, random_braid, random_laurent,
                               relation_residual)
@@ -25,6 +25,11 @@ class TestCoefficients:
         c1 = -(L({3: 1, -3: 1}) ** 2)
         assert DELTA3SQ_COEFFS[1] == c1 and DELTA3SQ_COEFFS[3] == c1
         assert DELTA3SQ_COEFFS[2] == L({6: 2, 0: 2, -6: 2})
+
+    def test_crossing_coefficients(self):
+        assert CONWAY_COEFFS == (L.one(), L.t_binomial(1), -L.one())
+        assert [c.eval_at_i() for c in CONWAY_COEFFS] == [
+            GaussianInteger(1, 0), GaussianInteger(0, 2), GaussianInteger(-1, 0)]
 
     def test_determinant_weights(self):
         assert [c.eval_at_i() for c in DELTA3_COEFFS] == [
@@ -46,8 +51,24 @@ class TestResiduals:
         with pytest.raises(ValueError):
             relation_residual(BraidWord(2, (1,)), RelationSpec.delta3_order4())
         for spec in (RelationSpec.delta3_order4(), RelationSpec.delta3sq_order4()):
-            with pytest.raises(ValueError, match="at least three strands"):
+            with pytest.raises(ValueError, match="at least 3 strands"):
                 det_relation_check(BraidWord(2, (1,)), spec)
+
+    def test_crossing_relation_needs_two_strands(self):
+        for check in (relation_residual, det_relation_check):
+            with pytest.raises(ValueError, match="at least 2 strands"):
+                check(BraidWord(1), RelationSpec.conway())
+
+    def test_crossing_relation_seeded(self):
+        # Omega(w) + (t - 1/t) Omega(w s1) - Omega(w s1^2) and its form at t = i
+        spec = RelationSpec.conway()
+        assert spec.twist == BraidWord(2, (1,)) and spec.det_power == 1
+        rng = random.Random(1729)
+        words = [BraidWord(m) for m in range(2, 7)]
+        words += [random_braid(rng, rng.randint(2, 6), 12) for _ in range(60)]
+        for b in words:
+            assert relation_residual(b, spec).is_zero()
+            assert det_relation_check(b, spec).is_zero()
 
     def test_seeded_random_braids(self):
         rng = random.Random(2023)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linksig import prohibit
 from linksig.closedforms import sign_null_b
 from linksig.prohibit import (CurveParams, Degree9Scheme, deg9_enumerate,
                               deg9_formulas, fiedler_bound, fiedler_min_jumps, jump_window,
@@ -254,6 +255,22 @@ class TestVerdicts:
     def test_m_curve_count(self):
         assert verdict_degree9(2, 1, 23, m_curve=True).verdict == "admissible"
         assert verdict_degree9(2, 1, 20, m_curve=True).verdict == "hypothesis not met"
+
+    def test_harnack_bound(self, monkeypatch):
+        # beyond 28 ovals the sieve is never started
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("enumerated past Harnack's bound")
+        monkeypatch.setattr(prohibit, "deg9_enumerate", no_sieve)
+        for counts in ((100, 100, 100), (20, 20, 20), (1, 1, 25)):
+            report = verdict_degree9(*counts)
+            assert report.verdict == "prohibited"
+            assert report.violated == ["Harnack bound: more than 28 ovals"]
+            assert report.schemes == []
+        # the maximal-curve count is checked first
+        assert verdict_degree9(20, 20, 20, m_curve=True).verdict == "hypothesis not met"
+        monkeypatch.undo()
+        assert verdict_degree9(2, 1, 23, m_curve=True).verdict == "admissible"
+        assert "Harnack" not in str(verdict_degree9(1, 1, 24).as_dict())
 
     def test_reports_are_json_ready(self):
         import json
