@@ -62,6 +62,25 @@ MAX_FAMILY_LETTERS = 2_000_000
 #: keeps near 200 MB, as for `MAX_FAMILY_LETTERS`.
 MAX_SYMBOLIC_J = 24
 
+#: the largest splice product that `splice eval` evaluates.
+#: `FactorProduct.omega` multiplies out a numerator of degree
+#: D = 1 + sum |sum v| p over the factors with p > 0 and sum v != 0, then
+#: divides it by each denominator binomial, and a division costs up to about
+#: D^2 steps, so a product is refused when D^2 x divisions exceeds this bound
+#: squared.  D alone does not bound the cost: `ring_family_diagram(3, [3] * 200)`
+#: has D = 3405 and took 22 s.  Just under the bound a whole `splice eval`
+#: took 7.0-7.8 s for `ring_family_diagram(3, [670] * 4)` (D = 13413, 5
+#: divisions), 7.3-8.0 s for `ring_family_diagram(3, [3] * 145)` (D = 2470,
+#: 146 divisions), 8.9 s for `ring_family_diagram(3, [40] * 27)` and 1.5-3.0 s
+#: for the (2, 10605) and (3, 7069) torus knots (D = 21211, 21208); at 1.15x
+#: the bound two ring families took 15.5 and 22.7 s in a slower hour (Python
+#: 3.11 on a shared 2-vCPU VM).  So the bound stops `omega` near a quarter of
+#: a minute.  It covers `omega` only: `nabla_multivariable`, which builds the
+#: factors the bound is read from, runs before it with no limit, and its
+#: linking walk grows about as the cube of the ring count (60 s for a ring
+#: family of 1000 rings, 249 KB of JSON).
+MAX_SPLICE_DEGREE = 30_000
+
 def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
@@ -95,12 +114,18 @@ def _cmd_family(args) -> int:
 def _cmd_splice(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         diagram = SpliceDiagram.from_json(json.load(fh))
+    nabla = diagram.nabla_multivariable()
+    # the cost model stated in the `FactorProduct.omega` docstring
+    degree = 1 + sum(abs(sum(v)) * p for v, p in nabla.factors if p > 0 and sum(v))
+    divisions = -sum(p for v, p in nabla.factors if p < 0 and sum(v))
+    if degree ** 2 * max(divisions, 1) > MAX_SPLICE_DEGREE ** 2:
+        raise ValueError(f"splice product too large: degree {degree}^2 x "
+                         f"{divisions} divisions > {MAX_SPLICE_DEGREE}^2")
     if args.multivariable:
-        nabla = diagram.nabla_multivariable()
         out = {"sign": nabla.sign, "factors": nabla.describe(),
                "det": str(nabla.det())}
     else:
-        omega = diagram.nabla_multivariable().omega()
+        omega = nabla.omega()
         out = {"omega": str(omega), "omega_coeffs": omega.to_json(),
                "det": str(omega.eval_at_i())}
     print(json.dumps(out, indent=2))

@@ -202,21 +202,13 @@ def a_pm_homogeneous(j: int, sign: int) -> MultilinearCyclicPoly:
     """a_J^+- assembled from the homogeneous pieces with i-power weights."""
     if sign not in (1, -1):
         raise ValueError("sign must be +-1")
-    if j % 2 == 0:
-        plus = MultilinearCyclicPoly.constant(j, 0)
-        for k in range(2, j + 1, 2):
-            weight = (GaussianInteger(0, 2)) ** k
-            plus = plus + f_Jk(j, k).scale(weight)
-        if sign == 1:
-            return plus
-        return MultilinearCyclicPoly.constant(j, -4) - plus
-    plus = MultilinearCyclicPoly.constant(j, 2)
-    for k in range(1, j + 1, 2):
-        weight = GaussianInteger(0, 1) * (GaussianInteger(0, 2)) ** k
-        plus = plus + f_Jk(j, k).scale(weight)
+    odd = j % 2
+    plus = MultilinearCyclicPoly.constant(j, 2 * odd)
+    for k in range(2 - odd, j + 1, 2):
+        plus = plus + f_Jk(j, k).scale(i_power(odd) * GaussianInteger(0, 2) ** k)
     if sign == 1:
         return plus
-    return MultilinearCyclicPoly.constant(j, 4) - plus
+    return MultilinearCyclicPoly.constant(j, 4 if odd else -4) - plus
 
 
 # ---------------------------------------------------------------------------

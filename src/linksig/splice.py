@@ -10,10 +10,10 @@ from each arrowhead computes (`SpliceDiagram._linking_from` defines them):
 the one-variable formula over the vertex multiplicities
 m_v = sum_a sign(a) ell(v, a), and the multivariable product over the
 linking vectors (sign(a) ell(v, a))_a with its formal-cancellation
-convention.  Both are evaluated by one route, `FactorProduct.omega`: the
-product is taken on a line t_j = t s^(c_j) on which no factor vanishes, with
-t and s packed into one variable so that every division is an exact
-one-variable division, and s = 1 then gives the one-variable potential.
+convention.  Both are evaluated by one route, `FactorProduct.omega`, which
+takes the limit s -> 1 of the product on a line t_j = t s^(c_j) in closed
+form: a factor that vanishes on the diagonal t_j = t is s^w - s^-w there and
+gives the integer w, every other factor its binomial in t.
 
 Cabling with d new components of type (dp, dq) replaces an arrowhead by a
 node carrying weight q on the edge toward the rest of the diagram, weight p
@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, prod
 
 from .braid import family_params
 from .gaussian import GaussianInteger
-from .laurent import LaurentPolynomial
+from .laurent import ExactDivisionError, LaurentPolynomial
 
 
 class ENFormulaInapplicable(ValueError):
@@ -291,11 +292,12 @@ class SpliceDiagram:
     def from_json(obj: dict) -> "SpliceDiagram":
         """The diagram `to_json` wrote; malformed data raises ValueError."""
         try:
-            verts = {
-                v["id"]: {"kind": v["kind"], **({"sign": v["sign"]}
-                                                if v["kind"] == "arrowhead" else {})}
-                for v in obj["vertices"]
-            }
+            verts: dict[int, dict] = {}
+            for v in obj["vertices"]:
+                if v["id"] in verts:
+                    raise ValueError(f"vertex id {v['id']!r} is listed twice")
+                sign = {"sign": v["sign"]} if v["kind"] == "arrowhead" else {}
+                verts[v["id"]] = {"kind": v["kind"], **sign}
             edges = [(e["a"], e["b"], e.get("weight_at_a"), e.get("weight_at_b"))
                      for e in obj["edges"]]
             # an unhashable edge end fails the vertex lookup with a TypeError
@@ -354,42 +356,39 @@ class FactorProduct:
     def omega(self) -> LaurentPolynomial:
         """(t - t^-1) * (the product specialized at t_1 = ... = t_n = t).
 
-        The product is taken on the line t_j = t s^(c_j), c_j = r^j - 1 with
-        r = 2 max|v_j| + 1.  There x^v = t^(sum v) s^(w(v)), w(v) = sum c_j v_j,
-        and w(v) = sum r^j v_j != 0 when sum v = 0 and v != 0 (a balanced
-        base-r numeral), so no factor vanishes and every division is exact;
-        s = 1 then gives the diagonal.  The two variables are packed into one
-        by t = T^B, s = T with B = 2 sum |p w| + 1 over the factors' powers p:
-        no s-exponent of a factor, of the numerator or of a quotient exceeds
-        sum |p w| in size, so the packing is injective on all of them, and
-        s = 1 maps T^e to t^floor((e + floor(B/2)) / B).  With one variable
-        c_0 = 0, and the line is the diagonal itself.
+        The limit as s -> 1 on the line t_j = t s^(c_j), c_j = r^j - 1, r =
+        2 max|v_j| + 1, where x^v = t^(sum v) s^w with w = sum c_j v_j.  A factor
+        with sum v != 0 tends to t^(sum v) - t^-(sum v); one with sum v = 0 is
+        (s - s^-1) [w]_s, [w]_1 = w = sum r^j v_j != 0 (balanced base r).  Let Z
+        be the total power of the latter.  Z > 0 gives 0 and nothing else is
+        checked.  Z < 0 (a pole), a non-integer prod w^p or an inexact division
+        raises ExactDivisionError.  Z = 0 gives sign * prod w^p * (t - t^-1) *
+        prod (t^(sum v) - t^-(sum v))^p, dividing after multiplying out.  Its
+        cost (of sum v != 0: degree 1 + sum |sum v| p for p > 0, -p divisions
+        for p < 0) is read off the factors again for `cli.MAX_SPLICE_DEGREE`.
         """
         if self.sign == 0:
             return LaurentPolynomial.zero()
         r = 2 * max((abs(c) for vec, _ in self.factors for c in vec), default=0) + 1
-        weights = [r**j - 1 for j in range(self.nvars)]
-        # (sum v, w(v), power) of each factor
-        factors = [(sum(vec), sum(c * x for c, x in zip(weights, vec)), power)
-                   for vec, power in self.factors]
-        width = 2 * sum(abs(power * w) for _, w, power in factors) + 1
-        num = LaurentPolynomial.t_binomial(width)
+        num = LaurentPolynomial.t_binomial(1)
         dens: list[LaurentPolynomial] = []
-        for total, w, power in factors:
-            binom = LaurentPolynomial.t_binomial(width * total + w)
-            if power > 0:
-                num = num * binom**power
+        scale, vanishing = Fraction(self.sign), 0
+        for vec, power in self.factors:
+            total = sum(vec)
+            if total == 0:
+                scale *= Fraction(sum(r**j * c for j, c in enumerate(vec))) ** power
+                vanishing += power
+            elif power > 0:
+                num = num * LaurentPolynomial.t_binomial(total) ** power
             else:
-                dens.extend([binom] * -power)
+                dens.extend([LaurentPolynomial.t_binomial(total)] * -power)
+        if vanishing > 0:
+            return LaurentPolynomial.zero()
+        if vanishing < 0 or scale.denominator != 1:
+            raise ExactDivisionError("the product is not a Laurent polynomial")
         for den in dens:
             num = num // den
-        half = width // 2
-        diagonal: dict[int, int] = {}
-        for e, c in num.items():
-            a = (e + half) // width
-            diagonal[a] = diagonal.get(a, 0) + c
-        omega = LaurentPolynomial(diagonal)
-        return omega if self.sign > 0 else -omega
+        return num * scale.numerator
 
     def det(self) -> GaussianInteger:
         return self.omega().eval_at_i()
@@ -507,8 +506,8 @@ def ring_family_diagram(q: int, ps: list[int]) -> SpliceDiagram:
 def ring_family_det_skein(q: int, ps: list[int]) -> GaussianInteger:
     """Determinant of the ring family by the crossing-change average.
 
-    Replacing q by q+-1 gives two diagrams whose one-variable formula always
-    applies; the determinant of the original is determined by the relation
+    Replacing q by q+-1 gives two diagrams, whose determinants
+    `link_determinant` takes; the determinant of the original follows from
     det L_+ - det L_- = 2i det L_0 applied at the modified crossing.
     """
     if any(p == 0 for p in ps):

@@ -534,6 +534,49 @@ def expanded_omega(fp):
     return LaurentPolynomial(collapsed) * fp.sign
 
 
+def packed_line_omega(fp):
+    """`FactorProduct.omega` by exact one-variable division on a packed line.
+
+    The product is taken on the line t_j = t s^(c_j), c_j = r^j - 1 with
+    r = 2 max|v_j| + 1.  There x^v = t^(sum v) s^(w(v)), w(v) = sum c_j v_j,
+    and w(v) = sum r^j v_j != 0 when sum v = 0 and v != 0 (a balanced
+    base-r numeral), so no factor vanishes and every division is exact;
+    s = 1 then gives the diagonal.  The two variables are packed into one
+    by t = T^B, s = T with B = 2 sum |p w| + 1 over the factors' powers p:
+    no s-exponent of a factor, of the numerator or of a quotient exceeds
+    sum |p w| in size, so the packing is injective on all of them, and
+    s = 1 maps T^e to t^floor((e + floor(B/2)) / B).  With one variable
+    c_0 = 0, and the line is the diagonal itself.
+    """
+    from linksig.laurent import LaurentPolynomial
+
+    if fp.sign == 0:
+        return LaurentPolynomial.zero()
+    r = 2 * max((abs(c) for vec, _ in fp.factors for c in vec), default=0) + 1
+    weights = [r**j - 1 for j in range(fp.nvars)]
+    # (sum v, w(v), power) of each factor
+    factors = [(sum(vec), sum(c * x for c, x in zip(weights, vec)), power)
+               for vec, power in fp.factors]
+    width = 2 * sum(abs(power * w) for _, w, power in factors) + 1
+    num = LaurentPolynomial.t_binomial(width)
+    dens: list[LaurentPolynomial] = []
+    for total, w, power in factors:
+        binom = LaurentPolynomial.t_binomial(width * total + w)
+        if power > 0:
+            num = num * binom**power
+        else:
+            dens.extend([binom] * -power)
+    for den in dens:
+        num = num // den
+    half = width // 2
+    diagonal: dict[int, int] = {}
+    for e, c in num.items():
+        a = (e + half) // width
+        diagonal[a] = diagonal.get(a, 0) + c
+    omega = LaurentPolynomial(diagonal)
+    return omega if fp.sign > 0 else -omega
+
+
 def _mul_binomial(poly: dict, vec: tuple[int, ...]) -> dict:
     out: dict[tuple[int, ...], int] = {}
     neg = tuple(-c for c in vec)

@@ -7,6 +7,7 @@ from linksig import cli, genskein
 from linksig.cli import main
 from linksig.gaussian import GaussianInteger as G
 from linksig.genskein import DELTA3_COEFFS
+from linksig.splice import SpliceDiagram
 
 
 def run(capsys, *argv):
@@ -160,8 +161,26 @@ def test_placeholder_positional_rejects_other_words():
         assert exc.value.code == 2
 
 
+def _cable_chain(cables: int) -> dict:
+    """The unknot cabled `cables` times by (2, 3), each time at the last arrowhead."""
+    d = SpliceDiagram.unknot()
+    for _ in range(cables):
+        d = d.cable(d.arrowheads()[-1], 1, 2, 3)
+    return d.to_json()
+
+
+def _listed_twice() -> dict:
+    """The (2, 6) torus link with its last arrowhead listed again, sign flipped."""
+    obj = SpliceDiagram.unknot().cable(1, 2, 1, 3).to_json()
+    obj["vertices"].append({**obj["vertices"][-1], "sign": -1})
+    return obj
+
+
 #: splice diagram files that `splice eval` must refuse, by file name
 MALFORMED_DIAGRAMS = {
+    "listed-twice.json": _listed_twice(),
+    # numerator degree 196609 with 2 divisions, far past cli.MAX_SPLICE_DEGREE
+    "cable-chain.json": _cable_chain(16),
     "empty.json": {},
     "unsigned.json": {"vertices": [{"id": 0, "kind": "plain"},
                                    {"id": 1, "kind": "arrowhead"}],
@@ -241,6 +260,9 @@ MALFORMED_DIAGRAMS = {
     (["splice", "--file", "float-weight.json"], "integer weight on the edge to 1"),
     (["splice", "--file", "float-id.json"], "vertex id 0.7 is not an integer"),
     (["splice", "--file", "list-edge.json"], "malformed splice diagram"),
+    (["splice", "--file", "listed-twice.json"], "vertex id 5 is listed twice"),
+    (["splice", "--file", "cable-chain.json"],
+     "splice product too large: degree 196609^2 x 2 divisions > 30000^2"),
     (["skeinpoly", "a", "--J", "0", "--sign", "+"], "arity must be positive"),
     (["skeinpoly", "a", "--J", "3", "--sign", "-", "--x", "1,2"],
      "need exactly j entries"),
@@ -254,7 +276,8 @@ MALFORMED_DIAGRAMS = {
         "skein-trials-bound", "skein-trials-size", "skein-b3-inserted-size",
         "splice-empty", "splice-unsigned", "splice-unknown-vertex",
         "splice-misspelled-kind", "splice-bool-sign", "splice-float-weight",
-        "splice-float-id", "splice-list-edge", "skeinpoly-arity",
+        "splice-float-id", "splice-list-edge", "splice-listed-twice",
+        "splice-size", "skeinpoly-arity",
         "skeinpoly-length", "skeinpoly-symbolic-size"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -308,6 +331,25 @@ def test_family_limit_is_on_the_letter_count(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": "family word too large: 6 letters > 5"}
+
+
+def test_splice_limit_is_on_degree_squared_times_divisions(tmp_path, monkeypatch,
+                                                          capsys):
+    # the (2, 3) torus knot: (t - t^-1)(t^6 - t^-6) over (t^2 - t^-2) and
+    # (t^3 - t^-3), so degree 1 + 6 = 7 with 2 divisions, and 7^2 x 2 = 98
+    path = tmp_path / "d.json"
+    path.write_text(SpliceDiagram.unknot().cable(1, 1, 2, 3).dumps())
+    argv = ["splice", "eval", "--file", str(path)]
+    monkeypatch.setattr(cli, "MAX_SPLICE_DEGREE", 10)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["omega"] == "+ t^2 - 1 + t^-2"
+    monkeypatch.setattr(cli, "MAX_SPLICE_DEGREE", 9)
+    for extra in ([], ["--multivariable"]):
+        assert main(argv + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "splice product too large: "
+                                   "degree 7^2 x 2 divisions > 9^2"}
 
 
 def test_trial_limit_is_on_trials_times_size_squared(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from linksig.braid import (BraidWord, FamilyParams, delta_small, family_b, famil
 from linksig.closedforms import epsilons, sign_null_b, sign_null_delta
 from linksig.gaussian import GaussianInteger, i_power, parse_gaussian
 from linksig.genskein import build_symmetrized, coefficient_table
-from linksig.laurent import LaurentPolynomial
+from linksig.laurent import ExactDivisionError, LaurentPolynomial
 from linksig.prohibit import (CurveParams, Degree9Scheme, jump_window,
                               pointed_alternation_min, theorem11_check)
 from linksig.seifert import conway_potential, link_det
@@ -18,7 +18,7 @@ from linksig.skeinpoly import FormulaNotEstablished, det_table_all_ones
 from linksig.splice import (ENFormulaInapplicable, FactorProduct, SpliceDiagram,
                             b_family_diagram, c_family_diagram, ring_family_diagram,
                             ring_family_det_skein, torus_delta_diagram)
-from oracles import expanded_omega, path_linking_ell
+from oracles import expanded_omega, packed_line_omega, path_linking_ell
 
 
 def lp(d):
@@ -270,6 +270,7 @@ class TestNabla:
     def test_omega_equals_expanded_product(self, d):
         nab = d.nabla_multivariable()
         assert nab.omega() == expanded_omega(nab)
+        assert nab.omega() == packed_line_omega(nab)
 
     @given(ps=windings)
     def test_leaf_zero_matches_crossing_change(self, ps):
@@ -293,6 +294,28 @@ class TestNabla:
     def test_single_ring_nonzero(self):
         d = ring_family_diagram(1, [1])
         assert not d.link_determinant().is_zero()
+
+
+@pytest.mark.parametrize("raw, want", [
+    # a factor vanishing on the diagonal over another: the ratio of weights
+    ([((2, -2), 1), ((1, -1), -1)], LaurentPolynomial.t_binomial(1) * 2),
+    # Z > 0 gives 0 and nothing else is checked: this product,
+    # (x1/x2 - x2/x1) / (x1 - 1/x1), is not a Laurent polynomial
+    ([((1, -1), 1), ((1, 0), -1)], LaurentPolynomial.zero()),
+    # a pole on the diagonal
+    ([((1, -1), -1)], ExactDivisionError),
+    # 1 / (x1 x2^-1 + x1^-1 x2) is not a Laurent polynomial
+    ([((1, -1), 1), ((2, -2), -1)], ExactDivisionError),
+    # a pole that a packed line of width 2 sum |p w| + 1 aliases away
+    ([((1, -1), -1), ((2, 2), 2)], ExactDivisionError),
+])
+def test_hand_built_products(raw, want):
+    fp = FactorProduct.build(2, 1, raw)
+    if want is ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            fp.omega()
+    else:
+        assert fp.omega() == want
 
 
 def test_factor_product_ignores_zero_powers():
