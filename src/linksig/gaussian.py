@@ -80,10 +80,13 @@ def _coerce(value: GaussianInteger | int) -> GaussianInteger:
     raise TypeError(f"cannot interpret {value!r} as a Gaussian integer")
 
 
+_I_POWERS = (GaussianInteger(1, 0), GaussianInteger(0, 1),
+             GaussianInteger(-1, 0), GaussianInteger(0, -1))
+
+
 def i_power(n: int) -> GaussianInteger:
     """i**n for any integer n, including negative (i**-1 == -i)."""
-    return (GaussianInteger(0, 1), GaussianInteger(-1, 0),
-            GaussianInteger(0, -1), GaussianInteger(1, 0))[(n - 1) % 4]
+    return _I_POWERS[n % 4]
 
 
 def parse_gaussian(text: str) -> GaussianInteger:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .gaussian import GaussianInteger, i_power
+from .gaussian import GaussianInteger
 
 
 class ExactDivisionError(ArithmeticError):
@@ -192,10 +192,11 @@ class LaurentPolynomial:
 
     def eval_at_i(self) -> GaussianInteger:
         """Exact evaluation at t = i (with i^-1 = -i)."""
-        total = GaussianInteger(0, 0)
+        # sums[r]: the coefficients of the exponents e = r mod 4, i^r = 1, i, -1, -i
+        sums = [0, 0, 0, 0]
         for e, c in self._coeffs.items():
-            total = total + i_power(e) * c
-        return total
+            sums[e % 4] += c
+        return GaussianInteger(sums[0] - sums[2], sums[1] - sums[3])
 
     def substitute_power(self, k: int) -> "LaurentPolynomial":
         """The polynomial with t replaced by t^k (k != 0)."""

@@ -108,6 +108,9 @@ class SpliceDiagram:
                                      f"the edge to {u}, not {w!r}")
                 if not is_node and w is not None:
                     raise ValueError(f"non-node {v} carries a weight")
+        # a potential has one variable per link component
+        if not any(data["kind"] == "arrowhead" for data in verts.values()):
+            raise ValueError("diagram has no arrowhead")
 
     def vertex_ids(self) -> list[int]:
         return sorted(self._vertices)
@@ -204,12 +207,22 @@ class SpliceDiagram:
         stack: list[tuple[int, int | None, int]] = [(j, None, 1)]
         while stack:
             v, parent, carried = stack.pop()
-            # a leaf has no edge off the path, so no weight is read from it
-            off = {u: w for u, w in self._adj[v].items() if u != parent}
+            # only a start leaf has an unweighted edge off the path: the one the
+            # walk leaves by, so the 1 put for its weight reaches no product
+            off = [(u, 1 if w is None else w)
+                   for u, w in self._adj[v].items() if u != parent]
+            # the weights on all edges but the one left by, as a suffix product
+            # times a prefix product: no division, since a weight may be 0
+            after = [carried]
+            for _, w in reversed(off):
+                after.append(after[-1] * w)
             if parent is not None:
-                ell[v] = carried * prod(off.values())
-            for u in off:
-                stack.append((u, v, carried * prod(w for x, w in off.items() if x != u)))
+                ell[v] = after[-1]
+            before = 1
+            for u, w in off:
+                after.pop()
+                stack.append((u, v, before * after[-1]))
+                before *= w
         return ell
 
     def linking_ell(self, i: int, j: int) -> int:
@@ -363,9 +376,8 @@ class FactorProduct:
         be the total power of the latter.  Z > 0 gives 0 and nothing else is
         checked.  Z < 0 (a pole), a non-integer prod w^p or an inexact division
         raises ExactDivisionError.  Z = 0 gives sign * prod w^p * (t - t^-1) *
-        prod (t^(sum v) - t^-(sum v))^p, dividing after multiplying out.  Its
-        cost (of sum v != 0: degree 1 + sum |sum v| p for p > 0, -p divisions
-        for p < 0) is read off the factors again for `cli.MAX_SPLICE_DEGREE`.
+        prod (t^(sum v) - t^-(sum v))^p, dividing after multiplying out, at the
+        cost that `_omega_size` states.
         """
         if self.sign == 0:
             return LaurentPolynomial.zero()
@@ -389,6 +401,19 @@ class FactorProduct:
         for den in dens:
             num = num // den
         return num * scale.numerator
+
+    def _omega_size(self) -> tuple[int, int]:
+        """(D, divisions): the numerator degree and division count of `omega`.
+
+        A factor with sum v = 0 only scales.  One with sum v != 0 multiplies
+        the numerator for p > 0, so D = 1 + sum |sum v| p over those, and is
+        -p exact divisions for p < 0.  Each division scans its remainder for
+        the top exponent once per quotient term, so it costs up to about D^2
+        steps.
+        """
+        binomials = [(abs(sum(vec)), power) for vec, power in self.factors if sum(vec)]
+        return (1 + sum(total * power for total, power in binomials if power > 0),
+                -sum(power for _, power in binomials if power < 0))
 
     def det(self) -> GaussianInteger:
         return self.omega().eval_at_i()

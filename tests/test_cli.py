@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linksig import cli, genskein
 from linksig.cli import main
@@ -208,6 +209,16 @@ MALFORMED_DIAGRAMS = {
     "list-edge.json": {"vertices": [{"id": 0, "kind": "plain"},
                                     {"id": 1, "kind": "arrowhead", "sign": 1}],
                        "edges": [{"a": [0], "b": 1}]},
+    "no-arrowhead.json": {"vertices": [{"id": 0, "kind": "plain"}], "edges": []},
+    # weights -1 (to the arrowhead), -2 and -2: (t - t^-1)(t^4 - t^-4) over
+    # (t^2 - t^-2)^2, whose second division leaves a remainder
+    "no-link.json": {"vertices": [{"id": 0, "kind": "plain"},
+                                  {"id": 1, "kind": "arrowhead", "sign": 1},
+                                  {"id": 2, "kind": "plain"},
+                                  {"id": 3, "kind": "plain"}],
+                     "edges": [{"a": 0, "b": 1, "weight_at_a": -1},
+                               {"a": 0, "b": 2, "weight_at_a": -2},
+                               {"a": 0, "b": 3, "weight_at_a": -2}]},
 }
 
 
@@ -263,6 +274,9 @@ MALFORMED_DIAGRAMS = {
     (["splice", "--file", "listed-twice.json"], "vertex id 5 is listed twice"),
     (["splice", "--file", "cable-chain.json"],
      "splice product too large: degree 196609^2 x 2 divisions > 30000^2"),
+    (["splice", "--file", "no-arrowhead.json"], "diagram has no arrowhead"),
+    (["splice", "--file", "no-link.json", "--multivariable"],
+     "no link has these weights: division leaves a remainder"),
     (["skeinpoly", "a", "--J", "0", "--sign", "+"], "arity must be positive"),
     (["skeinpoly", "a", "--J", "3", "--sign", "-", "--x", "1,2"],
      "need exactly j entries"),
@@ -277,7 +291,7 @@ MALFORMED_DIAGRAMS = {
         "splice-empty", "splice-unsigned", "splice-unknown-vertex",
         "splice-misspelled-kind", "splice-bool-sign", "splice-float-weight",
         "splice-float-id", "splice-list-edge", "splice-listed-twice",
-        "splice-size", "skeinpoly-arity",
+        "splice-size", "splice-no-arrowhead", "splice-no-link", "skeinpoly-arity",
         "skeinpoly-length", "skeinpoly-symbolic-size"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -290,6 +304,49 @@ def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message)
     assert len(lines) == 1
     assert message in json.loads(lines[0])["error"]
 
+
+
+@st.composite
+def small_splice_files(draw) -> dict:
+    """Splice JSON on at most 7 vertices with no valence 2: 0-2 nodes, each
+    leaf an arrowhead (sign +-1) or plain, node weights in [-3, 3]."""
+    nodes = draw(st.integers(0, 2))
+    if nodes == 0:
+        edges = [(0, 1)] if draw(st.booleans()) else []
+    else:
+        # node 1 joins node 0; each node gets leaves up to valence 3 at least
+        edges = [(0, 1)] * (nodes - 1)
+        owners = [u for u in range(nodes) for _ in range(4 - nodes)]
+        owners += draw(st.lists(st.integers(0, nodes - 1),
+                                max_size=7 - nodes - len(owners)))
+        edges += [(u, nodes + i) for i, u in enumerate(owners)]
+    sign = st.sampled_from((1, -1))
+    vertices = [{"id": v, "kind": "plain"} if v < nodes or draw(st.booleans())
+                else {"id": v, "kind": "arrowhead", "sign": draw(sign)}
+                for v in range(1 + len(edges))]
+    weight = st.integers(-3, 3)
+    return {"vertices": vertices, "edges": [
+        {"a": a, "b": b, **({"weight_at_a": draw(weight)} if a < nodes else {}),
+         **({"weight_at_b": draw(weight)} if b < nodes else {})}
+        for a, b in edges]}
+
+
+@settings(max_examples=400,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(diagram=small_splice_files())
+def test_splice_eval_answers_or_refuses(tmp_path, capsys, diagram):
+    # an answer, or a refusal as one JSON line; never a traceback
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(diagram))
+    for extra in ([], ["--multivariable"]):
+        code = main(["splice", "eval", "--file", str(path), *extra])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == "" and "det" in json.loads(out)
+        else:
+            assert (code, out) == (2, "")
+            (line,) = err.splitlines()
+            assert set(json.loads(line)) == {"error"}
 
 
 def test_size_limit_is_on_letters_times_strand_gaps(monkeypatch, capsys):

@@ -93,6 +93,13 @@ def test_eval_at_i_is_multiplicative(a, b):
     assert (a * b).eval_at_i() == a.eval_at_i() * b.eval_at_i()
 
 
+@given(st.dictionaries(st.integers(-60, 60), st.integers(-10**30, 10**30),
+                       max_size=12))
+def test_eval_at_i_sums_powers_of_i(coeffs):
+    expected = sum((i_power(e) * c for e, c in coeffs.items()), GaussianInteger(0, 0))
+    assert LaurentPolynomial(coeffs).eval_at_i() == expected
+
+
 @settings(max_examples=80)
 @given(small_laurent, small_laurent)
 def test_ring_axioms_sampled(a, b):

@@ -140,6 +140,8 @@ class TestLinkingNumbers:
     @example(d=c_family_diagram(3, 3, 1))
     @example(d=ring_family_diagram(2, [1, -2, 3]))
     @example(d=reversed_parallel_pair_diagram(3))
+    # a node of valence 13 with a 0 weight
+    @example(d=ring_family_diagram(3, [1] * 12))
     def test_matches_path_product(self, d):
         vs = d.vertex_ids()
         for i in vs:
@@ -248,6 +250,15 @@ class TestNabla:
         nab = SpliceDiagram.unknot().nabla_multivariable()
         assert len(nab.factors) == 1 and nab.factors[0][1] == -1
         assert nab.omega() == LaurentPolynomial.one()
+
+    def test_omega_size(self):
+        # the (2, 3) torus knot: (t - t^-1)(t^6 - t^-6) over (t^2 - t^-2) and
+        # (t^3 - t^-3)
+        trefoil = SpliceDiagram.unknot().cable(1, 1, 2, 3).nabla_multivariable()
+        assert trefoil._omega_size() == (7, 2)
+        # a factor with sum v = 0 neither multiplies nor divides
+        product = FactorProduct.build(2, 1, [((1, -1), -1), ((1, 1), 2), ((0, 3), -3)])
+        assert product._omega_size() == (1 + 2 * 2, 3)
 
     @given(d=cabled_diagrams())
     @example(d=torus_delta_diagram(3, 2))
@@ -442,6 +453,8 @@ LIBRARY_REFUSALS = {
     "splice-self-loop": (lambda: _diagram({0: _A}, [(0, 0, None, None)]),
                          ValueError, "edges must join distinct vertices, once"),
     "splice-empty": (lambda: _diagram({}, []), ValueError, "empty diagram"),
+    "splice-no-arrowhead": (lambda: _diagram({0: _P}, []), ValueError,
+                            "diagram has no arrowhead"),
     "splice-cycle-and-isolated": (
         lambda: _diagram({0: _P, 1: _P, 2: _P, 3: _A},
                          [(0, 1, None, None), (1, 2, None, None), (2, 0, None, None)]),
