@@ -44,9 +44,9 @@ MAX_TRIALS = 4000
 #: the largest Seifert dimension that `closedform --verify/--explore`
 #: eliminates.  The cost grows with the dimension and with the strand count
 #: 2k+1, so the worst family word of a dimension is one half twist on the
-#: most strands.  With n = 1, k = 77 (dimension about 11800) took 9.5 s for
-#: `family_b` and 10.8 s for `family_c`, k = 120 (28685) took 66 s, while
-#: n = 19, k = 25 (24180) took 3.8 s.
+#: most strands.  With n = 1, k = 77 (dimension about 11800) `--verify` took
+#: 10.8-12.3 s for `family_b` and 10.2-12.3 s for `family_c`; earlier, k = 120
+#: (28685) took 66 s and n = 19, k = 25 (24180) 3.8 s.
 MAX_FAMILY_DIMENSION = 12000
 
 #: the most letters that `family` builds and prints.  Building and printing
@@ -73,10 +73,14 @@ MAX_SYMBOLIC_J = 24
 #: `ring_family_diagram(3, [40] * 27)` and 1.5-3.0 s for the (2, 10605) and
 #: (3, 7069) torus knots (D = 21211, 21208); at 1.15x the bound two ring
 #: families took 15.5 and 22.7 s in a slower hour (Python 3.11 on a shared
-#: 2-vCPU VM).  So the bound stops `omega` near a quarter of a minute.  It
-#: covers `omega` only: `nabla_multivariable`, which builds the factors, runs
-#: before it with no limit, in time about vertices x arrowheads.
+#: 2-vCPU VM).  So the bound stops `omega` near a quarter of a minute.
 MAX_SPLICE_DEGREE = 30_000
+
+#: the largest vertices x arrowheads (`SpliceDiagram._linking_size`) that
+#: `splice eval` walks, at about 1.6 us and 50 bytes a pair: a whole eval of
+#: `ring_family_diagram(3, [1] * 1600)` (4804 x 1601 = 7.7e6) took 16 s and
+#: 288 MB, so the bound stops the walk near a quarter of a minute.
+MAX_SPLICE_LINKING = 7_000_000
 
 def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
@@ -111,6 +115,10 @@ def _cmd_family(args) -> int:
 def _cmd_splice(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         diagram = SpliceDiagram.from_json(json.load(fh))
+    vertices, arrowheads = diagram._linking_size()
+    if vertices * arrowheads > MAX_SPLICE_LINKING:
+        raise ValueError(f"splice diagram too large: {vertices} vertices x "
+                         f"{arrowheads} arrowheads > {MAX_SPLICE_LINKING}")
     try:
         nabla = diagram.nabla_multivariable()
         degree, divisions = nabla._omega_size()

@@ -20,7 +20,7 @@ two positions (i, j) and (j, i) of an entry hold one ``(value, stamp)``
 pair, written together, so an update costs one tuple and two dict writes.
 The rows with a nonzero diagonal wait on a heap, each at most once, and a
 pivot row is emptied once it is used, so a stale heap entry is found by
-one membership test.
+one membership test.  A Seifert form V + V^T is built in one pass over V.
 """
 
 from __future__ import annotations
@@ -118,12 +118,26 @@ def symmetric_invariants(
     real quadratic form: a pivot counts positive when it has the sign of
     ``div``.  The last pivot is the determinant, 0 once the nullity is
     positive; the 0x0 matrix has determinant 1.
-
-    ``a[i][j] = a[j][i]`` holds the pair ``(stored, p_s)``; the row p
-    popped from the heap is a pivot exactly when ``p in a[p]``.
     """
-    n = len(rows)
-    a = [{j: (x, 1) for j, x in row.items() if x} for row in rows]
+    return _eliminate([{j: (x, 1) for j, x in row.items() if x} for row in rows])
+
+
+def _symmetrized_invariants(entries, n: int) -> tuple[int, int, int]:
+    """`symmetric_invariants` of V + V^T for the nonzero entries (u, w, x) of
+    V, at most one per pair {u, w}; equal values share a pair, to allocate less."""
+    a: list[dict] = [{} for _ in range(n)]
+    pairs: dict[int, tuple[int, int]] = {}
+    for u, w, x in entries:
+        x = 2 * x if u == w else x
+        a[u][w] = a[w][u] = pairs.get(x) or pairs.setdefault(x, (x, 1))
+    return _eliminate(a)
+
+
+def _eliminate(a: list[dict]) -> tuple[int, int, int]:
+    """`symmetric_invariants` on its working rows: ``a[i][j] = a[j][i]`` holds
+    the nonzero pair ``(stored, p_s)``, p_s = 1 on entry, and the row p popped
+    from the heap is a pivot exactly when ``p in a[p]``."""
+    n = len(a)
     queued = [i in row for i, row in enumerate(a)]
     heap = [i for i in range(n) if queued[i]]  # sorted, so already a heap
     left = sum(1 for row in a if row)  # rows neither pivoted nor dropped

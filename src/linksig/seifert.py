@@ -10,8 +10,8 @@ last on its index starts exactly one cycle, so the cycles are numbered by
 start position, and one left-to-right pass over the word emits the nonzero
 entries of each cycle as it closes, with no sort and no lookup by cycle.
 In that order V + V^T has a few nonzeros a row near the diagonal, and one
-sparse elimination of it (`intmatrix.symmetric_invariants`) gives the
-signature and the nullity, in milliseconds at dimension 800;
+sparse elimination of it, built in one pass over the nonzeros of V, gives
+the signature and the nullity in milliseconds at dimension 800;
 `invariants_report` also reads the determinant off it.
 
 The Conway potential det(t^-1 V - t V^T) comes from the reduced Burau
@@ -27,9 +27,10 @@ Laurent polynomials, for the same dense Bareiss elimination as over Z
 (`intmatrix.exact_determinant`), which pivots on the entry with the
 fewest terms.  The unit is one closed form, `_unit_power`; the tests
 check it against the Seifert determinant.  `link_det` takes the same
-route at t = i, where x = -1 and the Burau matrix is an integer matrix:
-one integer Bareiss determinant of size m - 1 (or m, for even m), with no
-Seifert matrix.
+route at t = i, where x = -1 and the letters act linearly over Z: each
+column is one integer sum_r v_r 2^(w r) (Kronecker substitution), one or
+two integer operations a letter, unpacked once into balanced digits for
+one integer Bareiss determinant of size m - 1 (or m, for even m).
 
 Sign conventions are pinned by three independent checks (see the test
 suite): the half twist in B_3 closes to a link of signature -1, the basic
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord
 from .gaussian import GaussianInteger, i_power
-from .intmatrix import exact_determinant, symmetric_invariants
+from .intmatrix import _symmetrized_invariants, exact_determinant
 from .laurent import LaurentPolynomial
 
 
@@ -66,20 +67,6 @@ class SeifertData:
         for u, w, x in self.nonzeros:
             v[u][w] = x
         return tuple(tuple(row) for row in v)
-
-    def symmetric_rows(self) -> list[dict[int, int]]:
-        """The nonzeros of V + V^T, row by row.
-
-        No pair of cycles has entries on both sides of the diagonal, so
-        each entry of V gives its two entries of V + V^T as they are.
-        """
-        rows: list[dict[int, int]] = [{} for _ in range(self.dimension)]
-        for u, w, x in self.nonzeros:
-            if u == w:
-                rows[u][u] = 2 * x
-            else:
-                rows[u][w] = rows[w][u] = x
-        return rows
 
 
 def stabilize_letters(word: BraidWord) -> tuple[int, ...]:
@@ -144,7 +131,7 @@ def _form_invariants(word: BraidWord) -> tuple[int, int, GaussianInteger]:
     """
     data = seifert_matrix(word)
     d = data.dimension
-    sign, null, det = symmetric_invariants(data.symmetric_rows())
+    sign, null, det = _symmetrized_invariants(data.nonzeros, d)
     return sign, null, i_power(-d) * det
 
 
@@ -260,19 +247,26 @@ def link_det(word: BraidWord) -> GaussianInteger:
     m, letters = word.strands, word.letters
     if m % 2 == 0:
         m, letters = m + 1, letters + (m,)
-    cols = [[int(r == c) for r in range(m)] for c in range(m)]
+    # column c is the int sum_r col_c[r] 2^(w r); a letter at most triples
+    # the largest entry, so |col_c[r]| <= 3^L < 2^(w-1) fits a balanced digit
+    w = (3 ** len(letters)).bit_length() + 1
+    cols = [1 << (w * c) for c in range(m)]
     for ell in letters:
         if ell > 0:
-            a, b = cols[ell - 1], cols[ell]
-            cols[ell - 1] = [2 * x + y for x, y in zip(a, b)]
-            cols[ell] = [-x for x in a]
+            a = cols[ell - 1]
+            cols[ell - 1] = (a << 1) + cols[ell]
+            cols[ell] = -a
         else:
-            a, b = cols[-ell - 1], cols[-ell]
-            cols[-ell - 1] = [-y for y in b]
-            cols[-ell] = [x + 2 * y for x, y in zip(a, b)]
+            b = cols[-ell]
+            cols[-ell] = cols[-ell - 1] + (b << 1)
+            cols[-ell - 1] = -b
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    bias = sum(half << (w * r) for r in range(m))  # every digit + 2^(w-1) >= 0
+    entries = [[((y >> (w * r)) & mask) - half for r in range(m)]
+               for y in (x + bias for x in cols[:-1])]
     # entry (r, c) of I - psi_r is delta_rc - col_c[r] + col_c[m-1]
     det = exact_determinant([[int(r == c) - col[r] + col[-1]
-                              for c, col in enumerate(cols[:-1])]
+                              for c, col in enumerate(entries)]
                              for r in range(m - 1)])
     return i_power(-_unit_power(word)) * det
 

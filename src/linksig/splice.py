@@ -244,6 +244,10 @@ class SpliceDiagram:
                    for v in self.vertex_ids() if not self.is_arrowhead(v)}
         return prod(signs), vectors
 
+    def _linking_size(self) -> tuple[int, int]:
+        """(V, A): `_linking_vectors` takes time and memory about V x A."""
+        return len(self._vertices), len(self.arrowheads())
+
     def m_values(self) -> dict[int, int]:
         """m_v = sum over arrowheads a of sign(a) * ell(v, a)."""
         return {v: sum(vec) for v, vec in self._linking_vectors()[1].items()}

@@ -249,19 +249,68 @@ def dense_seifert_matrix(word) -> list[list[int]]:
     return v
 
 
+def symmetric_rows(data) -> list[dict[int, int]]:
+    """The nonzeros of V + V^T, row by row, for a `SeifertData` V.
+
+    No pair of cycles has entries on both sides of the diagonal, so each
+    entry of V gives its two entries of V + V^T as they are.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(data.dimension)]
+    for u, w, x in data.nonzeros:
+        if u == w:
+            rows[u][u] = 2 * x
+        else:
+            rows[u][w] = rows[w][u] = x
+    return rows
+
+
 def seifert_link_det(word):
     """The link determinant from one sparse elimination of the Seifert form.
 
     At t = i the potential's matrix collapses, t^-1 V - t V^T = -i (V + V^T),
     so Omega(i) = (-i)^d det(V + V^T) for the Seifert dimension d, where
     `linksig.seifert.link_det` takes the integer Burau matrix at x = -1.
+    The rows of V + V^T come from `symmetric_rows` and go through the
+    public `symmetric_invariants`.
     """
     from linksig.gaussian import i_power
     from linksig.intmatrix import symmetric_invariants
     from linksig.seifert import seifert_matrix
 
     data = seifert_matrix(word)
-    return i_power(-data.dimension) * symmetric_invariants(data.symmetric_rows())[2]
+    return i_power(-data.dimension) * symmetric_invariants(symmetric_rows(data))[2]
+
+
+def list_link_det(word):
+    """`linksig.seifert.link_det` with each Burau column a list of m ints.
+
+    The letters act at x = -1 entry by entry: a positive letter on index i
+    sets col_i <- 2 col_i + col_{i+1} and col_{i+1} <- -col_i, a negative
+    one col_i <- -col_{i+1} and col_{i+1} <- col_i + 2 col_{i+1}, where the
+    library keeps each column as one packed integer.  The stabilization for
+    even m, the determinant and the unit are the library's.
+    """
+    from linksig.gaussian import i_power
+    from linksig.intmatrix import exact_determinant
+    from linksig.seifert import _unit_power
+
+    m, letters = word.strands, word.letters
+    if m % 2 == 0:
+        m, letters = m + 1, letters + (m,)
+    cols = [[int(r == c) for r in range(m)] for c in range(m)]
+    for ell in letters:
+        if ell > 0:
+            a, b = cols[ell - 1], cols[ell]
+            cols[ell - 1] = [2 * x + y for x, y in zip(a, b)]
+            cols[ell] = [-x for x in a]
+        else:
+            a, b = cols[-ell - 1], cols[-ell]
+            cols[-ell - 1] = [-y for y in b]
+            cols[-ell] = [x + 2 * y for x, y in zip(a, b)]
+    det = exact_determinant([[int(r == c) - col[r] + col[-1]
+                              for c, col in enumerate(cols[:-1])]
+                             for r in range(m - 1)])
+    return i_power(-_unit_power(word)) * det
 
 
 def random_unimodular(dim: int, rng, max_entry: int = 3, steps: int = 12):

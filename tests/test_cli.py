@@ -8,7 +8,7 @@ from linksig import cli, genskein
 from linksig.cli import main
 from linksig.gaussian import GaussianInteger as G
 from linksig.genskein import DELTA3_COEFFS
-from linksig.splice import SpliceDiagram
+from linksig.splice import SpliceDiagram, ring_family_diagram
 
 
 def run(capsys, *argv):
@@ -210,6 +210,9 @@ MALFORMED_DIAGRAMS = {
                                     {"id": 1, "kind": "arrowhead", "sign": 1}],
                        "edges": [{"a": [0], "b": 1}]},
     "no-arrowhead.json": {"vertices": [{"id": 0, "kind": "plain"}], "edges": []},
+    # 4624 vertices x 1541 arrowheads, past cli.MAX_SPLICE_LINKING: refused
+    # before the linking walk, which would take about a quarter of a minute
+    "rings.json": ring_family_diagram(3, [1] * 1540).to_json(),
     # weights -1 (to the arrowhead), -2 and -2: (t - t^-1)(t^4 - t^-4) over
     # (t^2 - t^-2)^2, whose second division leaves a remainder
     "no-link.json": {"vertices": [{"id": 0, "kind": "plain"},
@@ -275,6 +278,8 @@ MALFORMED_DIAGRAMS = {
     (["splice", "--file", "cable-chain.json"],
      "splice product too large: degree 196609^2 x 2 divisions > 30000^2"),
     (["splice", "--file", "no-arrowhead.json"], "diagram has no arrowhead"),
+    (["splice", "--file", "rings.json"], "splice diagram too large: 4624 "
+     "vertices x 1541 arrowheads > 7000000"),
     (["splice", "--file", "no-link.json", "--multivariable"],
      "no link has these weights: division leaves a remainder"),
     (["skeinpoly", "a", "--J", "0", "--sign", "+"], "arity must be positive"),
@@ -291,18 +296,30 @@ MALFORMED_DIAGRAMS = {
         "splice-empty", "splice-unsigned", "splice-unknown-vertex",
         "splice-misspelled-kind", "splice-bool-sign", "splice-float-weight",
         "splice-float-id", "splice-list-edge", "splice-listed-twice",
-        "splice-size", "splice-no-arrowhead", "splice-no-link", "skeinpoly-arity",
+        "splice-size", "splice-no-arrowhead", "splice-linking-size",
+        "splice-no-link", "skeinpoly-arity",
         "skeinpoly-length", "skeinpoly-symbolic-size"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, diagram in MALFORMED_DIAGRAMS.items():
-        (tmp_path / name).write_text(json.dumps(diagram))
+        if name in argv:
+            (tmp_path / name).write_text(json.dumps(diagram))
+    walks = []
+    walk = SpliceDiagram._linking_from
+
+    def recorded(self, j):
+        walks.append(j)
+        return walk(self, j)
+
+    monkeypatch.setattr(SpliceDiagram, "_linking_from", recorded)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert message in json.loads(lines[0])["error"]
+    if "splice diagram too large" in message:
+        assert walks == []
 
 
 
