@@ -27,10 +27,11 @@ from .splice import SpliceDiagram
 
 #: the largest letters x (strands - 1) that a Conway potential is started for.
 #: Its cost follows this product: seeded random words at the limit took
-#: 3.9 s on 3 strands (4000 letters), 6.1 s on 5, 8.9 s on 8 (1142 letters),
-#: 12.9 s on 16 (533 letters) and 2.8 s on 33 (Python 3.11 on a shared
-#: 2-vCPU VM), and it grows faster than the square of the length, so this
-#: bound refuses what would run for more than about a quarter of a minute.
+#: 1.6-2.0 s on 3 strands (4000 letters), 2.3-2.5 s on 5, 2.8-3.2 s on 8
+#: (1142 letters), 4.2-5.3 s on 16 (533 letters) and 0.9-1.2 s on 33
+#: (Python 3.11 on a shared 2-vCPU VM), and it grows faster than the square
+#: of the length, so this bound refuses what would run for more than a few
+#: seconds.
 MAX_WORD_SIZE = 8000
 
 #: the most trials `skein verify` starts.  The block identity takes about
@@ -77,9 +78,9 @@ MAX_SYMBOLIC_J = 24
 MAX_SPLICE_DEGREE = 30_000
 
 #: the largest vertices x arrowheads (`SpliceDiagram._linking_size`) that
-#: `splice eval` walks, at about 1.6 us and 50 bytes a pair: a whole eval of
-#: `ring_family_diagram(3, [1] * 1600)` (4804 x 1601 = 7.7e6) took 16 s and
-#: 288 MB, so the bound stops the walk near a quarter of a minute.
+#: `splice eval` walks, at about 2 us and 6 bytes a pair: a whole eval of
+#: `ring_family_diagram(3, [1] * 1600)` (4804 x 1601 = 7.7e6) took 13-17 s and
+#: 68 MB, so the bound stops the walk near a quarter of a minute.
 MAX_SPLICE_LINKING = 7_000_000
 
 def _parse_ints(text: str) -> list[int]:

@@ -239,9 +239,15 @@ class SpliceDiagram:
         """
         arrows = self.arrowheads()
         signs = [self.sign(a) for a in arrows]
-        columns = [self._linking_from(a) for a in arrows]
-        vectors = {v: tuple(sign * ell[v] for sign, ell in zip(signs, columns))
-                   for v in self.vertex_ids() if not self.is_arrowhead(v)}
+        vectors: dict = {v: [] for v in self.vertex_ids() if not self.is_arrowhead(v)}
+        # one walk at a time, dropped once its weights are in the vectors, so
+        # the V x A weights are held once
+        for sign, a in zip(signs, arrows):
+            ell = self._linking_from(a)
+            for v, vec in vectors.items():
+                vec.append(sign * ell[v])
+        for v, vec in vectors.items():
+            vectors[v] = tuple(vec)
         return prod(signs), vectors
 
     def _linking_size(self) -> tuple[int, int]:

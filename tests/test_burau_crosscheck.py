@@ -13,15 +13,16 @@ vector (1, ..., 1), and the unreduced columns of the oracle route.
 
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linksig.braid import BraidWord, half_twist
 from linksig.intmatrix import exact_determinant
-from linksig.laurent import LaurentPolynomial
-from linksig.seifert import (_burau_columns, conway_potential,
+from linksig.laurent import ExactDivisionError, LaurentPolynomial
+from linksig.seifert import (_burau_columns, _divide_by_sum, conway_potential,
                              invariants_report, link_det, seifert_matrix)
 from oracles import unreduced_burau_columns, unreduced_burau_potential
-from strategies import burau_words
+from strategies import burau_words, mixed_words, random_word
 
 L = LaurentPolynomial
 
@@ -74,7 +75,7 @@ def test_burau_columns_equal_letter_matrix_products(word):
         assert decode(col) == {(r, e): v for r in range(m)
                                for e, v in mat[r][c].items()}, (word.letters, c)
     # the library keeps each column v modulo (1, ..., 1): v_r - v_(m-1)
-    cols = _burau_columns(word)
+    cols = _burau_columns(m, word.letters)
     assert len(cols) == m
     for c, col in enumerate(cols):
         assert decode(col) == {(r, e): v for r in range(m - 1)
@@ -82,14 +83,46 @@ def test_burau_columns_equal_letter_matrix_products(word):
                                }, (word.letters, c)
 
 
-def test_conway_potential_equals_unreduced_burau_route():
-    rng = random.Random(1515)
-    for _ in range(300):
-        m = rng.randint(2, 16)
-        letters = tuple(rng.choice((1, -1)) * rng.randint(1, m - 1)
-                        for _ in range(rng.randint(0, 40)))
-        w = BraidWord(m, letters)
-        assert conway_potential(w) == unreduced_burau_potential(w), (m, letters)
+@settings(max_examples=100)
+@given(mixed_words(1, 16, 60))
+@example(BraidWord(1))
+@example(BraidWord(2))
+@example(BraidWord(2, (-1,)))  # u is empty
+@example(BraidWord(4, (1, -1, 3)))  # a split closure, det 0
+@example(BraidWord(3, (1, 1, 2, -1, 2, 2)))  # e(u) = 3
+# coefficients past 2^53, and (-t)^k (-x)^e(u) with k + e(u) odd and negative
+@example(BraidWord(3, (1, -2) * 60 + (1,) * 5))
+@example(random_word(8, 250, seed=8250))
+def test_conway_potential_equals_unreduced_burau_route(word):
+    # the library cuts the word at its midpoint, beta = u v, and takes
+    # (-x)^e(u) det(psi_r(u^-1) - psi_r(v)); the oracle det(I - psi_r(beta))
+    assert (conway_potential(word)
+            == unreduced_burau_potential(word)), (word.strands, word.letters)
+
+
+def test_divide_by_sum_refuses_a_remainder():
+    # 1 + x^2 = (1 + x)(x - 1) + 2
+    with pytest.raises(ExactDivisionError):
+        _divide_by_sum([1, 0, 1], 2)
+    with pytest.raises(ExactDivisionError):
+        L({0: 1, 2: 1}).exact_div(L({0: 1, 1: 1}))
+
+
+@given(st.lists(st.integers(-50, 50), max_size=12), st.integers(1, 9),
+       st.lists(st.integers(-3, 3), max_size=8))
+def test_divide_by_sum_equals_exact_div(q, m, r):
+    # P = Q (1 + x + ... + x^(m-1)) + R with deg R < m - 1 is a multiple iff R = 0
+    r = r[:m - 1]
+    total = L({j: 1 for j in range(m)})
+    p = L(dict(enumerate(q))) * total + L(dict(enumerate(r)))
+    coeffs = [p[e] for e in range(max(len(q) + m - 1, len(r)))]
+    if any(r):
+        with pytest.raises(ExactDivisionError):
+            _divide_by_sum(coeffs, m)
+    else:
+        quotient = _divide_by_sum(coeffs, m)
+        assert L(dict(enumerate(quotient))) == p.exact_div(total)
+        assert quotient == q[:len(quotient)]
 
 
 def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:

@@ -13,7 +13,7 @@ from linksig.splice import SpliceDiagram, torus_delta_diagram
 from oracles import (band_step_constraint, cofactor_determinant,
                      dense_seifert_matrix, free_reduce, list_link_det,
                      seifert_link_det, symmetric_rows)
-from strategies import burau_words
+from strategies import burau_words, mixed_words, random_word
 
 
 def lp(d):
@@ -170,30 +170,21 @@ def test_link_det_equals_seifert_elimination(word):
     assert link_det(word) == seifert_link_det(word), (word.strands, word.letters)
 
 
-@st.composite
-def long_words(draw) -> BraidWord:
-    """2-16 strands and 0-300 letters of mixed signs."""
-    m = draw(st.integers(2, 16))
-    # one draw a letter: 1 - m .. m - 2 shifted onto +-1 .. +-(m - 1)
-    letter = st.integers(1 - m, m - 2).map(lambda x: x + (x >= 0))
-    n = draw(st.integers(0, 300))
-    return BraidWord(m, tuple(draw(st.lists(letter, min_size=n, max_size=n))))
-
-
-def random_word(strands: int, length: int, seed: int) -> BraidWord:
-    rng = random.Random(seed)
-    return BraidWord(strands, tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
-                                    for _ in range(length)))
-
-
 @settings(max_examples=100)
-@given(long_words())
+@given(mixed_words(2, 16, 300))
+@example(BraidWord(1))
+@example(BraidWord(2))
+@example(BraidWord(3, (-2,)))  # u is empty
+@example(BraidWord(4, (1, -1, 3)))  # a split closure, det 0
+@example(BraidWord(3, (1, 1, 2, -1, 2, 2)))  # e(u) = 3
+@example(random_word(8, 250, seed=8250))
 @example(random_word(3, 4000, seed=4000))
 @example(BraidWord(3, (1, -2) * 2000))
 def test_packed_link_det_equals_the_list_loop(word):
-    # the packed Burau columns against the list loop and the Seifert form; a
-    # random 3-strand word grows its entries by about 0.15 bits a letter,
-    # (1, -2)^2000 by about 0.69, the fastest growth measured
+    # the packed Burau columns of the two halves, beta = u v, against the
+    # list loop on the whole word and the Seifert form; a random 3-strand
+    # word grows its entries by about 0.15 bits a letter, (1, -2)^2000 by
+    # about 0.69, the fastest growth measured
     assert (link_det(word) == list_link_det(word)
             == seifert_link_det(word)), (word.strands, word.letters)
 
