@@ -27,8 +27,8 @@ from .splice import SpliceDiagram
 
 #: the largest letters x (strands - 1) that a Conway potential is started for.
 #: Its cost follows this product: seeded random words at the limit took
-#: 1.6-2.0 s on 3 strands (4000 letters), 2.3-2.5 s on 5, 2.8-3.2 s on 8
-#: (1142 letters), 4.2-5.3 s on 16 (533 letters) and 0.9-1.2 s on 33
+#: 1.0-1.2 s on 3 strands (4000 letters), 2.8-3.0 s on 5, 3.5 s on 8
+#: (1142 letters), 4.8-5.0 s on 16 (533 letters) and 1.0-1.3 s on 33
 #: (Python 3.11 on a shared 2-vCPU VM), and it grows faster than the square
 #: of the length, so this bound refuses what would run for more than a few
 #: seconds.

@@ -30,13 +30,11 @@ a shift and a sign of a determinant whose entries q_c(u^-1)[r] - q_c(v)[r]
 span about half as many powers of x.  Only those (m-1)^2 entries become
 Laurent polynomials, for the same dense Bareiss elimination as over Z
 (`intmatrix.exact_determinant`), which pivots on the entry with the
-fewest terms; the division by 1 + x + ... + x^(m-1) is one linear
-recurrence.  The unit is one closed form, `_unit_power`; the tests check
-it against the Seifert determinant.  `link_det` takes the same route at
-t = i, where x = -1, det psi_r(u) = 1 and the letters act linearly over
-Z: each column of each half is one integer sum_r v_r 2^(w r) (Kronecker
-substitution), one or two integer operations a letter, and the
-difference of the two halves is unpacked once into balanced digits for
+fewest terms.  The unit is one closed form, `_unit_power`; the tests
+check it against the Seifert determinant.  `link_det` takes the whole
+word at t = i, where x = -1 and the letters act linearly over Z: each
+column is one integer sum_r v_r 2^(w r) (Kronecker substitution), one or
+two integer operations a letter, unpacked once into balanced digits for
 one integer Bareiss determinant of size m - 1 (or m, for even m).
 
 Sign conventions are pinned by three independent checks (see the test
@@ -52,7 +50,7 @@ from dataclasses import dataclass
 from .braid import BraidWord
 from .gaussian import GaussianInteger, i_power
 from .intmatrix import _symmetrized_invariants, exact_determinant
-from .laurent import ExactDivisionError, LaurentPolynomial
+from .laurent import LaurentPolynomial
 
 
 @dataclass(frozen=True)
@@ -202,23 +200,6 @@ def _unit_power(word: BraidWord) -> int:
     return word.strands - 1 - word.exponent_sum()
 
 
-def _divide_by_sum(p: list[int], m: int) -> list[int]:
-    """The coefficients of P / (1 + x + ... + x^(m-1)) for P = sum_j p_j x^j.
-
-    A (1 - x^m) = P (1 - x) gives the recurrence a_j = a_(j-m) + p_j - p_(j-1);
-    the division is exact if and only if a_j = 0 for the top m - 1 of the
-    indices j < len(p), and then a_0, ..., a_(len(p)-m) is the quotient.
-    """
-    a = [0] * m  # a[m + j] is a_j, and the m zeros stand for a_(j-m), j < m
-    prev = 0
-    for j, c in enumerate(p):
-        a.append(a[j] + c - prev)
-        prev = c
-    if any(a[len(p) + 1:]):
-        raise ExactDivisionError("not a multiple of 1 + x + ... + x^(m-1)")
-    return a[m:len(p) + 1]
-
-
 def conway_potential(word: BraidWord) -> LaurentPolynomial:
     """The potential function det(t^-1 V - t V^T) of the closure, exactly.
 
@@ -250,31 +231,13 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
     det = exact_determinant([[LaurentPolynomial(p) for p in row] for row in rows])
     if not det:
         return det
-    powers = det.exponents()
-    low = powers[0]
-    quotient = _divide_by_sum([det[e] for e in range(low, powers[-1] + 1)], m)
-    # Omega = (-t)^k A(t^2) with A(x) = (-x)^e(u) x^low sum_j quotient_j x^j;
-    # the sign is an int test, as (-1) ** n is a float for n < 0
+    alexander = det // LaurentPolynomial({j: 1 for j in range(m)})
+    # Omega = (-t)^k A(t^2), and the factor (-x)^e(u) of A(x) is
+    # (-1)^e(u) t^(2 e(u)) at x = t^2
     k = _unit_power(word)
     e_u = sum(1 if x > 0 else -1 for x in letters[:h])
-    shift, sign = k + 2 * (e_u + low), -1 if (k + e_u) % 2 else 1
-    return LaurentPolynomial({shift + 2 * j: sign * c for j, c in enumerate(quotient)})
-
-
-def _packed_columns(m: int, w: int, letters) -> list[int]:
-    """The integer Burau columns of the letters at x = -1, from the identity,
-    column c packed as sum_r col_c[r] 2^(w r)."""
-    cols = [1 << (w * c) for c in range(m)]
-    for ell in letters:
-        if ell > 0:
-            a = cols[ell - 1]
-            cols[ell - 1] = (a << 1) + cols[ell]
-            cols[ell] = -a
-        else:
-            b = cols[-ell]
-            cols[-ell] = cols[-ell - 1] + (b << 1)
-            cols[-ell - 1] = -b
-    return cols
+    omega = alexander.substitute_power(2).shift(k + 2 * e_u)
+    return -omega if (k + e_u) % 2 else omega
 
 
 def link_det(word: BraidWord) -> GaussianInteger:
@@ -284,12 +247,10 @@ def link_det(word: BraidWord) -> GaussianInteger:
     integer: a positive letter on index i sets col_i <- 2 col_i + col_{i+1}
     and col_{i+1} <- -col_i, a negative one col_i <- -col_{i+1} and
     col_{i+1} <- col_i + 2 col_{i+1}.  For odd m, 1 + x + ... + x^(m-1) is
-    1 at x = -1, so the integer determinant of I - psi_r is A(-1) and
+    1 at x = -1, so one integer determinant of I - psi_r is A(-1) and
     Omega(i) = (-i)^k A(-1) (`_unit_power`).  For even m that factor
     vanishes there, so sigma_m on a new strand is appended first: a Markov
-    stabilization, which keeps the closure and k.  As in `conway_potential`
-    the word is cut at its midpoint, beta = u v, and det psi_r(u) = (-x)^e(u)
-    is 1 at x = -1, so det(I - psi_r(beta)) = det(psi_r(u^-1) - psi_r(v)).
+    stabilization, which keeps the closure and k.
 
     >>> from linksig.braid import half_twist
     >>> str(link_det(half_twist(3) ** 2))
@@ -300,19 +261,26 @@ def link_det(word: BraidWord) -> GaussianInteger:
     m, letters = word.strands, word.letters
     if m % 2 == 0:
         m, letters = m + 1, letters + (m,)
-    h = len(letters) // 2
-    # a letter at most triples the largest entry, so an entry of either half
-    # is at most 3^(L - h) and a difference of two fits a balanced digit
-    w = (3 ** (len(letters) - h)).bit_length() + 2
-    cols = [x - y for x, y in zip(
-        _packed_columns(m, w, [-x for x in reversed(letters[:h])]),
-        _packed_columns(m, w, letters[h:]))]
+    # column c is the int sum_r col_c[r] 2^(w r); a letter at most triples
+    # the largest entry, so |col_c[r]| <= 3^L < 2^(w-1) fits a balanced digit
+    w = (3 ** len(letters)).bit_length() + 1
+    cols = [1 << (w * c) for c in range(m)]
+    for ell in letters:
+        if ell > 0:
+            a = cols[ell - 1]
+            cols[ell - 1] = (a << 1) + cols[ell]
+            cols[ell] = -a
+        else:
+            b = cols[-ell]
+            cols[-ell] = cols[-ell - 1] + (b << 1)
+            cols[-ell - 1] = -b
     half, mask = 1 << (w - 1), (1 << w) - 1
     bias = sum(half << (w * r) for r in range(m))  # every digit + 2^(w-1) >= 0
     entries = [[((y >> (w * r)) & mask) - half for r in range(m)]
                for y in (x + bias for x in cols[:-1])]
-    # entry (r, c) of psi_r(u^-1) - psi_r(v) is col_c[r] - col_c[m-1]
-    det = exact_determinant([[col[r] - col[-1] for col in entries]
+    # entry (r, c) of I - psi_r is delta_rc - col_c[r] + col_c[m-1]
+    det = exact_determinant([[int(r == c) - col[r] + col[-1]
+                              for c, col in enumerate(entries)]
                              for r in range(m - 1)])
     return i_power(-_unit_power(word)) * det
 

@@ -174,17 +174,14 @@ def test_link_det_equals_seifert_elimination(word):
 @given(mixed_words(2, 16, 300))
 @example(BraidWord(1))
 @example(BraidWord(2))
-@example(BraidWord(3, (-2,)))  # u is empty
 @example(BraidWord(4, (1, -1, 3)))  # a split closure, det 0
-@example(BraidWord(3, (1, 1, 2, -1, 2, 2)))  # e(u) = 3
 @example(random_word(8, 250, seed=8250))
 @example(random_word(3, 4000, seed=4000))
 @example(BraidWord(3, (1, -2) * 2000))
 def test_packed_link_det_equals_the_list_loop(word):
-    # the packed Burau columns of the two halves, beta = u v, against the
-    # list loop on the whole word and the Seifert form; a random 3-strand
-    # word grows its entries by about 0.15 bits a letter, (1, -2)^2000 by
-    # about 0.69, the fastest growth measured
+    # the packed Burau columns against the list loop and the Seifert form; a
+    # random 3-strand word grows its entries by about 0.15 bits a letter,
+    # (1, -2)^2000 by about 0.69, the fastest growth measured
     assert (link_det(word) == list_link_det(word)
             == seifert_link_det(word)), (word.strands, word.letters)
 
