@@ -3,35 +3,21 @@
 Subcommands mirror the library surface: braid invariants, the parametric
 families, splice-diagram evaluation, the cyclic-polynomial systems, the
 closed-form signatures, randomized verification of the generalized skein
-relations, and the curve prohibition reports.
+relations, and the curve prohibition reports.  Each handler imports the
+layers it uses when it runs, so a process loads only its command's modules:
+`linksig invariants` loads braid, gaussian, intmatrix, laurent and seifert.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from .braid import BraidWord, family_b, family_c, family_length, family_params
-from .closedforms import FormulaNotEstablished, sign_null_b, sign_null_c
-from .genskein import (RelationSpec, block_identity_residual,
-                       det_relation_check, random_braid, random_laurent,
-                       relation_residual)
-from .laurent import ExactDivisionError
-from .prohibit import CurveParams, verdict_curve, verdict_degree9
-from .seifert import invariants_report, signature_nullity
-from .skeinpoly import a_pm, a_pm_symbolic, family_det_closed_form
-from .splice import SpliceDiagram
 
-
-#: the largest letters x (strands - 1) that a Conway potential is started for.
-#: Its cost follows this product: seeded random words at the limit took
-#: 1.0-1.2 s on 3 strands (4000 letters), 2.8-3.0 s on 5, 3.5 s on 8
-#: (1142 letters), 4.8-5.0 s on 16 (533 letters) and 1.0-1.3 s on 33
-#: (Python 3.11 on a shared 2-vCPU VM), and it grows faster than the square
-#: of the length, so this bound refuses what would run for more than a few
-#: seconds.
+#: the largest `seifert._conway_size`, max(letters, strands - 1) x
+#: (strands - 1), that a Conway potential is started for: near the bound a
+#: potential takes a few seconds (the cost model is in that docstring).
 MAX_WORD_SIZE = 8000
 
 #: the most trials `skein verify` starts.  The block identity takes about
@@ -87,15 +73,23 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
 
-def _check_word_size(letters: int, strands: int) -> None:
-    size = letters * (strands - 1)
+def _check_word_size(letters: int, strands: int) -> int:
+    """The word's `seifert._conway_size`, refused over `MAX_WORD_SIZE`."""
+    from .seifert import _conway_size
+
+    size, gaps = _conway_size(letters, strands), strands - 1
     if size > MAX_WORD_SIZE:
-        raise ValueError(
-            f"word too large: {letters} letters x {strands - 1} strand gaps = "
-            f"{size} > {MAX_WORD_SIZE}")
+        counted = (f"{letters} letters" if letters >= gaps else
+                   f"{gaps} strand gaps (more than the {letters} letters)")
+        raise ValueError(f"word too large: {counted} x {gaps} strand gaps = "
+                         f"{size} > {MAX_WORD_SIZE}")
+    return size
 
 
 def _cmd_invariants(args) -> int:
+    from .braid import BraidWord
+    from .seifert import invariants_report
+
     word = BraidWord.from_text(args.strands, args.word)
     _check_word_size(len(word.letters), word.strands)
     print(json.dumps(invariants_report(word), indent=2))
@@ -103,6 +97,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .braid import family_b, family_c, family_length, family_params
+
     params = family_params(args.kind, args.n, args.k, args.J, _parse_ints(args.alpha))
     letters = family_length(args.kind, params)
     if letters > MAX_FAMILY_LETTERS:
@@ -114,6 +110,9 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_splice(args) -> int:
+    from .laurent import ExactDivisionError
+    from .splice import SpliceDiagram
+
     with open(args.file, encoding="utf-8") as fh:
         diagram = SpliceDiagram.from_json(json.load(fh))
     vertices, arrowheads = diagram._linking_size()
@@ -140,6 +139,8 @@ def _cmd_splice(args) -> int:
 
 
 def _cmd_skeinpoly(args) -> int:
+    from .skeinpoly import a_pm, a_pm_symbolic
+
     if args.symbolic:
         if args.J > MAX_SYMBOLIC_J:
             raise ValueError(f"--J must be at most {MAX_SYMBOLIC_J} for --symbolic, "
@@ -155,6 +156,11 @@ def _cmd_skeinpoly(args) -> int:
 
 
 def _cmd_closedform(args) -> int:
+    from .braid import family_b, family_c, family_length, family_params
+    from .closedforms import FormulaNotEstablished, sign_null_b, sign_null_c
+    from .seifert import signature_nullity
+    from .skeinpoly import family_det_closed_form
+
     alphas = _parse_ints(args.alpha)
     params = family_params(args.kind, args.n, args.k, args.J, alphas)
     if args.verify or args.explore:
@@ -190,6 +196,12 @@ def _cmd_closedform(args) -> int:
 
 
 def _cmd_skein(args) -> int:
+    import random
+
+    from .genskein import (RelationSpec, block_identity_residual,
+                           det_relation_check, random_braid, random_laurent,
+                           relation_residual)
+
     for name, value in (("trials", args.trials), ("maxlen", args.maxlen)):
         if value < 0:
             raise ValueError(f"--{name} must be nonnegative, got {value}")
@@ -206,12 +218,11 @@ def _cmd_skein(args) -> int:
         # coefficient after the first.  The determinant form steps further but
         # takes `link_det`'s integer Burau matrix, milliseconds at these lengths.
         letters = args.maxlen + (len(spec.coefficients) - 1) * len(spec.twist.letters)
-        _check_word_size(letters, args.strands)
         # a trial costs about the square of its word size (conway: 0.13 ms
         # at size 20, 2.4 ms at 200, 22 ms at 750, 11 s at 7000; b2: 2.6 s
         # at 3500), so all trials together may cost about one word at the
         # size limit
-        size = letters * (args.strands - 1)
+        size = _check_word_size(letters, args.strands)
         if args.trials * size * size > MAX_WORD_SIZE ** 2:
             raise ValueError(f"too many trials for the word size: {args.trials} "
                              f"trials x {size}^2 > {MAX_WORD_SIZE}^2")
@@ -243,6 +254,8 @@ def _cmd_skein(args) -> int:
 
 
 def _cmd_prohibit(args) -> int:
+    from .prohibit import CurveParams, verdict_curve, verdict_degree9
+
     if args.mode == "theorem11":
         params = CurveParams(n=args.n, k=args.k, r=args.r, J=args.J,
                              lam=args.lam, lam_odd=args.lam_odd,

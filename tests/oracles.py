@@ -249,6 +249,61 @@ def dense_seifert_matrix(word) -> list[list[int]]:
     return v
 
 
+def goeritz_invariants(word, parity: int):
+    """(Sign, Null, det) of the closure from a Goeritz matrix (Gordon-Litherland).
+
+    The braid closure is drawn on an annulus; gap g lies between strands g
+    and g + 1, so gap 0 is the inner disk and gap m the outer region, and
+    the crossings of the letters on index g cut gap g into pieces.  The
+    regions in the gaps g = parity (mod 2) are white.  A letter e*g on a
+    white gap joins the pieces before and after it with eta = -e; one on a
+    dark gap joins the current pieces of gaps g - 1 and g + 1 with
+    eta = +e.  G_ij = -sum eta over the joins of regions i != j, the row
+    sums vanish, and one region is deleted.  Then
+    Sign = sign(G) - (exponent sum of the letters on dark gaps),
+    Null = null(G) and Omega(i) = i^-Sign |det G|, or 0 when Null > 0.
+    Neither Seifert matrix nor `intmatrix` elimination of a symmetric form
+    is used: the signature is `rational_signature`'s.
+    """
+    from linksig.gaussian import GaussianInteger, i_power
+    from linksig.intmatrix import exact_determinant
+    from linksig.seifert import stabilize_letters
+
+    m, letters = word.strands, stabilize_letters(word)
+    cuts = [0] * (m + 1)  # crossings on each gap
+    for x in letters:
+        cuts[abs(x)] += 1
+    first, regions = {}, 0  # the region number of piece 0 of each white gap
+    for g in range(parity, m + 1, 2):
+        first[g] = regions
+        regions += max(cuts[g], 1)
+    g_matrix = [[0] * regions for _ in range(regions)]
+    seen = [0] * (m + 1)  # crossings passed on each gap
+
+    def region(g: int, piece: int) -> int:
+        return first[g] + piece % max(cuts[g], 1)
+
+    dark = 0
+    for x in letters:
+        g, e = abs(x), 1 if x > 0 else -1
+        if g % 2 == parity:
+            a, b, eta = region(g, seen[g]), region(g, seen[g] + 1), -e
+        else:
+            a, b, eta = region(g - 1, seen[g - 1]), region(g + 1, seen[g + 1]), e
+            dark += e
+        seen[g] += 1
+        if a != b:
+            for i, j in ((a, b), (b, a)):
+                g_matrix[i][j] -= eta
+                g_matrix[i][i] += eta
+    reduced = [row[1:] for row in g_matrix[1:]]
+    sign, null = rational_signature(reduced)
+    sign -= dark
+    if null:
+        return sign, null, GaussianInteger(0, 0)
+    return sign, null, i_power(-sign) * abs(exact_determinant(reduced))
+
+
 def symmetric_rows(data) -> list[dict[int, int]]:
     """The nonzeros of V + V^T, row by row, for a `SeifertData` V.
 

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from linksig import cli, genskein
+from linksig import cli, genskein, seifert
 from linksig.cli import main
 from linksig.gaussian import GaussianInteger as G
 from linksig.genskein import DELTA3_COEFFS
@@ -242,6 +242,12 @@ MALFORMED_DIAGRAMS = {
     (["splice", "--file", "missing.json"], "missing.json"),
     (["invariants", "--strands", "9", "--word", ",".join(["1"] * 1001)],
      "word too large"),
+    # the dense (strands - 1)^2 grid of the Burau route, whatever the letters
+    (["invariants", "--strands", "1001", "--word", "1,2,3,4,5,6,7,8"],
+     "word too large: 1000 strand gaps (more than the 8 letters) x 1000 "
+     "strand gaps = 1000000 > 8000"),
+    (["invariants", "--strands", "100000", "--word", ""],
+     "99999 strand gaps (more than the 0 letters) x 99999 strand gaps"),
     (["skein", "verify", "--relation", "conway", "--strands", "17",
       "--maxlen", "501"], "word too large"),
     (["skein", "verify", "--relation", "b2", "--trials", "-3"],
@@ -288,7 +294,8 @@ MALFORMED_DIAGRAMS = {
     (["skeinpoly", "a", "--J", "25", "--sign", "+", "--symbolic"],
      "--J must be at most 24 for --symbolic, got 25"),
 ], ids=["invariants", "degree9", "degree9-negative-count",
-        "theorem11-one-sided", "theorem11-negative-count", "splice", "invariants-size", "skein-size",
+        "theorem11-one-sided", "theorem11-negative-count", "splice", "invariants-size",
+        "invariants-strands-size", "invariants-empty-word-strands-size", "skein-size",
         "skein-trials", "skein-maxlen", "skein-conway-strands",
         "skein-b3-strands", "closedform-verify-size", "closedform-explore-size",
         "closedform-negative-twist",
@@ -312,6 +319,10 @@ def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message)
         return walk(self, j)
 
     monkeypatch.setattr(SpliceDiagram, "_linking_from", recorded)
+    columns = []
+    burau = seifert._burau_columns
+    monkeypatch.setattr(seifert, "_burau_columns",
+                        lambda m, letters: columns.append(m) or burau(m, letters))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -320,6 +331,8 @@ def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message)
     assert message in json.loads(lines[0])["error"]
     if "splice diagram too large" in message:
         assert walks == []
+    # every refusal comes before a Burau column is built
+    assert columns == []
 
 
 
@@ -372,6 +385,13 @@ def test_size_limit_is_on_letters_times_strand_gaps(monkeypatch, capsys):
     capsys.readouterr()
     assert main(["invariants", "--strands", "3", "--word", "1,-2,1"]) == 2
     assert "3 letters x 2 strand gaps = 6 > 4" in capsys.readouterr().err
+    # on fewer letters than strand gaps the gaps count twice: 2 x 2 passes,
+    # 3 x 3 does not
+    assert main(["invariants", "--strands", "3", "--word", "1"]) == 0
+    capsys.readouterr()
+    assert main(["invariants", "--strands", "4", "--word", "1"]) == 2
+    assert ("3 strand gaps (more than the 1 letters) x 3 strand gaps = 9 > 4"
+            in capsys.readouterr().err)
     assert main(["skein", "verify", "--relation", "b3", "--strands", "3",
                  "--maxlen", "3"]) == 2
     assert "word too large" in capsys.readouterr().err
@@ -458,14 +478,14 @@ def test_skein_verify_checks_empty_words(monkeypatch, capsys):
     ("conway", genskein, "conway_potential",
      lambda conway: lambda word: conway(word) + 1),
     # five-term coefficients that do not cancel
-    ("b2", cli.RelationSpec, "delta3_order4",
+    ("b2", genskein.RelationSpec, "delta3_order4",
      lambda make: staticmethod(lambda: dataclasses.replace(
          make(), coefficients=DELTA3_COEFFS[:-1] + (DELTA3_COEFFS[-1] + 1,)))),
     # a determinant form that is off by one
-    ("b3", cli, "det_relation_check",
+    ("b3", genskein, "det_relation_check",
      lambda check: lambda word, spec: check(word, spec) + G(1, 0)),
     # a block identity that is off by one
-    ("blocks", cli, "block_identity_residual",
+    ("blocks", genskein, "block_identity_residual",
      lambda residual: lambda *blocks: residual(*blocks) + 1),
 ], ids=["conway", "b2-coefficients", "b3-det", "blocks"])
 def test_skein_verify_reports_failures(monkeypatch, capsys, relation, target,

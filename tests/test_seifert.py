@@ -7,12 +7,12 @@ from linksig.braid import BraidWord, FamilyParams, family_b, half_twist
 from linksig.closedforms import sign_null_delta
 from linksig.gaussian import GaussianInteger
 from linksig.laurent import LaurentPolynomial
-from linksig.seifert import (band_step, conway_potential, link_det,
-                             seifert_matrix, signature_nullity)
+from linksig.seifert import (_form_invariants, band_step, conway_potential,
+                             link_det, seifert_matrix, signature_nullity)
 from linksig.splice import SpliceDiagram, torus_delta_diagram
 from oracles import (band_step_constraint, cofactor_determinant,
-                     dense_seifert_matrix, free_reduce, list_link_det,
-                     seifert_link_det, symmetric_rows)
+                     dense_seifert_matrix, free_reduce, goeritz_invariants,
+                     list_link_det, seifert_link_det, symmetric_rows)
 from strategies import burau_words, mixed_words, random_word
 
 
@@ -168,6 +168,19 @@ def test_link_det_equals_seifert_elimination(word):
     # odd and even strand counts (the even ones are stabilized), split
     # closures (det 0) and the d = 430 and d = 768 half-twist powers
     assert link_det(word) == seifert_link_det(word), (word.strands, word.letters)
+
+
+@settings(max_examples=150)
+@given(burau_words(), st.sampled_from((0, 1)))
+@example(BraidWord(1), 0)
+@example(BraidWord(4, (1, -1, 3)), 1)  # a split closure, null 1
+@example(half_twist(3), 0)
+@example(half_twist(3), 1)
+def test_seifert_form_equals_goeritz_matrix(word, parity):
+    # signature, nullity and determinant from the Seifert form against the
+    # Goeritz matrix of either checkerboard colouring (Gordon-Litherland)
+    assert _form_invariants(word) == goeritz_invariants(word, parity), (
+        word.strands, word.letters)
 
 
 @settings(max_examples=100)
