@@ -6,6 +6,10 @@ closed-form signatures, randomized verification of the generalized skein
 relations, and the curve prohibition reports.  Each handler imports the
 layers it uses when it runs, so a process loads only its command's modules:
 `linksig invariants` loads braid, gaussian, intmatrix, laurent and seifert.
+
+`main` is the one writer: a handler returns its answer and exit code, and
+`main` prints the answer, a text as it is and anything else as indented
+JSON, or prints the one-line JSON error of a refused request on stderr.
 """
 
 from __future__ import annotations
@@ -86,17 +90,16 @@ def _check_word_size(letters: int, strands: int) -> int:
     return size
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> tuple[object, int]:
     from .braid import BraidWord
     from .seifert import invariants_report
 
     word = BraidWord.from_text(args.strands, args.word)
     _check_word_size(len(word.letters), word.strands)
-    print(json.dumps(invariants_report(word), indent=2))
-    return 0
+    return invariants_report(word), 0
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[object, int]:
     from .braid import family_b, family_c, family_length, family_params
 
     params = family_params(args.kind, args.n, args.k, args.J, _parse_ints(args.alpha))
@@ -105,11 +108,10 @@ def _cmd_family(args) -> int:
         raise ValueError(f"family word too large: {letters} letters > "
                          f"{MAX_FAMILY_LETTERS}")
     word = family_b(params) if args.kind == "b" else family_c(params)
-    print(word.to_text())
-    return 0
+    return word.to_text(), 0
 
 
-def _cmd_splice(args) -> int:
+def _cmd_splice(args) -> tuple[object, int]:
     from .laurent import ExactDivisionError
     from .splice import SpliceDiagram
 
@@ -132,30 +134,26 @@ def _cmd_splice(args) -> int:
     if args.multivariable:
         out = {"sign": nabla.sign, "factors": nabla.describe()}
     else:
-        out = {"omega": str(omega), "omega_coeffs": omega.to_json()}
-    out["det"] = str(omega.eval_at_i())
-    print(json.dumps(out, indent=2))
-    return 0
+        out = {"omega": omega, "omega_coeffs": omega.to_json()}
+    out["det"] = omega.eval_at_i()
+    return out, 0
 
 
-def _cmd_skeinpoly(args) -> int:
+def _cmd_skeinpoly(args) -> tuple[object, int]:
     from .skeinpoly import a_pm, a_pm_symbolic
 
-    if args.symbolic:
-        if args.J > MAX_SYMBOLIC_J:
-            raise ValueError(f"--J must be at most {MAX_SYMBOLIC_J} for --symbolic, "
-                             f"got {args.J}")
-        poly = a_pm_symbolic(args.J, 1 if args.sign == "+" else -1)
-        terms = {"*".join(f"x{j}" for j in sorted(s)) or "1": str(c)
-                 for s, c in poly.coeffs}
-        print(json.dumps(terms, indent=2))
-        return 0
-    xs = _parse_ints(args.x)
-    print(a_pm(args.J, 1 if args.sign == "+" else -1, xs))
-    return 0
+    sign = 1 if args.sign == "+" else -1
+    if not args.symbolic:
+        return a_pm(args.J, sign, _parse_ints(args.x)), 0
+    if args.J > MAX_SYMBOLIC_J:
+        raise ValueError(f"--J must be at most {MAX_SYMBOLIC_J} for --symbolic, "
+                         f"got {args.J}")
+    poly = a_pm_symbolic(args.J, sign)
+    return {"*".join(f"x{j}" for j in sorted(s)) or "1": c
+            for s, c in poly.coeffs}, 0
 
 
-def _cmd_closedform(args) -> int:
+def _cmd_closedform(args) -> tuple[object, int]:
     from .braid import family_b, family_c, family_length, family_params
     from .closedforms import FormulaNotEstablished, sign_null_b, sign_null_c
     from .seifert import signature_nullity
@@ -178,11 +176,10 @@ def _cmd_closedform(args) -> int:
     except FormulaNotEstablished as exc:
         out["closed_form"] = f"not established: {exc}"
         if not args.explore:
-            print(json.dumps(out, indent=2))
-            return 1
+            return out, 1
     try:
-        out["det"] = str(family_det_closed_form(args.kind, args.n, args.k,
-                                                args.J, alphas))
+        out["det"] = family_det_closed_form(args.kind, args.n, args.k, args.J,
+                                            alphas)
     except FormulaNotEstablished:
         out["det"] = None
     if args.verify or args.explore:
@@ -191,11 +188,10 @@ def _cmd_closedform(args) -> int:
         out["direct"] = {"sign": sign, "null": null}
         if "sign" in out and out["sign"] is not None:
             out["verified"] = (out["sign"], out["null"]) == (sign, null)
-    print(json.dumps(out, indent=2))
-    return 0
+    return out, 0
 
 
-def _cmd_skein(args) -> int:
+def _cmd_skein(args) -> tuple[object, int]:
     import random
 
     from .genskein import (RelationSpec, block_identity_residual,
@@ -227,7 +223,7 @@ def _cmd_skein(args) -> int:
             raise ValueError(f"too many trials for the word size: {args.trials} "
                              f"trials x {size}^2 > {MAX_WORD_SIZE}^2")
     rng = random.Random(args.seed)
-    failures = 0
+    failures = []
     for trial in range(args.trials):
         if spec is None:
             s = rng.randint(0, 3)
@@ -237,23 +233,20 @@ def _cmd_skein(args) -> int:
             w = [[random_laurent(rng) for _ in range(2)] for _ in range(2)]
             residual = block_identity_residual(v0, u, w, ustar)
             if not residual.is_zero():
-                failures += 1
-                print(f"trial {trial}: nonzero block residual {residual}")
+                failures.append(f"trial {trial}: nonzero block residual {residual}")
             continue
         word = random_braid(rng, args.strands, args.maxlen)
         if not relation_residual(word, spec).is_zero():
-            failures += 1
-            print(f"trial {trial}: nonzero residual on braid "
-                  f"[{word.to_text()}] in B_{word.strands}")
+            failures.append(f"trial {trial}: nonzero residual on braid "
+                            f"[{word.to_text()}] in B_{word.strands}")
         elif not det_relation_check(word, spec).is_zero():
-            failures += 1
-            print(f"trial {trial}: nonzero det residual on braid "
-                  f"[{word.to_text()}]")
-    print(f"{args.trials - failures}/{args.trials} residuals vanished")
-    return 1 if failures else 0
+            failures.append(f"trial {trial}: nonzero det residual on braid "
+                            f"[{word.to_text()}]")
+    summary = f"{args.trials - len(failures)}/{args.trials} residuals vanished"
+    return "\n".join([*failures, summary]), 1 if failures else 0
 
 
-def _cmd_prohibit(args) -> int:
+def _cmd_prohibit(args) -> tuple[object, int]:
     from .prohibit import CurveParams, verdict_curve, verdict_degree9
 
     if args.mode == "theorem11":
@@ -265,8 +258,7 @@ def _cmd_prohibit(args) -> int:
         report = verdict_degree9(args.alpha, args.beta, args.gamma,
                                  m_curve=args.m_curve,
                                  assume_lemma23=args.assume_lemma23)
-    print(json.dumps(report.as_dict(), indent=2))
-    return 0 if report.verdict == "admissible" else 1
+    return report.as_dict(), 0 if report.verdict == "admissible" else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,12 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help='letters like "1,2,-1" (sign = crossing sign)')
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("family", help="print a parametric family word")
-    p.add_argument("kind", choices=["b", "c"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--J", type=int, required=True)
-    p.add_argument("--alpha", required=True, help='twists like "1,1,1"')
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("kind", choices=["b", "c"])
+    family.add_argument("--n", type=int, required=True)
+    family.add_argument("--k", type=int, required=True)
+    family.add_argument("--J", type=int, required=True)
+    family.add_argument("--alpha", required=True, help='twists like "1,1,1"')
+
+    p = sub.add_parser("family", parents=[family],
+                       help="print a parametric family word")
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("splice", help="evaluate a splice diagram from JSON")
@@ -304,12 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbolic", action="store_true")
     p.set_defaults(func=_cmd_skeinpoly)
 
-    p = sub.add_parser("closedform", help="closed-form family signatures")
-    p.add_argument("kind", choices=["b", "c"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--J", type=int, required=True)
-    p.add_argument("--alpha", required=True)
+    p = sub.add_parser("closedform", parents=[family],
+                       help="closed-form family signatures")
     p.add_argument("--verify", action="store_true",
                    help="run the direct matrix computation alongside")
     p.add_argument("--explore", action="store_true",
@@ -351,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; bad input prints a JSON error on stderr, exit 2."""
+    """Run one subcommand and print its answer; bad input prints a JSON error
+    on stderr, exit 2."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a list like "-1,2" for an option: join it to its option
     for i in reversed(range(len(argv) - 1)):
@@ -361,10 +353,14 @@ def main(argv: list[str] | None = None) -> int:
             argv[i:i + 2] = [f"{argv[i]}={value}"]
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        answer, code = args.func(args)
+        text = answer if isinstance(answer, str) else json.dumps(
+            answer, indent=2, default=str)
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    print(text)
+    return code
 
 
 if __name__ == "__main__":
