@@ -9,7 +9,8 @@ layers it uses when it runs, so a process loads only its command's modules:
 
 `main` is the one writer: a handler returns its answer and exit code, and
 `main` prints the answer, a text as it is and anything else as indented
-JSON, or prints the one-line JSON error of a refused request on stderr.
+JSON (a value JSON has no type for, such as a `GaussianInteger`, as its
+string), or prints the one-line JSON error of a refused request on stderr.
 """
 
 from __future__ import annotations
@@ -72,6 +73,21 @@ MAX_SPLICE_DEGREE = 30_000
 #: `ring_family_diagram(3, [1] * 1600)` (4804 x 1601 = 7.7e6) took 13-17 s and
 #: 68 MB, so the bound stops the walk near a quarter of a minute.
 MAX_SPLICE_LINKING = 7_000_000
+
+#: the largest k that `closedform` answers.  Its determinant has up to
+#: 2(k - 1) bits (4^(k-1) for n = 2 mod 4), and CPython 3.11 writes an
+#: integer in decimal in quadratic time: k = 800000 took 4.2 s,
+#: k = 1000000 6.5 s and k = 1600000 16.5 s, so the bound keeps the output
+#: under about 7 s, with room for the a_J factor of a long twist list.
+MAX_CLOSEDFORM_K = 1_000_000
+
+#: the most jump counts that `prohibit theorem11` lists
+#: (`prohibit._search_size`), at about 1 us and 120 bytes of peak memory
+#: each: lambda = lambda_odd = lambda_even = 2000000 with n = 1, k = 3 lists
+#: 1000000 of them in 0.95 s, 137 MB and 14 MB of JSON.  Memory is what this
+#: bound keeps well under 200 MB, as for `MAX_FAMILY_LETTERS`.
+MAX_FEASIBLE_JUMPS = 1_000_000
+
 
 def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
@@ -159,6 +175,8 @@ def _cmd_closedform(args) -> tuple[object, int]:
     from .seifert import signature_nullity
     from .skeinpoly import family_det_closed_form
 
+    if args.k > MAX_CLOSEDFORM_K:
+        raise ValueError(f"--k must be at most {MAX_CLOSEDFORM_K}, got {args.k}")
     alphas = _parse_ints(args.alpha)
     params = family_params(args.kind, args.n, args.k, args.J, alphas)
     if args.verify or args.explore:
@@ -247,12 +265,16 @@ def _cmd_skein(args) -> tuple[object, int]:
 
 
 def _cmd_prohibit(args) -> tuple[object, int]:
-    from .prohibit import CurveParams, verdict_curve, verdict_degree9
+    from .prohibit import CurveParams, _search_size, verdict_curve, verdict_degree9
 
     if args.mode == "theorem11":
         params = CurveParams(n=args.n, k=args.k, r=args.r, J=args.J,
                              lam=args.lam, lam_odd=args.lam_odd,
                              lam_even=args.lam_even)
+        listed = _search_size(params, args.lam_plus, args.lam_minus)
+        if listed > MAX_FEASIBLE_JUMPS:
+            raise ValueError(f"jump search too large: {listed} feasible jump "
+                             f"counts > {MAX_FEASIBLE_JUMPS}")
         report = verdict_curve(params, args.lam_plus, args.lam_minus)
     else:
         report = verdict_degree9(args.alpha, args.beta, args.gamma,
@@ -354,11 +376,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         answer, code = args.func(args)
-        text = answer if isinstance(answer, str) else json.dumps(
-            answer, indent=2, default=str)
     except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    # an exact answer may pass CPython's 4300-digit guard on int -> str, which
+    # stays on for reading the input
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = answer if isinstance(answer, str) else json.dumps(
+            answer, indent=2, default=str)
+    finally:
+        sys.set_int_max_str_digits(limit)
     print(text)
     return code
 

@@ -279,6 +279,27 @@ class Report:
                     assumptions=sorted(self.assumptions))
 
 
+def _jump_search(p: CurveParams, need: int, lo: int, hi: int) -> range:
+    """The J that `verdict_curve` lists when no J is given: those of n's
+    parity with lambda > J >= 1, in the window [lo, hi] and at least the
+    alternation bound `need`.  The n-range check does not depend on J, so no
+    listed J fails a hypothesis."""
+    first = max(lo, need, 1)
+    first += (first - p.n) % 2
+    return range(first, min(hi, p.lam - 1) + 1, 2)
+
+
+def _search_size(p: CurveParams, lam_plus: int | None,
+                 lam_minus: int | None) -> int:
+    """How many J `verdict_curve` lists, counted without listing them: the
+    cost of its search, which grows linearly in lambda."""
+    if (p.J is not None or lam_plus is None or lam_minus is None
+            or _hypothesis_failure(p)):
+        return 0
+    need = fiedler_min_jumps(lam_plus, lam_minus)
+    return len(_jump_search(p, need, *_windows(p)[2]))
+
+
 def verdict_curve(p: CurveParams, lam_plus: int | None = None,
                   lam_minus: int | None = None) -> Report:
     """Judge a deep-nest curve bundle: jump window vs alternation bound."""
@@ -301,11 +322,7 @@ def verdict_curve(p: CurveParams, lam_plus: int | None = None,
             violated.append("alternation bound")
     elif need is not None:
         details["alternation_min_jumps"] = need
-        # the n-range check above does not depend on J: search only the J
-        # with lambda > J >= 1 and J = n (mod 2)
-        first = max(lo, need, 1)
-        first += (first - p.n) % 2
-        feasible = list(range(first, min(hi, p.lam - 1) + 1, 2))
+        feasible = list(_jump_search(p, need, lo, hi))
         details["feasible_jumps"] = feasible
         if not feasible:
             violated.append("alternation bound vs jump window")

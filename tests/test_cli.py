@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from linksig import cli, genskein, seifert
+from linksig import cli, genskein, prohibit, seifert
+from linksig.braid import family_length, family_params
 from linksig.cli import main
 from linksig.gaussian import GaussianInteger as G
-from linksig.genskein import DELTA3_COEFFS
+from linksig.genskein import DELTA3_COEFFS, RelationSpec
+from linksig.skeinpoly import a_pm, family_det_closed_form
 from linksig.splice import SpliceDiagram, ring_family_diagram
 
 
@@ -293,6 +297,14 @@ MALFORMED_DIAGRAMS = {
      "need exactly j entries"),
     (["skeinpoly", "a", "--J", "25", "--sign", "+", "--symbolic"],
      "--J must be at most 24 for --symbolic, got 25"),
+    # a determinant of about 2k bits, written in decimal in quadratic time
+    (["closedform", "b", "--n", "1", "--k", "1000001", "--J", "1",
+      "--alpha", "1"], "--k must be at most 1000000, got 1000001"),
+    # every odd J up to lambda - 1 fits both windows and the alternation bound
+    (["prohibit", "theorem11", "--n", "1", "--k", "3", "--lambda", "2000002",
+      "--lambda-odd", "2000002", "--lambda-even", "2000002",
+      "--lambda-plus", "0", "--lambda-minus", "0"],
+     "jump search too large: 1000001 feasible jump counts > 1000000"),
 ], ids=["invariants", "degree9", "degree9-negative-count",
         "theorem11-one-sided", "theorem11-negative-count", "splice", "invariants-size",
         "invariants-strands-size", "invariants-empty-word-strands-size", "skein-size",
@@ -305,7 +317,8 @@ MALFORMED_DIAGRAMS = {
         "splice-float-id", "splice-list-edge", "splice-listed-twice",
         "splice-size", "splice-no-arrowhead", "splice-linking-size",
         "splice-no-link", "skeinpoly-arity",
-        "skeinpoly-length", "skeinpoly-symbolic-size"])
+        "skeinpoly-length", "skeinpoly-symbolic-size", "closedform-k-size",
+        "theorem11-search-size"])
 def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, diagram in MALFORMED_DIAGRAMS.items():
@@ -500,3 +513,192 @@ def test_skein_verify_reports_failures(monkeypatch, capsys, relation, target,
     assert trials == 6 and vanished < trials
     assert len(failures) == trials - vanished
     assert all(line.startswith("trial ") and "nonzero" in line for line in failures)
+
+
+def test_long_exact_answers_are_printed(capsys):
+    # answers past CPython's 4300-digit guard on int -> str: main lifts the
+    # guard to write them and restores it, and the input keeps the guard
+    limit = sys.get_int_max_str_digits()
+    value = a_pm(4000, 1, [9] * 4000)
+    det = family_det_closed_form("b", 1, 20000, 1, [1])
+    value_code, value_out = run(capsys, "skeinpoly", "a", "--J", "4000",
+                                "--sign", "+", "--x", ",".join(["9"] * 4000))
+    det_code, det_out = run(capsys, "closedform", "b", "--n", "1", "--k",
+                            "20000", "--J", "1", "--alpha", "1")
+    assert (value_code, det_code) == (0, 0)
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(value)) > limit and len(str(det)) > limit
+        assert value_out == f"{value}\n"
+        assert json.loads(det_out)["det"] == str(det)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert main(["skeinpoly", "a", "--J", "1", "--sign", "+",
+                 "--x", "9" * (limit + 1)]) == 2
+    assert "Exceeds the limit" in capsys.readouterr().err
+
+
+def test_theorem11_limit_is_on_the_listed_jump_counts(monkeypatch, capsys):
+    # every odd J in [1, lambda - 1] = [1, 12] is feasible: six are listed
+    argv = ["prohibit", "theorem11", "--n", "1", "--k", "3", "--lambda", "13",
+            "--lambda-odd", "13", "--lambda-even", "13", "--lambda-plus", "0",
+            "--lambda-minus", "0"]
+    monkeypatch.setattr(cli, "MAX_FEASIBLE_JUMPS", 6)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["details"]["feasible_jumps"] == [1, 3, 5, 7, 9, 11]
+    monkeypatch.setattr(cli, "MAX_FEASIBLE_JUMPS", 5)
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "jump search too large: 6 feasible jump counts > 5"}
+    # the window alone, with no alternation bound to search against, lists none
+    assert run(capsys, *argv[:-4])[0] == 0
+
+
+def _family(draw, kind: str) -> tuple[int, int, int, list[int]]:
+    """Small n, k, J and twist counts inside the family of the given kind."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(2 if kind == "c" else 1, 3))
+    J = draw(st.sampled_from((1, 3) if n % 2 else (2, 4)))
+    return n, k, J, draw(st.lists(st.integers(0, 3), min_size=J, max_size=J))
+
+
+def _joined(values) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def cli_requests(draw) -> tuple[list[str], list[tuple[int, int]]]:
+    """A valid argv of one command, inside or just past each of its limits,
+    with the (cost estimate, limit) pairs that decide whether it is refused."""
+    command = draw(st.sampled_from(("invariants", "family", "skeinpoly",
+                                    "closedform", "theorem11", "degree9", "skein")))
+    past = draw(st.booleans())
+    step = draw(st.integers(1, 3))  # how far past a limit
+    if command == "invariants":
+        # 91 strands: a (strands - 1)^2 grid of 8100 > 8000 whatever the word
+        strands = 91 if past and draw(st.booleans()) else draw(st.integers(2, 5))
+        gaps = strands - 1
+        letters = (cli.MAX_WORD_SIZE // gaps + step if past and strands < 91
+                   else draw(st.integers(0, 12)))
+        cycle = draw(st.lists(st.integers(1, gaps).flatmap(
+            lambda j: st.sampled_from((j, -j))), min_size=1, max_size=4))
+        word = [cycle[i % len(cycle)] for i in range(letters)]
+        return (["invariants", "--strands", str(strands), "--word=" + _joined(word)],
+                [(seifert._conway_size(letters, strands), cli.MAX_WORD_SIZE)])
+    if command == "family":
+        kind = draw(st.sampled_from("bc"))
+        n, k, J, alphas = _family(draw, kind)
+        if past:
+            alphas[0] += cli.MAX_FAMILY_LETTERS + step - family_length(
+                kind, family_params(kind, n, k, J, alphas))
+        letters = family_length(kind, family_params(kind, n, k, J, alphas))
+        return (["family", kind, "--n", str(n), "--k", str(k), "--J", str(J),
+                 "--alpha", _joined(alphas)], [(letters, cli.MAX_FAMILY_LETTERS)])
+    if command == "skeinpoly":
+        sign = draw(st.sampled_from("+-"))
+        if draw(st.booleans()):
+            J = cli.MAX_SYMBOLIC_J + step if past else draw(st.integers(1, 8))
+            return (["skeinpoly", "a", "--J", str(J), "--sign", sign, "--symbolic"],
+                    [(J, cli.MAX_SYMBOLIC_J)])
+        # O(J) and unbounded; J = 4000 with |x| >= 6 passes 4300 digits
+        J = draw(st.sampled_from((1, 2, 5, 4000)))
+        cycle = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+        xs = [cycle[i % len(cycle)] for i in range(J)]
+        return ["skeinpoly", "a", "--J", str(J), "--sign", sign, "--x=" + _joined(xs)], []
+    if command == "closedform":
+        kind = draw(st.sampled_from("bc"))
+        n, k, J, alphas = _family(draw, kind)
+        flags = draw(st.sampled_from(([], ["--verify"], ["--explore"])))
+        over = draw(st.sampled_from(("k", "dimension") if flags else ("k",))) if past else None
+        if over == "k":
+            k = cli.MAX_CLOSEDFORM_K + step
+        elif over == "dimension":
+            alphas[0] += cli.MAX_FAMILY_DIMENSION + step - (family_length(
+                kind, family_params(kind, n, k, J, alphas)) - 2 * k)
+        elif not flags and draw(st.booleans()):
+            k = 20000  # a determinant of about 6000 digits
+        costs = [(k, cli.MAX_CLOSEDFORM_K)]
+        if flags:
+            dim = family_length(kind, family_params(kind, n, k, J, alphas)) - 2 * k
+            costs.append((dim, cli.MAX_FAMILY_DIMENSION))
+        return (["closedform", kind, "--n", str(n), "--k", str(k), "--J", str(J),
+                 "--alpha", _joined(alphas), *flags], costs)
+    if command == "theorem11":
+        n, k, r = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        J = None if past else draw(st.none() | st.integers(1, 31))
+        # past the limit each J of n's parity from the alternation bound
+        # (at most 30) up to lambda - 1 is feasible
+        lams = ([2 * (cli.MAX_FEASIBLE_JUMPS + 16 + step)] * 3 if past
+                else [draw(st.integers(0, 30)) for _ in range(3)])
+        bound = draw(st.none() | st.tuples(st.integers(0, 30), st.integers(0, 30)))
+        argv = ["prohibit", "theorem11", "--n", str(n), "--k", str(k), "--r", str(r),
+                *(["--J", str(J)] if J is not None else []),
+                *(f"--lambda{s}={lam}" for s, lam in zip(("", "-odd", "-even"), lams)),
+                *(["--lambda-plus", str(bound[0]), "--lambda-minus", str(bound[1])]
+                  if bound else [])]
+        params = prohibit.CurveParams(n, k, r, J, *lams)
+        return argv, [(prohibit._search_size(params, *bound or (None, None)),
+                       cli.MAX_FEASIBLE_JUMPS)]
+    if command == "degree9":
+        # Harnack's bound, alpha + beta + gamma + 2 <= 28, is a verdict
+        counts = draw(st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 15)))
+        flags = draw(st.lists(st.sampled_from(("--m-curve", "--assume-lemma23")),
+                              unique=True))
+        return ["prohibit", "degree9", *(f"--{name}={count}" for name, count in
+                                        zip(("alpha", "beta", "gamma"), counts)),
+                *flags], []
+    relation = draw(st.sampled_from(("conway", "b2", "b3", "blocks")))
+    strands = draw(st.integers(3 if relation in ("b2", "b3") else 2, 4))
+    trials, maxlen = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    spec = None if relation == "blocks" else {
+        "conway": RelationSpec.conway, "b2": RelationSpec.delta3_order4,
+        "b3": RelationSpec.delta3sq_order4}[relation]()
+    # the letters appended for the relation's last potential
+    appended = (len(spec.coefficients) - 1) * len(spec.twist.letters) if spec else 0
+    over = draw(st.sampled_from(("trials", "size", "product") if spec
+                                else ("trials",))) if past else None
+    if over == "trials":
+        trials = cli.MAX_TRIALS + step
+    elif over == "size":
+        maxlen = cli.MAX_WORD_SIZE // (strands - 1) - appended + step
+    elif over == "product":
+        # 4 trials of words of half the size limit
+        trials, maxlen = 4, cli.MAX_WORD_SIZE // 2 // (strands - 1) - appended + step
+    costs = [(trials, cli.MAX_TRIALS)]
+    if spec:
+        size = seifert._conway_size(maxlen + appended, strands)
+        costs += [(size, cli.MAX_WORD_SIZE), (trials * size ** 2, cli.MAX_WORD_SIZE ** 2)]
+    return (["skein", "verify", "--relation", relation, "--trials", str(trials),
+             "--strands", str(strands), "--maxlen", str(maxlen)], costs)
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=cli_requests())
+def test_every_command_answers_or_refuses(capsys, drawn):
+    # an answer on stdout, or a refusal as one JSON line on stderr, and
+    # refused exactly when a cost estimate passes its limit
+    argv, costs = drawn
+    limit = sys.get_int_max_str_digits()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert sys.get_int_max_str_digits() == limit
+    if code == 2:
+        assert out == ""
+        (line,) = err.splitlines()
+        assert set(json.loads(line)) == {"error"}
+        assert any(cost > bound for cost, bound in costs)
+        return
+    assert code in (0, 1) and err == ""
+    assert all(cost <= bound for cost, bound in costs)
+    if argv[0] in ("invariants", "closedform", "prohibit") or "--symbolic" in argv:
+        answer = json.loads(out)
+        if argv[1] == "theorem11":
+            listed = answer["details"].get("feasible_jumps", [])
+            assert len(listed) == costs[0][0]
+    else:
+        # a family word, a value of a_J, or the skein report
+        assert re.fullmatch(r"-?\d+(,-?\d+)*\n|(trial .*\n)*\d+/\d+ residuals "
+                            r"vanished\n", out)
