@@ -3,8 +3,9 @@
 Everything here is fraction-free (Bareiss, Math. Comp. 22, 1968).
 `exact_determinant` is the library's one dense elimination: Bareiss on a
 square matrix over any exact ring, the integers for the cyclic skein
-systems and `link_det`, and Laurent polynomials for the Conway potential
-and the skein block identities.  Its pivot in column k is the nonzero
+systems, `link_det` and the Conway potential (its polynomial entries
+packed into integers at x = 2^k), and Laurent polynomials for the skein
+block identities.  Its pivot in column k is the nonzero
 entry with the fewest terms, the first of them in row order: ``len(x)``
 counts the terms of a ring element, and an int counts as one, so an
 integer matrix pivots on the first nonzero entry.  Over Laurent

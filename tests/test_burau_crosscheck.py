@@ -8,9 +8,12 @@ determinant det(t^-1 V - t V^T) serves as the oracle for
 build, by full matrix products of the letter matrices, checks the Seifert
 matrix up to units with no surface or orientation convention in common,
 and checks the library's Burau columns, which are kept modulo the fixed
-vector (1, ..., 1), and the unreduced columns of the oracle route.
+vector (1, ..., 1), and the unreduced columns of the oracle route.  The
+Bareiss elimination over Laurent entries (`exact_determinant`) checks the
+packed integer determinant that `conway_potential` takes.
 """
 
+import itertools
 import random
 
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 from linksig.braid import BraidWord, half_twist
 from linksig.intmatrix import exact_determinant
 from linksig.laurent import LaurentPolynomial
-from linksig.seifert import (_burau_columns, conway_potential,
+from linksig.seifert import (_burau_columns, _lowest_shifts,
+                             _packed_determinant, conway_potential,
                              invariants_report, link_det, seifert_matrix)
 from oracles import unreduced_burau_columns, unreduced_burau_potential
 from strategies import burau_words, mixed_words, random_word
@@ -108,6 +112,89 @@ def test_conway_potential_equals_unreduced_burau_route_on_seeded_words():
                         for _ in range(rng.randint(0, 40)))
         w = BraidWord(m, letters)
         assert conway_potential(w) == unreduced_burau_potential(w), (m, letters)
+
+
+@st.composite
+def laurent_matrices(draw) -> list[list[LaurentPolynomial]]:
+    """n x n, n = 1-7: negative exponents, zero entries, coefficients up to
+    2^80, and a zero row or column in a third of the draws (det 0)."""
+    n = draw(st.integers(1, 7))
+    bound = 1 << draw(st.sampled_from((3, 20, 80)))
+    entry = st.dictionaries(st.integers(-5, 5), st.integers(-bound, bound),
+                            max_size=3)
+    rows = [[L(draw(entry)) for _ in range(n)] for _ in range(n)]
+    zero = draw(st.sampled_from(("row", "column", None)))
+    if zero:
+        i = draw(st.integers(0, n - 1))
+        for j in range(n):
+            if zero == "row":
+                rows[i][j] = L.zero()
+            else:
+                rows[j][i] = L.zero()
+    return rows
+
+
+def _as_parts(rows, spread: int):
+    """rows as `_packed_determinant`'s two parts, plus minus minus.
+
+    Each term v becomes v + w in the plus part and w in the minus part:
+    w = 0 for spread 0, w = -v for spread 1, and otherwise seeded, so that
+    terms of the two parts overlap and cancel.
+    """
+    rng = random.Random(spread)
+    n = len(rows)
+    m = n + 1
+    plus, minus = [{} for _ in range(n)], [{} for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c, entry in enumerate(row):
+            for e, v in entry.items():
+                w = (0, -v, rng.randint(-abs(v), abs(v)))[min(spread, 2)]
+                for part, x in ((plus, v + w), (minus, w)):
+                    if x:
+                        part[c][e * m + r] = x
+    return m, ((1, plus), (-1, minus))
+
+
+@settings(max_examples=60)
+@given(laurent_matrices(), st.integers(0, 9))
+# coefficients of det A equal to the Hadamard bound B with bits(B) a
+# multiple of 8, so they need the whole digit width bits(B) + 1
+@example([[L({0: 255})]], 0)
+@example([[L({-3: -(2 ** 80 - 1)})]], 1)
+@example([[L({-2: 15}), L.zero()], [L.zero(), L({1: -17})]], 0)
+@example([[L({2: 1, 0: 1}), L({-1: 1})], [L({2: 1, 0: 1}), L({-1: 1})]], 2)
+@example([[L({4: 7})]], 2)
+def test_packed_determinant_equals_laurent_bareiss(rows, spread):
+    m, parts = _as_parts(rows, spread)
+    assert _packed_determinant(m, parts) == exact_determinant(rows), rows
+
+
+NEVER = 1 << 62
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-30, 30), st.just(NEVER)),
+             min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@example([[NEVER, 0], [NEVER, 0]])  # a zero row
+# the column and row minima sum to 0, but columns 0 and 1 both have theirs
+# in row 0: every choice costs at least 9
+@example([[0, 9, 9], [0, 9, 9], [9, 0, 0]])
+def test_lowest_shifts_solve_the_assignment_problem(lows):
+    # against the least sum over all n! choices of one entry in each row and
+    # column that avoid the zero entries (lows NEVER)
+    n = len(lows)
+    sums = [sum(lows[c][p[c]] for c in range(n))
+            for p in itertools.permutations(range(n))
+            if all(lows[c][p[c]] != NEVER for c in range(n))]
+    shifts = _lowest_shifts(lows, NEVER)
+    if not sums:
+        assert shifts is None
+        return
+    t, s = shifts
+    assert all(t[c] + s[r] <= lows[c][r] for c in range(n) for r in range(n))
+    assert sum(t) + sum(s) == min(sums)
 
 
 def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
