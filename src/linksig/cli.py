@@ -59,16 +59,17 @@ MAX_SYMBOLIC_J = 24
 
 #: the largest splice product that `splice eval` evaluates: a product is
 #: refused when D^2 x divisions (`FactorProduct._omega_size`) exceeds this
-#: bound squared.  D alone does not bound the cost:
-#: `ring_family_diagram(3, [3] * 200)` has D = 3405 and took 22 s.  Just under
-#: the bound a whole `splice eval` took 7.0-7.8 s for
-#: `ring_family_diagram(3, [670] * 4)` (D = 13413, 5 divisions), 7.3-8.0 s for
-#: `ring_family_diagram(3, [3] * 145)` (D = 2470, 146 divisions), 8.9 s for
-#: `ring_family_diagram(3, [40] * 27)` and 1.5-3.0 s for the (2, 10605) and
-#: (3, 7069) torus knots (D = 21211, 21208); at 1.15x the bound two ring
-#: families took 15.5 and 22.7 s in a slower hour (Python 3.11 on a shared
-#: 2-vCPU VM).  So the bound stops `omega` near a quarter of a minute.
-MAX_SPLICE_DEGREE = 30_000
+#: bound squared.  `omega` costs about D x (factors + divisions) steps, each
+#: factor's power is below D, and along each family D^2 x divisions grows
+#: with that cost.  Just under the bound a whole `splice eval` took 6.8 s
+#: for `ring_family_diagram(3, [1, -2] * 538)` (D = 6449, 539 divisions),
+#: 5.3-5.6 s for `[2, -2] * 352` and `[1, 2] * 444`, 3.9 s for `[2] * 537`,
+#: 1.0 s for `[40] * 81` and 0.14 s for the (2, 53031) torus knot
+#: (D = 106063), best of three in process; `ring_family_diagram(3, [3] *
+#: 200)`, whose `omega` took 22-27 s by generic long division, takes
+#: 0.9-1.2 s as a whole process (Python 3.11 on a shared 2-vCPU VM).  So
+#: the bound stops `omega` well under a quarter of a minute.
+MAX_SPLICE_DEGREE = 150_000
 
 #: the largest vertices x arrowheads (`SpliceDiagram._linking_size`) that
 #: `splice eval` walks, at about 2 us and 6 bytes a pair: a whole eval of

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, delta_small, half_twist
 from .gaussian import GaussianInteger
-from .intmatrix import exact_determinant
+from .intmatrix import _laurent_determinant
 from .laurent import LaurentPolynomial
 from .seifert import conway_potential, link_det
 
@@ -195,7 +195,8 @@ def block_identity_residual(v0: list[list[LaurentPolynomial]],
     """det V_0 + c1 det V_1 + c2 det V_2 + c3 det V_3 + det V_4; contract: 0."""
     total = LaurentPolynomial.zero()
     for j, coeff in enumerate(DELTA3_COEFFS):
-        total = total + coeff * exact_determinant(build_symmetrized(v0, u, w, j, ustar))
+        total = total + coeff * _laurent_determinant(
+            build_symmetrized(v0, u, w, j, ustar))
     return total
 
 
@@ -211,7 +212,8 @@ def coefficient_table(j: int) -> dict[str, LaurentPolynomial]:
     one = LaurentPolynomial.one()
 
     def det_with(w11, w12, w21, w22):
-        return exact_determinant(build_symmetrized([], [], [[w11, w12], [w21, w22]], j))
+        return _laurent_determinant(
+            build_symmetrized([], [], [[w11, w12], [w21, w22]], j))
 
     a0 = det_with(zero, zero, zero, zero)
     a11 = det_with(one, zero, zero, zero) - a0

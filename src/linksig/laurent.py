@@ -2,9 +2,10 @@
 
 This is the carrier of the Conway potential of a link.  Coefficients are
 arbitrary-precision integers, exponents are (small) signed integers, and
-every operation is exact; zero coefficients are never stored.  Exact
-division is also spelled ``//``, so `intmatrix.exact_determinant` takes
-determinants of Laurent matrices with the same elimination as over Z.
+every operation is exact; zero coefficients are never stored.  The one
+division is by a binomial t^a - 1 (`divide_power_minus_one`), which is
+every division the invariants need: the splice products divide by
+t^a - t^-a, and the Conway potential by 1 + t + ... + t^(m-1).
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class LaurentPolynomial:
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
-            raise ValueError("negative powers require exact_div against the inverse")
+            raise ValueError("negative powers are not defined for Laurent polynomials")
         result = LaurentPolynomial.one()
         base = self
         while n:
@@ -150,43 +151,31 @@ class LaurentPolynomial:
         """Multiply by t^k."""
         return LaurentPolynomial._wrap({e + k: c for e, c in self._coeffs.items()})
 
-    def exact_div(self, divisor: "LaurentPolynomial | int") -> "LaurentPolynomial":
-        """Exact quotient self / divisor in Z[t, t^-1]; also spelled ``//``.
+    def divide_power_minus_one(self, a: int) -> "LaurentPolynomial":
+        """The exact quotient self / (t^a - 1), for a != 0.
 
-        Raises ExactDivisionError if the division leaves a remainder or a
-        non-integer coefficient.
+        For a > 0, on the dense coefficients n_lo, ..., n_hi the quotient q
+        satisfies n_k = q_(k-a) - q_k, so from the top down
+        q_j = n_(j+a) + q_(j+a): one pass of stride-a suffix sums,
+        s_i = n_i + s_(i+a), gives q_j = s_(j+a), and the division is exact
+        when s_i = 0 for the a lowest i.  Otherwise it raises
+        ExactDivisionError.  For a < 0, t^a - 1 = -t^a (t^-a - 1).
         """
-        divisor = _coerce(divisor)
-        if divisor.is_zero():
+        if a == 0:
             raise ZeroDivisionError("Laurent polynomial division by zero")
-        if self.is_zero():
-            return LaurentPolynomial()
-        lead = max(divisor._coeffs)
-        lead_c = divisor._coeffs[lead]
-        # quotient exponents of an exact division lie in this window
-        low = min(self._coeffs) - min(divisor._coeffs)
-        rem = dict(self._coeffs)
-        quot: dict[int, int] = {}
-        # each step cancels rem[top] and adds only exponents below it, so the
-        # leading exponent falls strictly and each qe comes up once
-        while rem:
-            top = max(rem)
-            c = rem[top]
-            qe = top - lead
-            if qe < low or c % lead_c:
-                raise ExactDivisionError("division leaves a remainder")
-            q = c // lead_c
-            quot[qe] = q
-            for e, dc in divisor._coeffs.items():
-                ne = e + qe
-                v = rem.get(ne, 0) - q * dc
-                if v:
-                    rem[ne] = v
-                else:
-                    rem.pop(ne, None)
-        return LaurentPolynomial._wrap(quot)
-
-    __floordiv__ = exact_div
+        if a < 0:
+            return -self.divide_power_minus_one(-a).shift(-a)
+        if not self._coeffs:
+            return self
+        lo = min(self._coeffs)
+        s = [0] * (max(self._coeffs) - lo + 1)
+        for e, c in self._coeffs.items():
+            s[e - lo] = c
+        for i in range(len(s) - a - 1, -1, -1):
+            s[i] += s[i + a]
+        if any(s[:a]):
+            raise ExactDivisionError("division leaves a remainder")
+        return LaurentPolynomial._wrap({e: c for e, c in enumerate(s[a:], lo) if c})
 
     # -- evaluation ----------------------------------------------------
 

@@ -31,9 +31,10 @@ span about half as many powers of x.  No Laurent entry is built: each
 entry is packed straight from the two halves' column dicts as one integer
 at x = 2^k (Kronecker substitution), after row and column shifts that
 take out as many powers of x as the determinant's terms allow, with k from
-Hadamard's bound, for one integer Bareiss determinant
-(`intmatrix.exact_determinant`) whose balanced base-2^k digits are the
-coefficients (`_packed_determinant`).
+Hadamard's bound, for one integer Bareiss determinant whose balanced
+base-2^k digits are the coefficients (`intmatrix._packed_determinant`).
+The division by 1 + x + ... + x^(m-1) is one division by x^m - 1 after a
+product with x - 1 (`LaurentPolynomial.divide_power_minus_one`).
 The unit is one closed form, `_unit_power`; the tests check it against
 the Seifert determinant.  `link_det` takes the whole word at t = i, where
 x = -1 and the letters act linearly over Z: each column is one integer
@@ -50,11 +51,11 @@ the potential function holds with its stated sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .braid import BraidWord
 from .gaussian import GaussianInteger, i_power
-from .intmatrix import _symmetrized_invariants, exact_determinant
+from .intmatrix import (_balanced_digits, _packed_determinant,
+                        _symmetrized_invariants, exact_determinant)
 from .laurent import LaurentPolynomial
 
 
@@ -225,157 +226,6 @@ def _conway_size(letters: int, strands: int) -> int:
     return max(letters, gaps) * gaps
 
 
-def _balanced_digits(xs, width: int, count: int) -> list[list[int]]:
-    """The count lowest balanced digits in base 2^width of each x, lowest first.
-
-    x = sum_j d_j 2^(width j) with -2^(width-1) <= d_j < 2^(width-1), and
-    width a multiple of 8.  Adding 2^(width-1) to every digit makes them
-    all nonnegative.  Then one ``to_bytes`` cuts x into chunks of at most
-    16 digits, and each chunk is split by shifts: linear in count, and for
-    a few digits no more than the shifts alone.
-    """
-    size, half, mask = width // 8, 1 << (width - 1), (1 << width) - 1
-    per = min(count, 16)
-    step = size * per
-    whole = -(-count // per) * step  # whole chunks; the digits past count are 0
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * (whole // size), "little")
-    shifts = range(0, per * width, width)
-    out = []
-    for x in xs:
-        raw = (x + bias).to_bytes(whole, "little")
-        digits = [((y >> s) & mask) - half for j in range(0, whole, step)
-                  for y in [int.from_bytes(raw[j:j + step], "little")]
-                  for s in shifts]
-        del digits[count:]
-        out.append(digits)
-    return out
-
-
-def _packed_determinant(m: int, parts) -> LaurentPolynomial:
-    """det of the n x n Laurent matrix sum of sign * C, n = m - 1, exactly.
-
-    Each of the parts is (sign, C) with C given as n column dicts
-    {e * m + r: coefficient} for the entry at row r and the power x^e, as
-    `_burau_columns` builds them.  It is taken as one integer determinant
-    (Kronecker substitution): shift column c by t_c and row r by s_r
-    (`_lowest_shifts`), so every exponent e - t_c - s_r is >= 0, pack each
-    entry at x = 2^k straight from the dicts, and read the coefficients off
-    det A(2^k) as balanced digits.  They are exact once every coefficient
-    of det A has absolute value below 2^(k-1).  A coefficient is at most
-    the largest |det A(z)| on |z| = 1, and by Hadamard's inequality that is
-    at most B = prod_c ceil(sqrt(sum_r |A_rc|_1^2)), or the same product
-    over rows, where |A_rc|_1 is at most the sum of the parts' absolute
-    coefficients at (r, c).  So k = bits(B) + 1, rounded up to whole bytes.
-    The shifts keep the packed integers short: every power of x left in an
-    entry costs k bits.
-    """
-    n = m - 1
-    never = 1 << 62  # above every exponent: the low of a zero entry
-    # per column, the lowest power and the 1-norm of each row's entry
-    lows = [[never] * n for _ in range(n)]
-    norms = [[0] * n for _ in range(n)]
-    for _, cols in parts:
-        for col, low, norm in zip(cols, lows, norms):
-            for key, v in col.items():
-                e, r = divmod(key, m)
-                if e < low[r]:
-                    low[r] = e
-                norm[r] += abs(v)
-    shifts = _lowest_shifts(lows, never)
-    if shifts is None:
-        return LaurentPolynomial()  # every term of det A has a zero factor
-    t, s = shifts
-    by_cols = by_rows = 1
-    for i in range(n):
-        by_cols *= _ceil_sqrt(sum(x * x for x in norms[i]))
-        by_rows *= _ceil_sqrt(sum(norm[i] ** 2 for norm in norms))
-    k = (min(by_cols, by_rows).bit_length() + 8) // 8 * 8
-    # the transpose, one packed list per column, has the same determinant
-    packed = [[0] * n for _ in range(n)]
-    for sign, cols in parts:
-        for col, tc, row in zip(cols, t, packed):
-            shift = [k * (tc + sr) for sr in s]
-            for key, v in col.items():
-                e, r = divmod(key, m)
-                row[r] += (v if sign > 0 else -v) << (k * e - shift[r])
-    det = exact_determinant(packed)
-    if not det:
-        return LaurentPolynomial()
-    [digits] = _balanced_digits([det], k, abs(det).bit_length() // k + 1)
-    low = sum(t) + sum(s)
-    return LaurentPolynomial._wrap({low + j: x for j, x in enumerate(digits)
-                                    if x})
-
-
-def _lowest_shifts(lows, never: int):
-    """Column and row shifts t, s with t[c] + s[r] <= lows[c][r] and the
-    largest sum, or None if det A is 0 for want of nonzero entries.
-
-    lows[c][r] is the lowest power of x in entry (r, c), ``never`` if the
-    entry is 0.  Every term of det A is a product of n entries, one in each
-    row and column, so its lowest power is at least the least sum of their
-    lows, which is the largest sum of such shifts (linear programming
-    duality).  Packed with those shifts, det A(2^k) carries no zero low
-    digits unless its lowest terms cancel.  The column and row minima alone
-    can fall far short: on sigma_1 sigma_2 ... sigma_39 they left 190 zero
-    digits of 229, and sigma_1 ... sigma_62 took 14 s instead of 0.05 s.
-    The Hungarian method with potentials (Kuhn 1955), in its O(n^3) form,
-    starts from the minima and adds each column that finds no free row
-    along a cheapest augmenting path; when the cheapest assignment takes a
-    zero entry, so does every one, and det A = 0.
-    """
-    n, inf = len(lows), float("inf")
-    t = [min(low) for low in lows]
-    if never in t:
-        return None  # a zero column
-    s = [min(low[r] - tc for low, tc in zip(lows, t)) for r in range(n)]
-    s.append(0)  # s[n] belongs to a dummy row
-    owner = [n] * (n + 1)  # the column assigned to each row; n for none
-    # the minima are shifts already; assign each column a row where its
-    # entry is tight if one is free, and the columns left over one by one
-    left = []
-    for c, (low, tc) in enumerate(zip(lows, t)):
-        for r in range(n):
-            if owner[r] == n and low[r] - tc == s[r]:
-                owner[r] = c
-                break
-        else:
-            left.append(c)
-    for c0 in left:
-        owner[n], r0 = c0, n
-        best, via = [inf] * n, [n] * n
-        todo, done = list(range(n)), [n]
-        while owner[r0] != n:
-            c = owner[r0]
-            low, tc, delta = lows[c], t[c], inf
-            for r in todo:
-                reduced = low[r] - tc - s[r]
-                if reduced < best[r]:
-                    best[r], via[r] = reduced, r0
-                if best[r] < delta:
-                    delta, r1 = best[r], r
-            for r in done:
-                t[owner[r]] += delta
-                s[r] -= delta
-            for r in todo:
-                best[r] -= delta
-            todo.remove(r1)
-            done.append(r1)
-            r0 = r1
-        while r0 != n:  # flip the augmenting path
-            r1 = via[r0]
-            owner[r0] = owner[r1]
-            r0 = r1
-    if any(lows[c][r] == never for r, c in enumerate(owner[:n])):
-        return None
-    return t, s[:n]
-
-
-def _ceil_sqrt(x: int) -> int:
-    """The least integer whose square is at least x >= 0."""
-    return isqrt(x - 1) + 1 if x else 0
-
-
 def conway_potential(word: BraidWord) -> LaurentPolynomial:
     """The potential function det(t^-1 V - t V^T) of the closure, exactly.
 
@@ -402,7 +252,8 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
         (-1, _burau_columns(m, letters[h:])[:-1])))
     if not det:
         return det
-    alexander = det // LaurentPolynomial({j: 1 for j in range(m)})
+    # 1 + x + ... + x^(m-1) = (x^m - 1) / (x - 1)
+    alexander = (det.shift(1) - det).divide_power_minus_one(m)
     # Omega = (-t)^k A(t^2), and the factor (-x)^e(u) of A(x) is
     # (-1)^e(u) t^(2 e(u)) at x = t^2
     k = _unit_power(word)

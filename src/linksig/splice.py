@@ -393,7 +393,7 @@ class FactorProduct:
             return LaurentPolynomial.zero()
         r = 2 * max((abs(c) for vec, _ in self.factors for c in vec), default=0) + 1
         num = LaurentPolynomial.t_binomial(1)
-        dens: list[LaurentPolynomial] = []
+        dens: list[int] = []
         scale, vanishing = Fraction(self.sign), 0
         for vec, power in self.factors:
             total = sum(vec)
@@ -403,23 +403,25 @@ class FactorProduct:
             elif power > 0:
                 num = num * LaurentPolynomial.t_binomial(total) ** power
             else:
-                dens.extend([LaurentPolynomial.t_binomial(total)] * -power)
+                dens.extend([total] * -power)
         if vanishing > 0:
             return LaurentPolynomial.zero()
         if vanishing < 0 or scale.denominator != 1:
             raise ExactDivisionError("the product is not a Laurent polynomial")
-        for den in dens:
-            num = num // den
-        return num * scale.numerator
+        # t^a - t^-a = t^-a (t^(2a) - 1)
+        for total in dens:
+            num = num.divide_power_minus_one(2 * total)
+        return num.shift(sum(dens)) * scale.numerator
 
     def _omega_size(self) -> tuple[int, int]:
         """(D, divisions): the numerator degree and division count of `omega`.
 
         A factor with sum v = 0 only scales.  One with sum v != 0 multiplies
         the numerator for p > 0, so D = 1 + sum |sum v| p over those, and is
-        -p exact divisions for p < 0.  Each division scans its remainder for
-        the top exponent once per quotient term, so it costs up to about D^2
-        steps.
+        -p exact divisions for p < 0.  Each product by a binomial and each
+        division (`LaurentPolynomial.divide_power_minus_one`) walks a
+        numerator of at most D + 1 terms once, so `omega` costs about
+        D x (factors + divisions) steps, a factor counted p times.
         """
         binomials = [(abs(sum(vec)), power) for vec, power in self.factors if sum(vec)]
         return (1 + sum(total * power for total, power in binomials if power > 0),

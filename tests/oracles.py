@@ -47,6 +47,92 @@ def leibniz_determinant(m):
     return total
 
 
+def exact_div(num, den):
+    """The exact quotient num / den in Z[t, t^-1], by sparse long division.
+
+    den may be a `LaurentPolynomial` or an int.  Each step cancels the top
+    term of the remainder, so it works on sparse polynomials of any degree
+    span, where the library divides densely by t^a - 1 alone.  Raises
+    ExactDivisionError if the division leaves a remainder or a non-integer
+    coefficient.
+    """
+    from linksig.laurent import ExactDivisionError, LaurentPolynomial
+
+    divisor = dict(den.items()) if isinstance(den, LaurentPolynomial) else (
+        {0: den} if den else {})
+    if not divisor:
+        raise ZeroDivisionError("Laurent polynomial division by zero")
+    rem = dict(num.items())
+    if not rem:
+        return LaurentPolynomial()
+    lead = max(divisor)
+    lead_c = divisor[lead]
+    # quotient exponents of an exact division lie in this window
+    low = min(rem) - min(divisor)
+    quot: dict[int, int] = {}
+    # each step cancels rem[top] and adds only exponents below it, so the
+    # leading exponent falls strictly and each qe comes up once
+    while rem:
+        top = max(rem)
+        c = rem[top]
+        qe = top - lead
+        if qe < low or c % lead_c:
+            raise ExactDivisionError("division leaves a remainder")
+        q = c // lead_c
+        quot[qe] = q
+        for e, dc in divisor.items():
+            ne = e + qe
+            v = rem.get(ne, 0) - q * dc
+            if v:
+                rem[ne] = v
+            else:
+                rem.pop(ne, None)
+    return LaurentPolynomial(quot)
+
+
+def laurent_bareiss(m):
+    """Bareiss elimination over Laurent polynomials, with `exact_div`.
+
+    The library takes a Laurent determinant as one packed integer
+    determinant (`intmatrix._laurent_determinant`); this is the direct
+    route.  The pivot of column k is its nonzero entry in rows k.. with the
+    fewest terms (an int counts as one), the first such in row order, which
+    keeps the products of each step and the divisions by that pivot in the
+    next small; moving it to row k flips the sign.  Every division is exact
+    by Sylvester's identity, and none is by 1.  A singular matrix gives the
+    ring's own zero; the 0x0 matrix gives 1.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        p = fewest = 0
+        for i in range(k, n):
+            x = a[i][k]
+            if x:
+                size = 1 if isinstance(x, int) else len(x)
+                if not fewest or size < fewest:
+                    p, fewest = i, size
+        if not fewest:
+            return a[k][k]
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        piv = a[k][k]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                x = piv * row_i[j] - aik * row_k[j]
+                row_i[j] = x if prev == 1 else exact_div(x, prev)
+        prev = piv
+    return sign * a[n - 1][n - 1]
+
+
 def rational_signature(m) -> tuple[int, int]:
     """(signature, nullity) by two-sided LDL^T elimination over the rationals.
 
@@ -191,7 +277,6 @@ def unreduced_burau_potential(word):
     """The Conway potential from the unreduced Burau columns: entry (r, c)
     of I - psi_r is delta_rc - col_c[r] + col_c[m-1], row m - 1 of the
     unreduced matrix added into every row."""
-    from linksig.intmatrix import exact_determinant
     from linksig.laurent import LaurentPolynomial
     from linksig.seifert import _unit_power
 
@@ -205,10 +290,10 @@ def unreduced_burau_potential(word):
             targets, v = (rows, v) if r == m - 1 else ((rows[r],), -v)
             for row in targets:
                 row[c][e] = row[c].get(e, 0) + v
-    det = exact_determinant([[LaurentPolynomial(p) for p in row] for row in rows])
+    det = laurent_bareiss([[LaurentPolynomial(p) for p in row] for row in rows])
     if not det:
         return det
-    alexander = det // LaurentPolynomial({j: 1 for j in range(m)})
+    alexander = exact_div(det, LaurentPolynomial({j: 1 for j in range(m)}))
     k = _unit_power(word)
     omega = alexander.substitute_power(2).shift(k)
     return -omega if k % 2 else omega
@@ -671,7 +756,7 @@ def packed_line_omega(fp):
         else:
             dens.extend([binom] * -power)
     for den in dens:
-        num = num // den
+        num = exact_div(num, den)
     half = width // 2
     diagonal: dict[int, int] = {}
     for e, c in num.items():

@@ -9,8 +9,9 @@ build, by full matrix products of the letter matrices, checks the Seifert
 matrix up to units with no surface or orientation convention in common,
 and checks the library's Burau columns, which are kept modulo the fixed
 vector (1, ..., 1), and the unreduced columns of the oracle route.  The
-Bareiss elimination over Laurent entries (`exact_determinant`) checks the
-packed integer determinant that `conway_potential` takes.
+oracle's Bareiss elimination over Laurent entries (`laurent_bareiss`)
+checks the packed integer determinant that `conway_potential` and the
+skein block identities take.
 """
 
 import itertools
@@ -19,12 +20,13 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from linksig.braid import BraidWord, half_twist
-from linksig.intmatrix import exact_determinant
+from linksig.genskein import build_symmetrized
+from linksig.intmatrix import _lowest_shifts, _packed_determinant
 from linksig.laurent import LaurentPolynomial
-from linksig.seifert import (_burau_columns, _lowest_shifts,
-                             _packed_determinant, conway_potential,
+from linksig.seifert import (_burau_columns, conway_potential,
                              invariants_report, link_det, seifert_matrix)
-from oracles import unreduced_burau_columns, unreduced_burau_potential
+from oracles import (exact_div, laurent_bareiss, unreduced_burau_columns,
+                     unreduced_burau_potential)
 from strategies import burau_words, mixed_words, random_word
 
 L = LaurentPolynomial
@@ -134,6 +136,22 @@ def laurent_matrices(draw) -> list[list[LaurentPolynomial]]:
     return rows
 
 
+@st.composite
+def block_matrices(draw) -> list[list[LaurentPolynomial]]:
+    """The skein block matrices: `build_symmetrized` with s = 0-4 and j =
+    0-4 (dimension s + 2j <= 12, the 0x0 matrix included), entries from
+    {0, +-1, +-t, +-1/t} in the free blocks."""
+    s, j = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.sampled_from((L.zero(), L.one(), -L.one(), L.t(1), -L.t(1),
+                             L.t(-1), -L.t(-1)))
+
+    def block(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    return build_symmetrized(block(s, s), block(s, 2), block(2, 2), j,
+                             block(2, s))
+
+
 def _as_parts(rows, spread: int):
     """rows as `_packed_determinant`'s two parts, plus minus minus.
 
@@ -156,7 +174,7 @@ def _as_parts(rows, spread: int):
 
 
 @settings(max_examples=60)
-@given(laurent_matrices(), st.integers(0, 9))
+@given(st.one_of(laurent_matrices(), block_matrices()), st.integers(0, 9))
 # coefficients of det A equal to the Hadamard bound B with bits(B) a
 # multiple of 8, so they need the whole digit width bits(B) + 1
 @example([[L({0: 255})]], 0)
@@ -166,7 +184,7 @@ def _as_parts(rows, spread: int):
 @example([[L({4: 7})]], 2)
 def test_packed_determinant_equals_laurent_bareiss(rows, spread):
     m, parts = _as_parts(rows, spread)
-    assert _packed_determinant(m, parts) == exact_determinant(rows), rows
+    assert _packed_determinant(m, parts) == laurent_bareiss(rows), rows
 
 
 NEVER = 1 << 62
@@ -204,10 +222,10 @@ def alexander_via_burau(word: BraidWord) -> LaurentPolynomial:
     r = [[b[i][j] - b[m - 1][j] for j in range(m - 1)] for i in range(m - 1)]
     for i in range(m - 1):
         r[i][i] = r[i][i] - L.one()
-    det = exact_determinant(r)
+    det = laurent_bareiss(r)
     if not det:
         return det
-    return (det * (L.one() - L.t(1))).exact_div(L.one() - L.t(m))
+    return exact_div(det * (L.one() - L.t(1)), L.one() - L.t(m))
 
 
 def alexander_via_seifert(word: BraidWord) -> LaurentPolynomial:
@@ -218,7 +236,7 @@ def alexander_via_seifert(word: BraidWord) -> LaurentPolynomial:
     x = L.t(1)
     rows = [[L.constant(v[i][j]) - x * L.constant(v[j][i]) for j in range(n)]
             for i in range(n)]
-    return exact_determinant(rows)
+    return laurent_bareiss(rows)
 
 
 def seifert_potential(word: BraidWord) -> LaurentPolynomial:

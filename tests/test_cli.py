@@ -184,7 +184,7 @@ def _listed_twice() -> dict:
 #: splice diagram files that `splice eval` must refuse, by file name
 MALFORMED_DIAGRAMS = {
     "listed-twice.json": _listed_twice(),
-    # numerator degree 196609 with 2 divisions, far past cli.MAX_SPLICE_DEGREE
+    # numerator degree 196609 with 2 divisions, past cli.MAX_SPLICE_DEGREE
     "cable-chain.json": _cable_chain(16),
     "empty.json": {},
     "unsigned.json": {"vertices": [{"id": 0, "kind": "plain"},
@@ -286,7 +286,7 @@ MALFORMED_DIAGRAMS = {
     (["splice", "--file", "list-edge.json"], "malformed splice diagram"),
     (["splice", "--file", "listed-twice.json"], "vertex id 5 is listed twice"),
     (["splice", "--file", "cable-chain.json"],
-     "splice product too large: degree 196609^2 x 2 divisions > 30000^2"),
+     "splice product too large: degree 196609^2 x 2 divisions > 150000^2"),
     (["splice", "--file", "no-arrowhead.json"], "diagram has no arrowhead"),
     (["splice", "--file", "rings.json"], "splice diagram too large: 4624 "
      "vertices x 1541 arrowheads > 7000000"),

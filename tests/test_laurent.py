@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linksig.gaussian import GaussianInteger, i_power, parse_gaussian
 from linksig.laurent import ExactDivisionError, LaurentPolynomial
+from oracles import exact_div
 
 T = LaurentPolynomial.t
 
@@ -45,25 +46,60 @@ class TestArithmetic:
     def test_exact_div(self):
         num = LaurentPolynomial.t_binomial(6)
         den = LaurentPolynomial.t_binomial(2)
-        q = num.exact_div(den)
+        q = exact_div(num, den)
         assert q * den == num
         with pytest.raises(ExactDivisionError):
-            (num + 1).exact_div(den)
+            exact_div(num + 1, den)
 
     def test_floordiv_is_exact_division(self):
+        # the oracle divides by an int too; the library has no ``//``
         num = LaurentPolynomial.t_binomial(6)
-        den = LaurentPolynomial.t_binomial(2)
-        assert num // den == num.exact_div(den)
-        assert (3 * num) // 3 == num
+        assert exact_div(3 * num, 3) == num
         with pytest.raises(ExactDivisionError):
-            (num + 1) // den
-        with pytest.raises(ExactDivisionError):
+            exact_div(num, 2)
+        with pytest.raises(TypeError):
             num // 2
 
     def test_pow_matches_repeated_mul(self):
         p = lp({1: 2, 0: -1})
         assert p ** 3 == p * p * p
         assert p ** 0 == LaurentPolynomial.one()
+
+
+@st.composite
+def binomial_quotients(draw):
+    """(num, a), a != 0: num a seeded product of binomials t^b - 1 and a
+    small polynomial, shifted; in a third of the draws one coefficient is
+    off by one, so that most of those are inexact."""
+    num = draw(st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
+                               min_size=1, max_size=4).map(LaurentPolynomial))
+    for b in draw(st.lists(st.integers(1, 9), max_size=5)):
+        num = num * (T(b) - 1)
+    a = draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        num = num * (T(a) - 1)
+    if draw(st.integers(0, 2)) == 0:
+        num = num + T(draw(st.integers(-8, 40)))
+    return num.shift(draw(st.integers(-30, 30))), a
+
+
+@settings(max_examples=300)
+@given(binomial_quotients())
+@example((lp({6: 1, 0: -1}).shift(-3), 2))  # t + t^-1 + t^-3
+@example((lp({6: 1, 0: -1}).shift(-3), -2))  # t^-2 - 1 = -t^-2 (t^2 - 1)
+@example((T(1), 1))  # shorter than the divisor
+@example((lp({4: 1, 0: -2}), 2))
+@example((LaurentPolynomial.zero(), 5))
+def test_divide_power_minus_one_equals_exact_div(case):
+    # the same verdict as the oracle's long division, and the same quotient
+    num, a = case
+    try:
+        want = exact_div(num, T(a) - 1)
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            num.divide_power_minus_one(a)
+        return
+    assert num.divide_power_minus_one(a) == want
 
 
 class TestEvalAtI:
