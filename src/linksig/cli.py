@@ -59,16 +59,17 @@ MAX_SYMBOLIC_J = 24
 
 #: the largest splice product that `splice eval` evaluates: a product is
 #: refused when D^2 x divisions (`FactorProduct._omega_size`) exceeds this
-#: bound squared.  `omega` costs about D x (factors + divisions) steps, each
-#: factor's power is below D, and along each family D^2 x divisions grows
-#: with that cost.  Just under the bound a whole `splice eval` took 6.8 s
+#: bound squared.  `omega` costs about D x (numerator passes + divisions)
+#: list steps, each factor's power is below D, and along each family
+#: D^2 x divisions grows with that cost.  Just under the bound `omega` took
+#: 1.1-1.6 s (a whole `splice eval` 5.4-6.1 s, most of it the linking walk)
 #: for `ring_family_diagram(3, [1, -2] * 538)` (D = 6449, 539 divisions),
-#: 5.3-5.6 s for `[2, -2] * 352` and `[1, 2] * 444`, 3.9 s for `[2] * 537`,
-#: 1.0 s for `[40] * 81` and 0.14 s for the (2, 53031) torus knot
-#: (D = 106063), best of three in process; `ring_family_diagram(3, [3] *
-#: 200)`, whose `omega` took 22-27 s by generic long division, takes
-#: 0.9-1.2 s as a whole process (Python 3.11 on a shared 2-vCPU VM).  So
-#: the bound stops `omega` well under a quarter of a minute.
+#: 1.0-1.3 s (2.6-3.3 s) for `[2, -2] * 352`, 0.8-0.9 s (3.4-3.7 s) for
+#: `[1, 2] * 444`, 0.8-1.1 s (1.6-2.0 s) for `[2] * 537`, 0.3 s (0.4 s) for
+#: `[40] * 81` and 0.04-0.06 s (0.16-0.20 s) for the (2, 53031) torus knot
+#: (D = 106063), three runs in process; `[3] * 200` takes 0.5-0.6 s as a
+#: whole process (Python 3.11 on a shared 2-vCPU VM).  So the bound stops
+#: `omega` well under a quarter of a minute.
 MAX_SPLICE_DEGREE = 150_000
 
 #: the largest vertices x arrowheads (`SpliceDiagram._linking_size`) that

@@ -3,7 +3,7 @@
 Everything here is fraction-free (Bareiss, Math. Comp. 22, 1968).
 `exact_determinant` is the library's one dense elimination: Bareiss on a
 square integer matrix, pivoting on the first nonzero entry of each column,
-for the cyclic skein systems, `link_det` and every Laurent determinant.
+for `link_det` and every Laurent determinant.
 A Laurent determinant is one packed integer determinant
 (`_packed_determinant`, Kronecker substitution): each entry is shifted by
 powers of x and evaluated at x = 2^k, with k from Hadamard's bound, and
@@ -80,7 +80,7 @@ def _laurent_determinant(
     Column c is packed as one dict {e * (n + 1) + r: coefficient} for the
     entry at row r and the power t^e (``divmod`` gives back (e, r), for
     negative e too), and the n x n determinant is `_packed_determinant` of
-    that one part.  The 0x0 matrix gives 1.
+    that one part, wrapped.  The 0x0 matrix gives 1.
     """
     n = len(rows)
     m = n + 1
@@ -89,11 +89,13 @@ def _laurent_determinant(
         for col, entry in zip(cols, row):
             for e, v in entry.items():
                 col[e * m + r] = v
-    return _packed_determinant(m, ((1, cols),))
+    low, digits = _packed_determinant(m, ((1, cols),))
+    return LaurentPolynomial._wrap({e: x for e, x in enumerate(digits, low) if x})
 
 
-def _packed_determinant(m: int, parts) -> LaurentPolynomial:
-    """det of the n x n Laurent matrix sum of sign * C, n = m - 1, exactly.
+def _packed_determinant(m: int, parts) -> tuple[int, list[int]]:
+    """det of the n x n Laurent matrix sum of sign * C, n = m - 1, exactly,
+    as (low, its dense coefficients from x^low up).
 
     Each of the parts is (sign, C) with C given as n column dicts
     {e * m + r: coefficient} for the entry at row r and the power x^e, as
@@ -125,7 +127,7 @@ def _packed_determinant(m: int, parts) -> LaurentPolynomial:
                 norm[r] += abs(v)
     shifts = _lowest_shifts(lows, never)
     if shifts is None:
-        return LaurentPolynomial()  # every term of det A has a zero factor
+        return 0, []  # every term of det A has a zero factor
     t, s = shifts
     by_cols = by_rows = 1
     for i in range(n):
@@ -141,12 +143,8 @@ def _packed_determinant(m: int, parts) -> LaurentPolynomial:
                 e, r = divmod(key, m)
                 row[r] += (v if sign > 0 else -v) << (k * e - shift[r])
     det = exact_determinant(packed)
-    if not det:
-        return LaurentPolynomial()
     [digits] = _balanced_digits([det], k, abs(det).bit_length() // k + 1)
-    low = sum(t) + sum(s)
-    return LaurentPolynomial._wrap({low + j: x for j, x in enumerate(digits)
-                                    if x})
+    return sum(t) + sum(s), digits
 
 
 def _lowest_shifts(lows, never: int):

@@ -2,10 +2,10 @@
 
 This is the carrier of the Conway potential of a link.  Coefficients are
 arbitrary-precision integers, exponents are (small) signed integers, and
-every operation is exact; zero coefficients are never stored.  The one
-division is by a binomial t^a - 1 (`divide_power_minus_one`), which is
-every division the invariants need: the splice products divide by
-t^a - t^-a, and the Conway potential by 1 + t + ... + t^(m-1).
+every operation is exact; zero coefficients are never stored.  The only
+divisions the invariants need are by binomials t^a - 1 (the splice products
+by t^a - t^-a, the Conway potential by 1 + t + ... + t^(m-1)), and they take
+them on dense coefficient lists (`_divide_power_minus_one`).
 """
 
 from __future__ import annotations
@@ -151,32 +151,6 @@ class LaurentPolynomial:
         """Multiply by t^k."""
         return LaurentPolynomial._wrap({e + k: c for e, c in self._coeffs.items()})
 
-    def divide_power_minus_one(self, a: int) -> "LaurentPolynomial":
-        """The exact quotient self / (t^a - 1), for a != 0.
-
-        For a > 0, on the dense coefficients n_lo, ..., n_hi the quotient q
-        satisfies n_k = q_(k-a) - q_k, so from the top down
-        q_j = n_(j+a) + q_(j+a): one pass of stride-a suffix sums,
-        s_i = n_i + s_(i+a), gives q_j = s_(j+a), and the division is exact
-        when s_i = 0 for the a lowest i.  Otherwise it raises
-        ExactDivisionError.  For a < 0, t^a - 1 = -t^a (t^-a - 1).
-        """
-        if a == 0:
-            raise ZeroDivisionError("Laurent polynomial division by zero")
-        if a < 0:
-            return -self.divide_power_minus_one(-a).shift(-a)
-        if not self._coeffs:
-            return self
-        lo = min(self._coeffs)
-        s = [0] * (max(self._coeffs) - lo + 1)
-        for e, c in self._coeffs.items():
-            s[e - lo] = c
-        for i in range(len(s) - a - 1, -1, -1):
-            s[i] += s[i + a]
-        if any(s[:a]):
-            raise ExactDivisionError("division leaves a remainder")
-        return LaurentPolynomial._wrap({e: c for e, c in enumerate(s[a:], lo) if c})
-
     # -- evaluation ----------------------------------------------------
 
     def eval_at_i(self) -> GaussianInteger:
@@ -204,7 +178,9 @@ class LaurentPolynomial:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self._coeffs.items())))
+            c = self._coeffs  # a constant equals its int, so it hashes as that int
+            h = hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
+            object.__setattr__(self, "_hash", h)
         return self._hash  # type: ignore[return-value]
 
     def __str__(self) -> str:
@@ -235,6 +211,26 @@ class LaurentPolynomial:
     @staticmethod
     def from_json(obj: Mapping[str, str]) -> "LaurentPolynomial":
         return LaurentPolynomial({int(e): int(c) for e, c in obj.items()})
+
+
+def _times_power_minus_one(c: list[int], a: int) -> list[int]:
+    """The dense coefficients c, lowest first, times x^a - 1, for a > 0."""
+    return [x - y for x, y in zip([0] * a + c, c + [0] * a)]
+
+
+def _divide_power_minus_one(c: list[int], a: int) -> list[int]:
+    """The exact quotient of the dense coefficients c by x^a - 1, for a > 0.
+
+    From the top down q_j = c_(j+a) + q_(j+a), so the stride-a suffix sums
+    s_i = c_i + s_(i+a) give q_j = s_(j+a), and the division is exact when
+    s_i = 0 for the a lowest i; otherwise it raises ExactDivisionError.
+    """
+    s = list(c)
+    for i in range(len(s) - a - 1, -1, -1):
+        s[i] += s[i + a]
+    if any(s[:a]):
+        raise ExactDivisionError("division leaves a remainder")
+    return s[a:]
 
 
 def _coerce(value: "LaurentPolynomial | int") -> LaurentPolynomial:

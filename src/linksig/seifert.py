@@ -34,7 +34,7 @@ take out as many powers of x as the determinant's terms allow, with k from
 Hadamard's bound, for one integer Bareiss determinant whose balanced
 base-2^k digits are the coefficients (`intmatrix._packed_determinant`).
 The division by 1 + x + ... + x^(m-1) is one division by x^m - 1 after a
-product with x - 1 (`LaurentPolynomial.divide_power_minus_one`).
+product with x - 1, each one pass over the digit list (`laurent`).
 The unit is one closed form, `_unit_power`; the tests check it against
 the Seifert determinant.  `link_det` takes the whole word at t = i, where
 x = -1 and the letters act linearly over Z: each column is one integer
@@ -56,7 +56,8 @@ from .braid import BraidWord
 from .gaussian import GaussianInteger, i_power
 from .intmatrix import (_balanced_digits, _packed_determinant,
                         _symmetrized_invariants, exact_determinant)
-from .laurent import LaurentPolynomial
+from .laurent import (LaurentPolynomial, _divide_power_minus_one,
+                      _times_power_minus_one)
 
 
 @dataclass(frozen=True)
@@ -239,27 +240,25 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
     I - psi_r(u) psi_r(v) = psi_r(u) (psi_r(u^-1) - psi_r(v)) and
     det psi_r(u) = (-x)^e(u): the entries of that matrix span about half as
     many powers of x, and its determinant is taken as one packed integer
-    determinant (`_packed_determinant`).  A zero determinant (for instance a
-    split closure) gives 0.
+    determinant (`_packed_determinant`), whose digit list is multiplied by
+    x - 1, divided by x^m - 1 and wrapped once.  A zero determinant (for
+    instance a split closure) gives 0.
     """
     m = word.strands
-    if m == 1:
-        return LaurentPolynomial.one()  # the unknot; I - psi_r is 0 x 0
     letters = word.letters
     h = len(letters) // 2
-    det = _packed_determinant(m, (
+    low, det = _packed_determinant(m, (
         (1, _burau_columns(m, [-x for x in reversed(letters[:h])])[:-1]),
         (-1, _burau_columns(m, letters[h:])[:-1])))
-    if not det:
-        return det
     # 1 + x + ... + x^(m-1) = (x^m - 1) / (x - 1)
-    alexander = (det.shift(1) - det).divide_power_minus_one(m)
+    alexander = _divide_power_minus_one(_times_power_minus_one(det, 1), m)
     # Omega = (-t)^k A(t^2), and the factor (-x)^e(u) of A(x) is
     # (-1)^e(u) t^(2 e(u)) at x = t^2
     k = _unit_power(word)
     e_u = sum(1 if x > 0 else -1 for x in letters[:h])
-    omega = alexander.substitute_power(2).shift(k + 2 * e_u)
-    return -omega if (k + e_u) % 2 else omega
+    sign = -1 if (k + e_u) % 2 else 1
+    return LaurentPolynomial._wrap({2 * (low + j + e_u) + k: sign * x
+                                    for j, x in enumerate(alexander) if x})
 
 
 def link_det(word: BraidWord) -> GaussianInteger:

@@ -32,7 +32,8 @@ from math import gcd, prod
 
 from .braid import family_params
 from .gaussian import GaussianInteger
-from .laurent import ExactDivisionError, LaurentPolynomial
+from .laurent import (ExactDivisionError, LaurentPolynomial,
+                      _divide_power_minus_one, _times_power_minus_one)
 
 
 class ENFormulaInapplicable(ValueError):
@@ -386,32 +387,35 @@ class FactorProduct:
         be the total power of the latter.  Z > 0 gives 0 and nothing else is
         checked.  Z < 0 (a pole), a non-integer prod w^p or an inexact division
         raises ExactDivisionError.  Z = 0 gives sign * prod w^p * (t - t^-1) *
-        prod (t^(sum v) - t^-(sum v))^p, dividing after multiplying out, at the
-        cost that `_omega_size` states.
+        prod (t^(sum v) - t^-(sum v))^p on one dense coefficient list, dividing
+        after multiplying out, at the cost that `_omega_size` states.
         """
         if self.sign == 0:
             return LaurentPolynomial.zero()
         r = 2 * max((abs(c) for vec, _ in self.factors for c in vec), default=0) + 1
-        num = LaurentPolynomial.t_binomial(1)
-        dens: list[int] = []
+        times, dens = [], []  # the a of each t^a - t^-a, counted p times
         scale, vanishing = Fraction(self.sign), 0
         for vec, power in self.factors:
             total = sum(vec)
             if total == 0:
                 scale *= Fraction(sum(r**j * c for j, c in enumerate(vec))) ** power
                 vanishing += power
-            elif power > 0:
-                num = num * LaurentPolynomial.t_binomial(total) ** power
-            else:
-                dens.extend([total] * -power)
+                continue
+            if total < 0 and power % 2:
+                scale = -scale  # t^-a - t^a = -(t^a - t^-a)
+            (times if power > 0 else dens).extend([abs(total)] * abs(power))
         if vanishing > 0:
             return LaurentPolynomial.zero()
         if vanishing < 0 or scale.denominator != 1:
             raise ExactDivisionError("the product is not a Laurent polynomial")
-        # t^a - t^-a = t^-a (t^(2a) - 1)
-        for total in dens:
-            num = num.divide_power_minus_one(2 * total)
-        return num.shift(sum(dens)) * scale.numerator
+        # t^a - t^-a = t^-a (t^(2a) - 1), from t - t^-1 = t^-1 (t^2 - 1)
+        num, low = [-1, 0, 1], -1 - sum(times) + sum(dens)
+        for a in times:
+            num = _times_power_minus_one(num, 2 * a)
+        for a in dens:
+            num = _divide_power_minus_one(num, 2 * a)
+        return LaurentPolynomial._wrap({e: scale.numerator * x
+                                        for e, x in enumerate(num, low) if x})
 
     def _omega_size(self) -> tuple[int, int]:
         """(D, divisions): the numerator degree and division count of `omega`.
@@ -419,9 +423,9 @@ class FactorProduct:
         A factor with sum v = 0 only scales.  One with sum v != 0 multiplies
         the numerator for p > 0, so D = 1 + sum |sum v| p over those, and is
         -p exact divisions for p < 0.  Each product by a binomial and each
-        division (`LaurentPolynomial.divide_power_minus_one`) walks a
-        numerator of at most D + 1 terms once, so `omega` costs about
-        D x (factors + divisions) steps, a factor counted p times.
+        division is one pass over a dense list of at most 2D + 1 coefficients,
+        so `omega` costs about D x (numerator passes + divisions) list steps,
+        a factor counted p times.
         """
         binomials = [(abs(sum(vec)), power) for vec, power in self.factors if sum(vec)]
         return (1 + sum(total * power for total, power in binomials if power > 0),

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linksig.gaussian import GaussianInteger, i_power, parse_gaussian
-from linksig.laurent import ExactDivisionError, LaurentPolynomial
+from linksig.laurent import (ExactDivisionError, LaurentPolynomial,
+                             _divide_power_minus_one, _times_power_minus_one)
 from oracles import exact_div
 
 T = LaurentPolynomial.t
@@ -60,6 +61,12 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             num // 2
 
+    def test_constant_hashes_as_its_int(self):
+        # a constant equals its int, so a set holds the two once
+        assert hash(LaurentPolynomial.constant(3)) == hash(3)
+        assert len({LaurentPolynomial.zero(), 0}) == 1
+        assert len({LaurentPolynomial.constant(-7), -7, T(1)}) == 2
+
     def test_pow_matches_repeated_mul(self):
         p = lp({1: 2, 0: -1})
         assert p ** 3 == p * p * p
@@ -91,15 +98,28 @@ def binomial_quotients(draw):
 @example((lp({4: 1, 0: -2}), 2))
 @example((LaurentPolynomial.zero(), 5))
 def test_divide_power_minus_one_equals_exact_div(case):
-    # the same verdict as the oracle's long division, and the same quotient
+    # the same verdict as the oracle's long division, and the same quotient;
+    # for a < 0, t^a - 1 = -t^a (t^-a - 1)
     num, a = case
+    low = min(num.exponents(), default=0)
+    dense = [num[e] for e in range(low, max(num.exponents(), default=-1) + 1)]
     try:
         want = exact_div(num, T(a) - 1)
     except ExactDivisionError:
         with pytest.raises(ExactDivisionError):
-            num.divide_power_minus_one(a)
+            _divide_power_minus_one(dense, abs(a))
         return
-    assert num.divide_power_minus_one(a) == want
+    quot = lp(dict(enumerate(_divide_power_minus_one(dense, abs(a)), low)))
+    assert (quot if a > 0 else -quot.shift(-a)) == want
+
+
+@given(st.lists(st.integers(-10**20, 10**20), max_size=30), st.integers(1, 12))
+@example([], 1)
+@example([5], 3)
+def test_times_then_divide_power_minus_one_round_trips(c, a):
+    times = _times_power_minus_one(c, a)
+    assert len(times) == len(c) + a
+    assert _divide_power_minus_one(times, a) == c
 
 
 class TestEvalAtI:
