@@ -52,6 +52,17 @@ class GaussianInteger:
             n >>= 1
         return result
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            other = GaussianInteger(other, 0)
+        if not isinstance(other, GaussianInteger):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        # a real value equals its int, so it hashes as that int
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
     def conj(self) -> "GaussianInteger":
         return GaussianInteger(self.re, -self.im)
 

@@ -8,9 +8,10 @@ A Laurent determinant is one packed integer determinant
 (`_packed_determinant`, Kronecker substitution): each entry is shifted by
 powers of x and evaluated at x = 2^k, with k from Hadamard's bound, and
 the coefficients are the balanced base-2^k digits of the integer result.
-The Conway potential packs its Burau columns straight into it, and the
-skein block identities a matrix of `LaurentPolynomial` entries
-(`_laurent_determinant`).
+It takes the Laurent matrix as n sparse column dicts keyed by
+e * (n + 1) + r for the power x^e in row r: the Conway potential passes
+the difference of its two Burau halves, and the skein block identities
+a matrix of `LaurentPolynomial` entries (`_laurent_determinant`).
 
 Symmetric integer matrices go through `symmetric_invariants`, one sparse
 symmetric elimination that gives signature, nullity and determinant
@@ -80,7 +81,7 @@ def _laurent_determinant(
     Column c is packed as one dict {e * (n + 1) + r: coefficient} for the
     entry at row r and the power t^e (``divmod`` gives back (e, r), for
     negative e too), and the n x n determinant is `_packed_determinant` of
-    that one part, wrapped.  The 0x0 matrix gives 1.
+    those columns, wrapped.  The 0x0 matrix gives 1.
     """
     n = len(rows)
     m = n + 1
@@ -89,42 +90,40 @@ def _laurent_determinant(
         for col, entry in zip(cols, row):
             for e, v in entry.items():
                 col[e * m + r] = v
-    low, digits = _packed_determinant(m, ((1, cols),))
+    low, digits = _packed_determinant(cols)
     return LaurentPolynomial._wrap({e: x for e, x in enumerate(digits, low) if x})
 
 
-def _packed_determinant(m: int, parts) -> tuple[int, list[int]]:
-    """det of the n x n Laurent matrix sum of sign * C, n = m - 1, exactly,
-    as (low, its dense coefficients from x^low up).
+def _packed_determinant(cols) -> tuple[int, list[int]]:
+    """det of the n x n Laurent matrix with these n columns, exactly, as
+    (low, its dense coefficients from x^low up).
 
-    Each of the parts is (sign, C) with C given as n column dicts
-    {e * m + r: coefficient} for the entry at row r and the power x^e, as
-    `seifert._burau_columns` builds them.  It is taken as one integer
-    determinant (Kronecker substitution): shift column c by t_c and row r
-    by s_r (`_lowest_shifts`), so every exponent e - t_c - s_r is >= 0,
-    pack each entry at x = 2^k straight from the dicts, and read the
+    Column c is one dict {e * m + r: coefficient}, m = n + 1, for the entry
+    at row r and the power x^e, with no zero coefficients.  It is taken as
+    one integer determinant (Kronecker substitution): shift column c by t_c
+    and row r by s_r (`_lowest_shifts`), so every exponent e - t_c - s_r is
+    >= 0, pack each entry at x = 2^k straight from the dicts, and read the
     coefficients off det A(2^k) as balanced digits.  They are exact once
     every coefficient of det A has absolute value below 2^(k-1).  A
     coefficient is at most the largest |det A(z)| on |z| = 1, and by
     Hadamard's inequality that is at most
     B = prod_c ceil(sqrt(sum_r |A_rc|_1^2)), or the same product over rows,
-    where |A_rc|_1 is at most the sum of the parts' absolute coefficients
-    at (r, c).  So k = bits(B) + 1, rounded up to whole bytes.  The shifts
-    keep the packed integers short: every power of x left in an entry costs
-    k bits.
+    where |A_rc|_1 is the sum of the absolute coefficients of entry (r, c).
+    So k = bits(B) + 1, rounded up to whole bytes.  The shifts keep the
+    packed integers short: every power of x left in an entry costs k bits.
     """
-    n = m - 1
+    n = len(cols)
+    m = n + 1
     never = 1 << 62  # above every exponent: the low of a zero entry
     # per column, the lowest power and the 1-norm of each row's entry
     lows = [[never] * n for _ in range(n)]
     norms = [[0] * n for _ in range(n)]
-    for _, cols in parts:
-        for col, low, norm in zip(cols, lows, norms):
-            for key, v in col.items():
-                e, r = divmod(key, m)
-                if e < low[r]:
-                    low[r] = e
-                norm[r] += abs(v)
+    for col, low, norm in zip(cols, lows, norms):
+        for key, v in col.items():
+            e, r = divmod(key, m)
+            if e < low[r]:
+                low[r] = e
+            norm[r] += abs(v)
     shifts = _lowest_shifts(lows, never)
     if shifts is None:
         return 0, []  # every term of det A has a zero factor
@@ -136,12 +135,11 @@ def _packed_determinant(m: int, parts) -> tuple[int, list[int]]:
     k = (min(by_cols, by_rows).bit_length() + 8) // 8 * 8
     # the transpose, one packed list per column, has the same determinant
     packed = [[0] * n for _ in range(n)]
-    for sign, cols in parts:
-        for col, tc, row in zip(cols, t, packed):
-            shift = [k * (tc + sr) for sr in s]
-            for key, v in col.items():
-                e, r = divmod(key, m)
-                row[r] += (v if sign > 0 else -v) << (k * e - shift[r])
+    for col, tc, row in zip(cols, t, packed):
+        shift = [k * (tc + sr) for sr in s]
+        for key, v in col.items():
+            e, r = divmod(key, m)
+            row[r] += v << (k * e - shift[r])
     det = exact_determinant(packed)
     [digits] = _balanced_digits([det], k, abs(det).bit_length() // k + 1)
     return sum(t) + sum(s), digits
@@ -159,10 +157,11 @@ def _lowest_shifts(lows, never: int):
     digits unless its lowest terms cancel.  The column and row minima alone
     can fall far short: on sigma_1 sigma_2 ... sigma_39 they left 190 zero
     digits of 229, and sigma_1 ... sigma_62 took 14 s instead of 0.05 s.
-    The Hungarian method with potentials (Kuhn 1955), in its O(n^3) form,
-    starts from the minima and adds each column that finds no free row
-    along a cheapest augmenting path; when the cheapest assignment takes a
-    zero entry, so does every one, and det A = 0.
+    So the minima only start the Hungarian method with potentials (Kuhn
+    1955) in its O(n^3) form: each column in turn is assigned a row along
+    a cheapest augmenting path, which is one step when the first row where
+    the column is tight is free.  When the cheapest assignment takes a zero
+    entry, so does every one, and det A = 0.
     """
     n, inf = len(lows), float("inf")
     t = [min(low) for low in lows]
@@ -171,17 +170,7 @@ def _lowest_shifts(lows, never: int):
     s = [min(low[r] - tc for low, tc in zip(lows, t)) for r in range(n)]
     s.append(0)  # s[n] belongs to a dummy row
     owner = [n] * (n + 1)  # the column assigned to each row; n for none
-    # the minima are shifts already; assign each column a row where its
-    # entry is tight if one is free, and the columns left over one by one
-    left = []
-    for c, (low, tc) in enumerate(zip(lows, t)):
-        for r in range(n):
-            if owner[r] == n and low[r] - tc == s[r]:
-                owner[r] = c
-                break
-        else:
-            left.append(c)
-    for c0 in left:
+    for c0 in range(n):
         owner[n], r0 = c0, n
         best, via = [inf] * n, [n] * n
         todo, done = list(range(n)), [n]

@@ -29,7 +29,7 @@ class LaurentPolynomial:
     + t^2 - t^-2
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         data = {}
@@ -38,14 +38,12 @@ class LaurentPolynomial:
                 if c:
                     data[int(e)] = int(c)
         self._coeffs = data
-        self._hash: int | None = None
 
     @staticmethod
     def _wrap(data: dict[int, int]) -> "LaurentPolynomial":
         """An instance owning data, which must have no zero coefficients."""
         p = object.__new__(LaurentPolynomial)
         p._coeffs = data
-        p._hash = None
         return p
 
     # -- constructors -------------------------------------------------
@@ -63,8 +61,8 @@ class LaurentPolynomial:
         return LaurentPolynomial({0: c})
 
     @staticmethod
-    def t(exponent: int = 1, coefficient: int = 1) -> "LaurentPolynomial":
-        return LaurentPolynomial({exponent: coefficient})
+    def t(exponent: int = 1) -> "LaurentPolynomial":
+        return LaurentPolynomial({exponent: 1})
 
     @staticmethod
     def t_binomial(m: int) -> "LaurentPolynomial":
@@ -177,11 +175,8 @@ class LaurentPolynomial:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            c = self._coeffs  # a constant equals its int, so it hashes as that int
-            h = hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
-            object.__setattr__(self, "_hash", h)
-        return self._hash  # type: ignore[return-value]
+        c = self._coeffs  # a constant equals its int, so it hashes as that int
+        return hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
 
     def __str__(self) -> str:
         if not self._coeffs:

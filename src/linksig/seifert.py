@@ -27,11 +27,11 @@ psi_r(u) (psi_r(u^-1) - psi_r(v)), and det psi_r(u) = (-x)^e(u) for the
 exponent sum e(u), so
     det(I - psi_r(beta)) = (-x)^e(u) det(psi_r(u^-1) - psi_r(v)),
 a shift and a sign of a determinant whose entries q_c(u^-1)[r] - q_c(v)[r]
-span about half as many powers of x.  No Laurent entry is built: each
-entry is packed straight from the two halves' column dicts as one integer
-at x = 2^k (Kronecker substitution), after row and column shifts that
-take out as many powers of x as the determinant's terms allow, with k from
-Hadamard's bound, for one integer Bareiss determinant whose balanced
+span about half as many powers of x.  Each column of that difference is
+one merge of the two halves' column dicts, and each entry is packed as one
+integer at x = 2^k (Kronecker substitution), after row and column shifts
+that take out as many powers of x as the determinant's terms allow, with
+k from Hadamard's bound, for one integer Bareiss determinant whose balanced
 base-2^k digits are the coefficients (`intmatrix._packed_determinant`).
 The division by 1 + x + ... + x^(m-1) is one division by x^m - 1 after a
 product with x - 1, each one pass over the digit list (`laurent`).
@@ -154,12 +154,12 @@ def signature_nullity(word: BraidWord) -> tuple[int, int]:
 
 
 def _burau_columns(m: int, letters) -> list[dict[int, int]]:
-    """Columns of the Burau matrix of the letters on m strands modulo (1, ..., 1).
+    """Columns of psi_r, the reduced Burau matrix of the letters on m strands.
 
     The unreduced Burau matrix fixes the vector (1, ..., 1), so each of its
     columns v is kept as q(v)_r = v_r - v_(m-1) for rows 0 <= r < m - 1:
-    column c starts as the unit vector e_c for c < m - 1, and the last
-    column as -(1, ..., 1).  Column c is one sparse dict
+    column c starts as the unit vector e_c for c < m - 1, and a last column,
+    dropped at the end, as -(1, ..., 1).  Column c is one sparse dict
     {e * m + r: coefficient} for the entry at row r and the power x^e, with
     no zero coefficients; ``divmod(key, m)`` gives back (e, r), and a shift
     by x^(+-1) adds +-m to every key.  The letters act on columns, so they
@@ -179,6 +179,7 @@ def _burau_columns(m: int, letters) -> list[dict[int, int]]:
             # col_i <- x^-1 col_{i+1},  col_{i+1} <- col_i + (1-x^-1) col_{i+1}
             s = {k - m: v for k, v in b.items()}
             cols[i], cols[i + 1] = s, _merge(a, b, s)
+    del cols[-1]
     return cols
 
 
@@ -239,17 +240,17 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
     det(I - psi_r(beta)) = (-x)^e(u) det(psi_r(u^-1) - psi_r(v)), because
     I - psi_r(u) psi_r(v) = psi_r(u) (psi_r(u^-1) - psi_r(v)) and
     det psi_r(u) = (-x)^e(u): the entries of that matrix span about half as
-    many powers of x, and its determinant is taken as one packed integer
-    determinant (`_packed_determinant`), whose digit list is multiplied by
-    x - 1, divided by x^m - 1 and wrapped once.  A zero determinant (for
-    instance a split closure) gives 0.
+    many powers of x, and its columns, merged from the two halves', go into
+    one packed integer determinant (`_packed_determinant`), whose digit list
+    is multiplied by x - 1, divided by x^m - 1 and wrapped once.  A zero
+    determinant (for instance a split closure) gives 0.
     """
     m = word.strands
     letters = word.letters
     h = len(letters) // 2
-    low, det = _packed_determinant(m, (
-        (1, _burau_columns(m, [-x for x in reversed(letters[:h])])[:-1]),
-        (-1, _burau_columns(m, letters[h:])[:-1])))
+    inverse = _burau_columns(m, [-x for x in reversed(letters[:h])])
+    low, det = _packed_determinant([_merge(a, {}, b) for a, b in zip(
+        inverse, _burau_columns(m, letters[h:]))])
     # 1 + x + ... + x^(m-1) = (x^m - 1) / (x - 1)
     alexander = _divide_power_minus_one(_times_power_minus_one(det, 1), m)
     # Omega = (-t)^k A(t^2), and the factor (-x)^e(u) of A(x) is

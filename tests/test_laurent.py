@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from linksig.braid import BraidWord
 from linksig.gaussian import GaussianInteger, i_power, parse_gaussian
 from linksig.laurent import (ExactDivisionError, LaurentPolynomial,
                              _divide_power_minus_one, _times_power_minus_one)
+from linksig.seifert import link_det
 from oracles import exact_div
 
 T = LaurentPolynomial.t
@@ -190,6 +192,16 @@ class TestGaussian:
         assert i_power(0) == GaussianInteger(1, 0)
         assert i_power(-1) == GaussianInteger(0, -1)
         assert i_power(6) == GaussianInteger(-1, 0)
+
+    def test_equals_its_int(self):
+        # + and * take ints, so == does too, and a real value hashes as its int
+        assert GaussianInteger(3, 0) == 3
+        assert 3 == GaussianInteger(3, 0)
+        assert len({GaussianInteger(0, 0), 0}) == 1
+        assert GaussianInteger(0, 1) != 1
+        assert GaussianInteger(0, 1) != GaussianInteger(1, 0)
+        # the determinant of a split closure is the int 0
+        assert link_det(BraidWord(4, (1, -3))) == 0
 
     def test_format_parse_roundtrip(self):
         for z in (GaussianInteger(0, 0), GaussianInteger(3, 2),
