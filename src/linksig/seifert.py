@@ -20,19 +20,35 @@ Braid Groups, GTM 247): det(I - psi_r(beta)) (1 - x) / (1 - x^m) is the
 Alexander polynomial of the closure up to a unit +-x^k.  psi_r is the
 unreduced Burau matrix acting on the quotient by its fixed vector
 (1, ..., 1), so the product is built in that quotient: each column v is
-kept as q(v)_r = v_r - v_(m-1), r < m - 1, on a plain integer dict keyed
-by the one integer e * m + r for row r and power x^e.  The word is cut at
-its midpoint, beta = u v.  Then I - psi_r(u) psi_r(v) =
-psi_r(u) (psi_r(u^-1) - psi_r(v)), and det psi_r(u) = (-x)^e(u) for the
-exponent sum e(u), so
-    det(I - psi_r(beta)) = (-x)^e(u) det(psi_r(u^-1) - psi_r(v)),
-a shift and a sign of a determinant whose entries q_c(u^-1)[r] - q_c(v)[r]
-span about half as many powers of x.  Each column of that difference is
-one merge of the two halves' column dicts, and each entry is packed as one
-integer at x = 2^k (Kronecker substitution), after row and column shifts
-that take out as many powers of x as the determinant's terms allow, with
-k from Hadamard's bound, for one integer Bareiss determinant whose balanced
-base-2^k digits are the coefficients (`intmatrix._packed_determinant`).
+kept as q(v)_r = v_r - v_(m-1), r < m - 1.  Both kernels below evaluate
+a determinant at a power of two x = 2^K (Kronecker substitution) and read
+its coefficients off as balanced base-2^K digits, which is exact once they
+are all below 2^(K-1) in absolute value.  One pass over the letters,
+before any Burau work, bounds the 1-norm of each column (the sum of the
+absolute coefficients of its entries) by N_c, and by Hadamard's
+inequality every coefficient of det(I - psi_r) is at most
+B = prod_c (1 + N_c); so K = bits(B) + 1, in whole bytes, is proven wide
+enough.  Two kernels take the determinant, and that width picks one:
+
+* Short words, K (m - 1) <= 320 bits: the whole word at once, `link_det`'s
+  integer column loop with x = 2^K in place of x = -1.  Each entry is one
+  integer, and each column is kept times a power x^(o_c) that absorbs the
+  x^-1 of negative letters; one integer determinant of I - psi_r, with
+  column c scaled by x^(o_c), gives the digits.
+* Wider words: the midpoint split.  Each column is a plain integer dict
+  keyed by the one integer e * m + r for row r and power x^e.  The word is
+  cut at its midpoint, beta = u v.  Then I - psi_r(u) psi_r(v) =
+  psi_r(u) (psi_r(u^-1) - psi_r(v)), and det psi_r(u) = (-x)^e(u) for the
+  exponent sum e(u), so
+      det(I - psi_r(beta)) = (-x)^e(u) det(psi_r(u^-1) - psi_r(v)),
+  a shift and a sign of a determinant whose entries q_c(u^-1)[r] - q_c(v)[r]
+  span about half as many powers of x.  Each column of that difference is
+  one merge of the two halves' column dicts, and each entry is packed as one
+  integer after row and column shifts that take out as many powers of x as
+  the determinant's terms allow, with a width from Hadamard's bound on the
+  entries themselves, for one integer Bareiss determinant
+  (`intmatrix._packed_determinant`).
+
 The division by 1 + x + ... + x^(m-1) is one division by x^m - 1 after a
 product with x - 1, each one pass over the digit list (`laurent`).
 The unit is one closed form, `_unit_power`; the tests check it against
@@ -51,6 +67,7 @@ the potential function holds with its stated sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .braid import BraidWord
 from .gaussian import GaussianInteger, i_power
@@ -58,6 +75,11 @@ from .intmatrix import (_balanced_digits, _packed_determinant,
                         _symmetrized_invariants, exact_determinant)
 from .laurent import (LaurentPolynomial, _divide_power_minus_one,
                       _times_power_minus_one)
+
+#: the widest K (m - 1), in bits, that `conway_potential` takes by the direct
+#: kernel, for the proven width K of m strands: on seeded words of 3 to 12
+#: strands the direct kernel stops being the faster one between 320 and 448
+_DIRECT_BITS = 320
 
 
 @dataclass(frozen=True)
@@ -211,10 +233,18 @@ def _unit_power(word: BraidWord) -> int:
 def _conway_size(letters: int, strands: int) -> int:
     """The size that `conway_potential` costs on L letters and m strands.
 
-    It is max(L, m - 1) x (m - 1).  The Burau columns cost about L (m - 1)
-    dict updates, and the dense (m - 1) x (m - 1) grid of packed entries is
-    built, and eliminated unless it has a zero column, whatever the letter
-    count.  The size counts letters, not coefficient bits.  One call each
+    It is max(L, m - 1) x (m - 1).  The width pre-pass costs L integer
+    steps.  The words that reach this size take the midpoint split, whose
+    Burau columns cost about L (m - 1) dict updates, and whose dense
+    (m - 1) x (m - 1) grid of packed entries is built, and eliminated unless
+    it has a zero column, whatever the letter count.  The direct kernel
+    takes only words whose proven width K has K (m - 1) <= `_DIRECT_BITS`,
+    L steps of m - 1 integer entries each and one (m - 1) x (m - 1)
+    determinant.  On seeded random words that is up to about 100 letters
+    on 3 strands, 30 on 6 and 20 on 9, under a millisecond; words whose
+    letters mostly cancel stay narrow for longer, (1, -1, 2, -2) repeated
+    1000 times on 3 strands at K = 16 in 5 ms.  The size counts letters,
+    not coefficient bits.  One call each
     (median of three) on seeded random words of size 8000 took 1.0 s on 3
     strands (4000 letters), 2.1 s on 5 (2000), 2.2 s on 8 (1142), 2.1 s on
     16 (533) and 0.5 s on 33 (250); the cost grows faster than the square
@@ -228,6 +258,131 @@ def _conway_size(letters: int, strands: int) -> int:
     return max(letters, gaps) * gaps
 
 
+def _column_norms(m: int, letters) -> list[int]:
+    """Bounds N_c on the 1-norms of the m - 1 columns of psi_r, from the letters.
+
+    The 1-norm of a column is the sum of the absolute coefficients of its
+    entries.  The columns start as the unit vectors, of norm 1, and the
+    dropped last column as -(1, ..., 1), of norm m - 1.  A positive letter
+    on columns (a, b) writes (1 - x) a + b and x a, a negative one x^-1 b
+    and a + (1 - x^-1) b, so the norms go to at most (2a + b, a) and
+    (b, a + 2b).
+    """
+    norms = [1] * (m - 1) + [m - 1]
+    for ell in letters:
+        i = abs(ell) - 1
+        a, b = norms[i], norms[i + 1]
+        if ell > 0:
+            norms[i], norms[i + 1] = 2 * a + b, a
+        else:
+            norms[i], norms[i + 1] = b, a + 2 * b
+    del norms[-1]
+    return norms
+
+
+def _proven_width(m: int, letters) -> int:
+    """K, in whole bytes, with every coefficient of det(I - psi_r) below
+    2^(K-1) in absolute value.
+
+    On |x| = 1 each entry of column c of I - psi_r is at most its 1-norm,
+    so by Hadamard's inequality |det(I - psi_r)| <= B = prod_c (1 + N_c)
+    (`_column_norms`), and so is every coefficient.
+    """
+    bound = prod(1 + n for n in _column_norms(m, letters))
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _direct_determinant(m: int, letters, k: int) -> tuple[int, list[int]]:
+    """det(I - psi_r) of the letters on m strands, as (low, its dense
+    coefficients from x^low up), for a width k from `_proven_width`.
+
+    `link_det`'s integer loop with x = 2^k: column c is kept as x^(o_c)
+    times the column, with an offset o_c >= 0 that absorbs the x^-1 of
+    negative letters, and each entry of that polynomial as one integer, its
+    value at x = 2^k.  Column c of I - psi_r, times x^(o_c), is then
+    x^(o_c) e_c minus the stored column, an integer matrix whose
+    determinant is x^(sum o_c) det(I - psi_r) at x = 2^k.
+    """
+    n = m - 1
+    cols = [[int(r == c) for r in range(n)] for c in range(n)]
+    cols.append([-1] * n)
+    offs = [0] * m
+    for ell in letters:
+        if ell > 0:
+            # col_i <- (1-x) col_i + col_{i+1},  col_{i+1} <- x col_i
+            i = ell - 1
+            a, b = cols[i], cols[i + 1]
+            oa, ob = offs[i], offs[i + 1]
+            if oa > ob:
+                s = k * (oa - ob)
+                cols[i] = [x - (x << k) + (y << s) for x, y in zip(a, b)]
+            else:
+                s = k * (ob - oa)
+                cols[i] = [((x - (x << k)) << s) + y for x, y in zip(a, b)]
+                offs[i] = ob
+            if oa:
+                cols[i + 1], offs[i + 1] = a, oa - 1
+            else:
+                cols[i + 1], offs[i + 1] = [x << k for x in a], 0
+        else:
+            # col_i <- x^-1 col_{i+1},  col_{i+1} <- col_i + (1-x^-1) col_{i+1}
+            i = -ell - 1
+            a, b = cols[i], cols[i + 1]
+            oa, ob = offs[i], offs[i + 1] + 1
+            if oa > ob:
+                s = k * (oa - ob)
+                cols[i + 1] = [x + (((y << k) - y) << s) for x, y in zip(a, b)]
+                offs[i + 1] = oa
+            else:
+                s = k * (ob - oa)
+                cols[i + 1] = [(x << s) + (y << k) - y for x, y in zip(a, b)]
+                offs[i + 1] = ob
+            cols[i], offs[i] = b, ob
+    # row c of the transpose, which has the same determinant, is column c
+    rows = [[-x for x in col] for col in cols[:n]]
+    for c, row in enumerate(rows):
+        row[c] += 1 << (k * offs[c])
+    det = exact_determinant(rows)
+    if not det:
+        return 0, []
+    # drop the zero low digits, then read off the rest
+    zeros = ((det & -det).bit_length() - 1) // k
+    det >>= k * zeros
+    [digits] = _balanced_digits([det], k, abs(det).bit_length() // k + 1)
+    return zeros - sum(offs[:n]), digits
+
+
+def _split_determinant(m: int, letters) -> tuple[int, list[int]]:
+    """det(I - psi_r) of the letters on m strands, as (low, its dense
+    coefficients from x^low up), by the midpoint split beta = u v:
+    det(I - psi_r(beta)) = (-x)^e(u) det(psi_r(u^-1) - psi_r(v)), whose
+    columns, merged from the two halves', go into one packed integer
+    determinant (`_packed_determinant`).
+    """
+    h = len(letters) // 2
+    inverse = _burau_columns(m, [-x for x in reversed(letters[:h])])
+    low, det = _packed_determinant([_merge(a, {}, b) for a, b in zip(
+        inverse, _burau_columns(m, letters[h:]))])
+    e_u = sum(1 if x > 0 else -1 for x in letters[:h])
+    return low + e_u, [-x for x in det] if e_u % 2 else det
+
+
+def _potential_from(word: BraidWord, low: int,
+                    det: list[int]) -> LaurentPolynomial:
+    """The potential of the closure from det(I - psi_r) = sum_j det[j] x^(low+j).
+
+    The digit list is multiplied by x - 1 and divided by x^m - 1, which
+    leaves A(x), and Omega = (-t)^k A(t^2) is wrapped once (`_unit_power`).
+    """
+    # 1 + x + ... + x^(m-1) = (x^m - 1) / (x - 1)
+    alexander = _divide_power_minus_one(_times_power_minus_one(det, 1),
+                                        word.strands)
+    k = _unit_power(word)
+    sign = -1 if k % 2 else 1
+    return LaurentPolynomial._wrap({2 * (low + j) + k: sign * x
+                                    for j, x in enumerate(alexander) if x})
+
+
 def conway_potential(word: BraidWord) -> LaurentPolynomial:
     """The potential function det(t^-1 V - t V^T) of the closure, exactly.
 
@@ -235,31 +390,20 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
     modulo its fixed vector (1, ..., 1):
     A(x) = det(I - psi_r) / (1 + x + ... + x^(m-1)) is the Alexander
     polynomial up to a unit, and the potential is (-t)^k A(t^2) with
-    k = m - 1 - e for the exponent sum e (`_unit_power`).  The word is cut
-    at its midpoint, beta = u v, and
-    det(I - psi_r(beta)) = (-x)^e(u) det(psi_r(u^-1) - psi_r(v)), because
-    I - psi_r(u) psi_r(v) = psi_r(u) (psi_r(u^-1) - psi_r(v)) and
-    det psi_r(u) = (-x)^e(u): the entries of that matrix span about half as
-    many powers of x, and its columns, merged from the two halves', go into
-    one packed integer determinant (`_packed_determinant`), whose digit list
-    is multiplied by x - 1, divided by x^m - 1 and wrapped once.  A zero
-    determinant (for instance a split closure) gives 0.
+    k = m - 1 - e for the exponent sum e (`_unit_power`).  The width K
+    proven from the letters alone (`_proven_width`) picks the kernel: when
+    K (m - 1) is at most `_DIRECT_BITS`, the whole word's Burau matrix at
+    x = 2^K (`_direct_determinant`); otherwise the midpoint split
+    (`_split_determinant`), whose entries span about half as many powers
+    of x.  A zero determinant (for instance a split closure) gives 0.
     """
-    m = word.strands
-    letters = word.letters
-    h = len(letters) // 2
-    inverse = _burau_columns(m, [-x for x in reversed(letters[:h])])
-    low, det = _packed_determinant([_merge(a, {}, b) for a, b in zip(
-        inverse, _burau_columns(m, letters[h:]))])
-    # 1 + x + ... + x^(m-1) = (x^m - 1) / (x - 1)
-    alexander = _divide_power_minus_one(_times_power_minus_one(det, 1), m)
-    # Omega = (-t)^k A(t^2), and the factor (-x)^e(u) of A(x) is
-    # (-1)^e(u) t^(2 e(u)) at x = t^2
-    k = _unit_power(word)
-    e_u = sum(1 if x > 0 else -1 for x in letters[:h])
-    sign = -1 if (k + e_u) % 2 else 1
-    return LaurentPolynomial._wrap({2 * (low + j + e_u) + k: sign * x
-                                    for j, x in enumerate(alexander) if x})
+    m, letters = word.strands, word.letters
+    k = _proven_width(m, letters)
+    if k * (m - 1) <= _DIRECT_BITS:
+        low, det = _direct_determinant(m, letters, k)
+    else:
+        low, det = _split_determinant(m, letters)
+    return _potential_from(word, low, det)
 
 
 def link_det(word: BraidWord) -> GaussianInteger:

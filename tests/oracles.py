@@ -253,10 +253,9 @@ def unreduced_burau_columns(word) -> list[dict[int, int]]:
 
     Column c is one sparse dict {e * m + r: coefficient} for row r,
     0 <= r < m, and the power x^e, built from the identity one letter at a
-    time.
+    time.  Each new column is a fresh sum of the old ones (`_combine`), so
+    this route shares no helper with the library's column build.
     """
-    from linksig.seifert import _merge
-
     m = word.strands
     cols = [{c: 1} for c in range(m)]
     for ell in word.letters:
@@ -265,20 +264,30 @@ def unreduced_burau_columns(word) -> list[dict[int, int]]:
         if ell > 0:
             # col_i <- (1-x) col_i + col_{i+1},  col_{i+1} <- x col_i
             s = {k + m: v for k, v in a.items()}
-            cols[i], cols[i + 1] = _merge(b, a, s), s
+            cols[i], cols[i + 1] = _combine((a, 1), (s, -1), (b, 1)), s
         else:
             # col_i <- x^-1 col_{i+1},  col_{i+1} <- col_i + (1-x^-1) col_{i+1}
             s = {k - m: v for k, v in b.items()}
-            cols[i], cols[i + 1] = s, _merge(a, b, s)
+            cols[i], cols[i + 1] = s, _combine((a, 1), (b, 1), (s, -1))
     return cols
+
+
+def _combine(*terms) -> dict[int, int]:
+    """sum of sign * d over the (d, sign) terms, as a new dict with no zeros."""
+    out: dict[int, int] = {}
+    for d, sign in terms:
+        for k, v in d.items():
+            out[k] = out.get(k, 0) + sign * v
+    return {k: v for k, v in out.items() if v}
 
 
 def unreduced_burau_potential(word):
     """The Conway potential from the unreduced Burau columns: entry (r, c)
     of I - psi_r is delta_rc - col_c[r] + col_c[m-1], row m - 1 of the
-    unreduced matrix added into every row."""
+    unreduced matrix added into every row.  The unit (-t)^k, k = m - 1 - e
+    for the exponent sum e, is the closed form of `seifert._unit_power`,
+    written out here so that the oracle calls nothing of the Burau route."""
     from linksig.laurent import LaurentPolynomial
-    from linksig.seifert import _unit_power
 
     m = word.strands
     if m == 1:
@@ -294,7 +303,7 @@ def unreduced_burau_potential(word):
     if not det:
         return det
     alexander = exact_div(det, LaurentPolynomial({j: 1 for j in range(m)}))
-    k = _unit_power(word)
+    k = m - 1 - word.exponent_sum()
     omega = alexander.substitute_power(2).shift(k)
     return -omega if k % 2 else omega
 

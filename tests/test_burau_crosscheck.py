@@ -4,7 +4,9 @@ The library takes the Conway potential and `link_det` from the reduced
 Burau matrix and the signature and nullity from the Seifert matrix
 (`invariants_report` also reads its determinant there).  Here the Seifert
 determinant det(t^-1 V - t V^T) serves as the oracle for
-`conway_potential`, exactly and with no freedom of units.  A second Burau
+`conway_potential`, exactly and with no freedom of units, and the
+unreduced Burau route for each of its two kernels, called directly on the
+same words whichever one the proven width would pick.  A second Burau
 build, by full matrix products of the letter matrices, checks the Seifert
 matrix up to units with no surface or orientation convention in common,
 and checks the library's Burau columns, which are kept modulo the fixed
@@ -19,12 +21,16 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
+from linksig import seifert
 from linksig.braid import BraidWord, half_twist
 from linksig.genskein import build_symmetrized
 from linksig.intmatrix import _lowest_shifts, _packed_determinant
 from linksig.laurent import LaurentPolynomial
-from linksig.seifert import (_burau_columns, conway_potential,
-                             invariants_report, link_det, seifert_matrix)
+from linksig.seifert import (_DIRECT_BITS, _burau_columns, _column_norms,
+                             _direct_determinant, _potential_from,
+                             _proven_width, _split_determinant,
+                             conway_potential, invariants_report, link_det,
+                             seifert_matrix)
 from oracles import (exact_div, laurent_bareiss, unreduced_burau_columns,
                      unreduced_burau_potential)
 from strategies import burau_words, mixed_words, random_word
@@ -89,23 +95,44 @@ def test_burau_columns_equal_letter_matrix_products(word):
                                }, (word.letters, c)
 
 
+def _assert_kernels_equal_oracle(word):
+    # each kernel gives det(I - psi_r(beta)) as digits; the oracle takes
+    # the whole word's unreduced Burau matrix by Laurent Bareiss
+    m, letters = word.strands, word.letters
+    want = unreduced_burau_potential(word)
+    direct = _direct_determinant(m, letters, _proven_width(m, letters))
+    split = _split_determinant(m, letters)
+    assert _potential_from(word, *direct) == want, (m, letters)
+    assert _potential_from(word, *split) == want, (m, letters)
+    assert conway_potential(word) == want, (m, letters)
+
+
+# 64 (6 - 1) = 320 bits, the widest the direct kernel takes; one more letter
+# makes it 72 (6 - 1) and the midpoint split
+UNDER = random_word(6, 33, seed=6000)
+OVER = random_word(6, 34, seed=6000)
+
+
 @settings(max_examples=300)
 @given(mixed_words(1, 16, 60))
 @example(BraidWord(1))
 @example(BraidWord(2))
 @example(BraidWord(2, (-1,)))  # u is empty
 @example(BraidWord(4, (1, -1, 3)))  # a split closure, det 0
+@example(BraidWord(4, (1, -3)))  # a split closure with a zero column
 @example(BraidWord(3, (1, 1, 2, -1, 2, 2)))  # e(u) = 3
 # u^-1 = v: the two halves' columns are equal and every merged entry cancels
 @example(BraidWord(3, (1, -2, 2, -1)))
 # coefficients past 2^53, and (-t)^k (-x)^e(u) with k + e(u) odd and negative
 @example(BraidWord(3, (1, -2) * 60 + (1,) * 5))
+@example(UNDER)
+@example(OVER)
 @example(random_word(8, 250, seed=8250))
 def test_conway_potential_equals_unreduced_burau_route(word):
-    # the library cuts the word at its midpoint, beta = u v, and takes
+    # the direct kernel takes det(I - psi_r(beta)) at x = 2^K; the split
+    # cuts the word at its midpoint, beta = u v, and takes
     # (-x)^e(u) det(psi_r(u^-1) - psi_r(v)); the oracle det(I - psi_r(beta))
-    assert (conway_potential(word)
-            == unreduced_burau_potential(word)), (word.strands, word.letters)
+    _assert_kernels_equal_oracle(word)
 
 
 def test_conway_potential_equals_unreduced_burau_route_on_seeded_words():
@@ -115,8 +142,36 @@ def test_conway_potential_equals_unreduced_burau_route_on_seeded_words():
         m = rng.randint(2, 16)
         letters = tuple(rng.choice((1, -1)) * rng.randint(1, m - 1)
                         for _ in range(rng.randint(0, 40)))
-        w = BraidWord(m, letters)
-        assert conway_potential(w) == unreduced_burau_potential(w), (m, letters)
+        _assert_kernels_equal_oracle(BraidWord(m, letters))
+
+
+def test_proven_width_picks_the_kernel(monkeypatch):
+    taken = []
+    for name in ("_direct_determinant", "_split_determinant"):
+        kernel = getattr(seifert, name)
+        monkeypatch.setattr(seifert, name, lambda *args, kernel=kernel, name=name:
+                            taken.append(name) or kernel(*args))
+    assert _proven_width(6, UNDER.letters) * 5 == _DIRECT_BITS
+    assert _proven_width(6, OVER.letters) * 5 > _DIRECT_BITS
+    conway_potential(UNDER)
+    conway_potential(OVER)
+    assert taken == ["_direct_determinant", "_split_determinant"]
+
+
+@settings(max_examples=200)
+@given(mixed_words(1, 12, 60))
+@example(BraidWord(1))
+@example(BraidWord(2, (1,) * 30))
+@example(BraidWord(3, (1, -2) * 30))
+@example(BraidWord(6, (-5, -4, -3, -2, -1) * 6))
+def test_column_norms_bound_the_burau_columns(word):
+    # N_c is at least the sum of the absolute coefficients of column c
+    m, letters = word.strands, word.letters
+    norms = _column_norms(m, letters)
+    cols = _burau_columns(m, letters)
+    assert len(norms) == len(cols) == m - 1
+    for c, (bound, col) in enumerate(zip(norms, cols)):
+        assert sum(map(abs, col.values())) <= bound, (m, letters, c)
 
 
 @st.composite

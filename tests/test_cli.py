@@ -332,10 +332,12 @@ def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message)
         return walk(self, j)
 
     monkeypatch.setattr(SpliceDiagram, "_linking_from", recorded)
-    columns = []
-    burau = seifert._burau_columns
-    monkeypatch.setattr(seifert, "_burau_columns",
-                        lambda m, letters: columns.append(m) or burau(m, letters))
+    # the width pre-pass and both Conway kernels
+    burau = []
+    for name in ("_column_norms", "_direct_determinant", "_burau_columns"):
+        work = getattr(seifert, name)
+        monkeypatch.setattr(seifert, name, lambda *args, work=work, name=name:
+                            burau.append(name) or work(*args))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -344,8 +346,8 @@ def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message)
     assert message in json.loads(lines[0])["error"]
     if "splice diagram too large" in message:
         assert walks == []
-    # every refusal comes before a Burau column is built
-    assert columns == []
+    # every refusal comes before any Burau work
+    assert burau == []
 
 
 
