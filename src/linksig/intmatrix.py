@@ -3,15 +3,17 @@
 Everything here is fraction-free (Bareiss, Math. Comp. 22, 1968).
 `exact_determinant` is the library's one dense elimination: Bareiss on a
 square integer matrix, pivoting on the first nonzero entry of each column,
-for `link_det` and every Laurent determinant.
+for `link_det` and every Laurent determinant.  Every Kronecker substitution
+(Kronecker 1882) in the library takes one packing rule: values proven to be
+at most B in absolute value are packed at x = 2^k, k = `_byte_width(B)`,
+and read back as balanced base-2^k digits (`_packed_digits`).
 A Laurent determinant is one packed integer determinant
-(`_packed_determinant`, Kronecker substitution): each entry is shifted by
-powers of x and evaluated at x = 2^k, with k from Hadamard's bound, and
-the coefficients are the balanced base-2^k digits of the integer result.
-It takes the Laurent matrix as n sparse column dicts keyed by
-e * (n + 1) + r for the power x^e in row r: the Conway potential passes
-the difference of its two Burau halves, and the skein block identities
-a matrix of `LaurentPolynomial` entries (`_laurent_determinant`).
+(`_packed_determinant`): each entry is shifted by powers of x and
+evaluated at x = 2^k, with B from Hadamard's inequality.  It takes the
+Laurent matrix as n sparse column dicts keyed by e * (n + 1) + r for the
+power x^e in row r: the Conway potential passes the difference of its two
+Burau halves, and the skein block identities a matrix of
+`LaurentPolynomial` entries (`_laurent_determinant`).
 
 Symmetric integer matrices go through `symmetric_invariants`, one sparse
 symmetric elimination that gives signature, nullity and determinant
@@ -106,11 +108,11 @@ def _packed_determinant(cols) -> tuple[int, list[int]]:
     coefficients off det A(2^k) as balanced digits.  They are exact once
     every coefficient of det A has absolute value below 2^(k-1).  A
     coefficient is at most the largest |det A(z)| on |z| = 1, and by
-    Hadamard's inequality that is at most
-    B = prod_c ceil(sqrt(sum_r |A_rc|_1^2)), or the same product over rows,
-    where |A_rc|_1 is the sum of the absolute coefficients of entry (r, c).
-    So k = bits(B) + 1, rounded up to whole bytes.  The shifts keep the
-    packed integers short: every power of x left in an entry costs k bits.
+    Hadamard's inequality that is at most sqrt(prod_c S_c), S_c the sum
+    over r of |A_rc|_1^2 (or the same over rows), where |A_rc|_1 is the sum
+    of the absolute coefficients of entry (r, c).  So k = `_byte_width` of
+    its integer part.  The shifts keep the packed integers short: every
+    power of x left in an entry costs k bits.
     """
     n = len(cols)
     m = n + 1
@@ -130,9 +132,9 @@ def _packed_determinant(cols) -> tuple[int, list[int]]:
     t, s = shifts
     by_cols = by_rows = 1
     for i in range(n):
-        by_cols *= _ceil_sqrt(sum(x * x for x in norms[i]))
-        by_rows *= _ceil_sqrt(sum(norm[i] ** 2 for norm in norms))
-    k = (min(by_cols, by_rows).bit_length() + 8) // 8 * 8
+        by_cols *= sum(x * x for x in norms[i])
+        by_rows *= sum(norm[i] ** 2 for norm in norms)
+    k = _byte_width(isqrt(min(by_cols, by_rows)))
     # the transpose, one packed list per column, has the same determinant
     packed = [[0] * n for _ in range(n)]
     for col, tc, row in zip(cols, t, packed):
@@ -140,9 +142,8 @@ def _packed_determinant(cols) -> tuple[int, list[int]]:
         for key, v in col.items():
             e, r = divmod(key, m)
             row[r] += v << (k * e - shift[r])
-    det = exact_determinant(packed)
-    [digits] = _balanced_digits([det], k, abs(det).bit_length() // k + 1)
-    return sum(t) + sum(s), digits
+    zeros, digits = _packed_digits(exact_determinant(packed), k)
+    return zeros + sum(t) + sum(s), digits
 
 
 def _lowest_shifts(lows, never: int):
@@ -200,22 +201,34 @@ def _lowest_shifts(lows, never: int):
     return t, s[:n]
 
 
-def _ceil_sqrt(x: int) -> int:
-    """The least integer whose square is at least x >= 0."""
-    return isqrt(x - 1) + 1 if x else 0
+def _byte_width(bound: int) -> int:
+    """The least multiple of 8, k, with bound < 2^(k-1): every integer of
+    absolute value at most bound is one balanced base-2^k digit."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _packed_digits(det: int, k: int) -> tuple[int, list[int]]:
+    """(zeros, digits) with det = 2^(k zeros) sum_j digits[j] 2^(k j): the
+    zero low base-2^k digits stripped, the rest balanced; (0, []) for 0."""
+    if not det:
+        return 0, []
+    zeros = ((det & -det).bit_length() - 1) // k
+    det >>= k * zeros
+    [digits] = _balanced_digits([det], k, abs(det).bit_length() // k + 1)
+    return zeros, digits
 
 
 def _balanced_digits(xs, width: int, count: int) -> list[list[int]]:
     """The count lowest balanced digits in base 2^width of each x, lowest first.
 
     x = sum_j d_j 2^(width j) with -2^(width-1) <= d_j < 2^(width-1), and
-    width a multiple of 8.  Adding 2^(width-1) to every digit makes them
+    width from `_byte_width`.  Adding 2^(width-1) to every digit makes them
     all nonnegative.  Then one ``to_bytes`` cuts x into chunks of at most
     16 digits, and each chunk is split by shifts: linear in count, and for
-    a few digits no more than the shifts alone.
+    a few digits no more than the shifts alone.  A count of 0 reads no digit.
     """
     size, half, mask = width // 8, 1 << (width - 1), (1 << width) - 1
-    per = min(count, 16)
+    per = min(count, 16) or 1
     step = size * per
     whole = -(-count // per) * step  # whole chunks; the digits past count are 0
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * (whole // size), "little")

@@ -88,10 +88,6 @@ class LaurentPolynomial:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def __len__(self) -> int:
-        """The number of stored (nonzero) terms."""
-        return len(self._coeffs)
-
     # -- ring operations ----------------------------------------------
 
     def _plus(self, other: "LaurentPolynomial | int", sign: int) -> "LaurentPolynomial":

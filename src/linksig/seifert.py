@@ -20,15 +20,11 @@ Braid Groups, GTM 247): det(I - psi_r(beta)) (1 - x) / (1 - x^m) is the
 Alexander polynomial of the closure up to a unit +-x^k.  psi_r is the
 unreduced Burau matrix acting on the quotient by its fixed vector
 (1, ..., 1), so the product is built in that quotient: each column v is
-kept as q(v)_r = v_r - v_(m-1), r < m - 1.  Both kernels below evaluate
-a determinant at a power of two x = 2^K (Kronecker substitution) and read
-its coefficients off as balanced base-2^K digits, which is exact once they
-are all below 2^(K-1) in absolute value.  One pass over the letters,
-before any Burau work, bounds the 1-norm of each column (the sum of the
-absolute coefficients of its entries) by N_c, and by Hadamard's
-inequality every coefficient of det(I - psi_r) is at most
-B = prod_c (1 + N_c); so K = bits(B) + 1, in whole bytes, is proven wide
-enough.  Two kernels take the determinant, and that width picks one:
+kept as q(v)_r = v_r - v_(m-1), r < m - 1.  A word that misses a
+generator index closes to a split link, whose potential is 0.  Otherwise
+one pass over the letters proves a width K (`_proven_width`), and both
+kernels below pack at x = 2^K by the rule of `intmatrix`.  Two kernels
+take the determinant, and that width picks one:
 
 * Short words, K (m - 1) <= 320 bits: the whole word at once, `link_det`'s
   integer column loop with x = 2^K in place of x = -1.  Each entry is one
@@ -52,11 +48,10 @@ enough.  Two kernels take the determinant, and that width picks one:
 The division by 1 + x + ... + x^(m-1) is one division by x^m - 1 after a
 product with x - 1, each one pass over the digit list (`laurent`).
 The unit is one closed form, `_unit_power`; the tests check it against
-the Seifert determinant.  `link_det` takes the whole word at t = i, where
-x = -1 and the letters act linearly over Z: each column is one integer
-sum_r v_r 2^(w r), one or two integer operations a letter, unpacked once
-into balanced digits for one integer Bareiss determinant of size m - 1
-(or m, for even m).
+the Seifert determinant.  `link_det` takes the same reduced columns at
+t = i, where x = -1 and the letters act over Z: each column is one integer
+sum_r q_r 2^(w r), one or two integer operations a letter, for one integer
+Bareiss determinant of size m - 1 (or m, for even m).
 
 Sign conventions are pinned by three independent checks (see the test
 suite): the half twist in B_3 closes to a link of signature -1, the basic
@@ -71,8 +66,9 @@ from math import prod
 
 from .braid import BraidWord
 from .gaussian import GaussianInteger, i_power
-from .intmatrix import (_balanced_digits, _packed_determinant,
-                        _symmetrized_invariants, exact_determinant)
+from .intmatrix import (_balanced_digits, _byte_width, _packed_determinant,
+                        _packed_digits, _symmetrized_invariants,
+                        exact_determinant)
 from .laurent import (LaurentPolynomial, _divide_power_minus_one,
                       _times_power_minus_one)
 
@@ -251,8 +247,9 @@ def _conway_size(letters: int, strands: int) -> int:
     of the length.  The worst case known is (1, -2) repeated 2000 times on
     3 strands, whose coefficients reach 835 digits: 10-13 s.  The grid
     alone grows as (m - 1)^2: sigma_1 ... sigma_89 on 90 strands (size
-    7921) took 0.3 s, and the word 1,2,...,8 on 1001 strands (size 10^6,
-    a zero column) 0.8 s and 46 MB (Python 3.11 on a shared 2-vCPU VM).
+    7921) took 0.3 s (Python 3.11 on a shared 2-vCPU VM).  A split closure,
+    a word that misses a generator index, costs one pass over its letters
+    at any size: 1,2,...,8 on 1001 strands (size 10^6) took 0.04 ms.
     """
     gaps = strands - 1
     return max(letters, gaps) * gaps
@@ -281,15 +278,13 @@ def _column_norms(m: int, letters) -> list[int]:
 
 
 def _proven_width(m: int, letters) -> int:
-    """K, in whole bytes, with every coefficient of det(I - psi_r) below
-    2^(K-1) in absolute value.
+    """K = `_byte_width(B)` for a bound B on the coefficients of det(I - psi_r).
 
     On |x| = 1 each entry of column c of I - psi_r is at most its 1-norm,
     so by Hadamard's inequality |det(I - psi_r)| <= B = prod_c (1 + N_c)
     (`_column_norms`), and so is every coefficient.
     """
-    bound = prod(1 + n for n in _column_norms(m, letters))
-    return (bound.bit_length() + 8) // 8 * 8
+    return _byte_width(prod(1 + n for n in _column_norms(m, letters)))
 
 
 def _direct_determinant(m: int, letters, k: int) -> tuple[int, list[int]]:
@@ -342,13 +337,7 @@ def _direct_determinant(m: int, letters, k: int) -> tuple[int, list[int]]:
     rows = [[-x for x in col] for col in cols[:n]]
     for c, row in enumerate(rows):
         row[c] += 1 << (k * offs[c])
-    det = exact_determinant(rows)
-    if not det:
-        return 0, []
-    # drop the zero low digits, then read off the rest
-    zeros = ((det & -det).bit_length() - 1) // k
-    det >>= k * zeros
-    [digits] = _balanced_digits([det], k, abs(det).bit_length() // k + 1)
+    zeros, digits = _packed_digits(exact_determinant(rows), k)
     return zeros - sum(offs[:n]), digits
 
 
@@ -395,9 +384,11 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
     K (m - 1) is at most `_DIRECT_BITS`, the whole word's Burau matrix at
     x = 2^K (`_direct_determinant`); otherwise the midpoint split
     (`_split_determinant`), whose entries span about half as many powers
-    of x.  A zero determinant (for instance a split closure) gives 0.
+    of x.  A word that misses a generator index, a split closure, is 0.
     """
     m, letters = word.strands, word.letters
+    if len({abs(x) for x in letters}) < m - 1:
+        return LaurentPolynomial.zero()
     k = _proven_width(m, letters)
     if k * (m - 1) <= _DIRECT_BITS:
         low, det = _direct_determinant(m, letters, k)
@@ -427,11 +418,12 @@ def link_det(word: BraidWord) -> GaussianInteger:
     m, letters = word.strands, word.letters
     if m % 2 == 0:
         m, letters = m + 1, letters + (m,)
-    # column c is the int sum_r col_c[r] 2^(w r); a letter at most triples
-    # the largest entry, so |col_c[r]| <= 3^L < 2^(w-1) fits a balanced digit
-    # (w in whole bytes, for `_balanced_digits`)
-    w = ((3 ** len(letters)).bit_length() + 8) // 8 * 8
-    cols = [1 << (w * c) for c in range(m)]
+    # column c, kept modulo (1, ..., 1) as in `_burau_columns`, is the int
+    # sum_r q_c[r] 2^(w r); a letter at most triples the largest entry, so
+    # |q_c[r]| <= 3^L fits a balanced digit
+    w = _byte_width(3 ** len(letters))
+    cols = [1 << (w * c) for c in range(m - 1)]
+    cols.append(-sum(cols))
     for ell in letters:
         if ell > 0:
             a = cols[ell - 1]
@@ -441,14 +433,12 @@ def link_det(word: BraidWord) -> GaussianInteger:
             b = cols[-ell]
             cols[-ell] = cols[-ell - 1] + (b << 1)
             cols[-ell - 1] = -b
-    # entry (r, c) of I - psi_r is delta_rc - col_c[r] + col_c[m-1]; row c
-    # of its transpose, which has the same determinant, is column c
-    rows = [[col[-1] - x for x in col[:-1]]
-            for col in _balanced_digits(cols[:-1], w, m)]
+    # entry (r, c) of I - psi_r is delta_rc - q_c[r]; row c of its
+    # transpose, which has the same determinant, is column c
+    rows = [[-x for x in col] for col in _balanced_digits(cols[:-1], w, m - 1)]
     for c, row in enumerate(rows):
         row[c] += 1
-    det = exact_determinant(rows)
-    return i_power(-_unit_power(word)) * det
+    return i_power(-_unit_power(word)) * exact_determinant(rows)
 
 
 def band_step(sign_l: int, det_l: GaussianInteger,

@@ -113,7 +113,7 @@ def laurent_bareiss(m):
         for i in range(k, n):
             x = a[i][k]
             if x:
-                size = 1 if isinstance(x, int) else len(x)
+                size = 1 if isinstance(x, int) else len(x.exponents())
                 if not fewest or size < fewest:
                     p, fewest = i, size
         if not fewest:

@@ -18,6 +18,7 @@ skein block identities take.
 
 import itertools
 import random
+from math import prod
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -172,6 +173,48 @@ def test_column_norms_bound_the_burau_columns(word):
     assert len(norms) == len(cols) == m - 1
     for c, (bound, col) in enumerate(zip(norms, cols)):
         assert sum(map(abs, col.values())) <= bound, (m, letters, c)
+
+
+def test_proven_width_is_above_the_hadamard_bound():
+    # every coefficient of det(I - psi_r) is at most prod(1 + N_c), and a
+    # balanced digit of width K holds it only if 2^(K-1) is larger still
+    rng = random.Random(3030)
+    for _ in range(300):
+        m = rng.randint(2, 16)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, m - 1)
+                        for _ in range(rng.randint(0, 60)))
+        k = _proven_width(m, letters)
+        bound = prod(1 + n for n in _column_norms(m, letters))
+        assert k % 8 == 0 and 2 ** (k - 1) > bound, (m, letters)
+
+
+def test_split_closures_take_no_burau_work(monkeypatch):
+    # a word that misses a generator index closes to a split link, whose
+    # potential is 0: fewer letters than generators, or longer words with
+    # one index left out
+    rng = random.Random(6565)
+    words = []
+    for _ in range(60):
+        m = rng.randint(2, 16)
+        words.append(BraidWord(m, tuple(
+            rng.choice((1, -1)) * rng.randint(1, m - 1)
+            for _ in range(rng.randint(0, m - 2)))))
+        gap = rng.randint(1, m - 1)
+        kept = [j for j in range(1, m) if j != gap]
+        words.append(BraidWord(m, tuple(
+            rng.choice((1, -1)) * rng.choice(kept)
+            for _ in range(rng.randint(m, 30) if kept else 0))))
+    wants = [unreduced_burau_potential(w) for w in words]
+    taken = []
+    for name in ("_column_norms", "_proven_width", "_direct_determinant",
+                 "_split_determinant", "_burau_columns"):
+        work = getattr(seifert, name)
+        monkeypatch.setattr(seifert, name, lambda *args, work=work, name=name:
+                            taken.append(name) or work(*args))
+    for w, want in zip(words, wants):
+        assert want.is_zero(), (w.strands, w.letters)
+        assert conway_potential(w) == want, (w.strands, w.letters)
+    assert taken == []
 
 
 @st.composite

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from linksig.intmatrix import (_laurent_determinant, exact_determinant,
+from linksig.intmatrix import (_byte_width, _laurent_determinant,
+                               exact_determinant,
                                signature_nullity_of_symmetric,
                                symmetric_invariants)
 from linksig.laurent import LaurentPolynomial
@@ -106,6 +107,16 @@ def test_exact_determinant_matches_leibniz(m):
         lifted = [[LaurentPolynomial.constant(x) if isinstance(x, int) else x
                    for x in row] for row in m]
         assert _laurent_determinant(lifted) == want
+
+
+@pytest.mark.parametrize("j", range(1, 6))
+def test_byte_width_keeps_a_guard_bit(j):
+    # bounds on either side of 2^(8j): whole bytes, one bit above the bound
+    # for the sign of a balanced digit, and no whole byte more than that
+    for bound in (2 ** (8 * j) - 1, 2 ** (8 * j), 2 ** (8 * j) + 1):
+        k = _byte_width(bound)
+        assert k % 8 == 0 and bound < 2 ** (k - 1), bound
+        assert bound >= 2 ** (k - 9), bound
 
 
 class TestDeterminant:

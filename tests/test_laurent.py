@@ -34,12 +34,6 @@ class TestArithmetic:
         assert LaurentPolynomial.t_binomial(0) == 0
         assert LaurentPolynomial.one() != "1"
 
-    def test_len_counts_stored_terms(self):
-        assert len(lp({})) == 0
-        assert len(lp({1: 0, 2: 3})) == 1
-        assert len((T(1) + 1) ** 3) == 4
-        assert len((T(1) - T(-1)) * (T(1) + T(-1))) == 2  # t^0 cancels
-
     def test_shift_and_substitute(self):
         p = lp({1: 1, -1: -1})
         assert p.shift(2) == lp({3: 1, 1: -1})
