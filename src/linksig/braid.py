@@ -87,6 +87,43 @@ class BraidWord:
         return BraidWord(strands, tuple([int(p) for p in text.replace(",", " ").split()]))
 
 
+def _cancel_far_pairs(word: BraidWord) -> BraidWord:
+    """The word with each sigma_j^e ... sigma_j^-e cancelled across letters
+    that all commute with sigma_j, those on indices other than j - 1, j and
+    j + 1 (Artin's relations): the same braid on the same strands.
+
+    One left-to-right pass keeps, per generator index, the stack of the
+    output positions of its kept letters.  An incoming sigma_j^-e can only
+    cancel the latest kept letter on j, and does when that letter is
+    sigma_j^e and the latest kept letters on j - 1 and j + 1 lie before it.
+    A cancellation pops that stack, which restores the letter below it, and
+    blanks the slot; the blanks are dropped at the end.  Each letter costs
+    O(1), so the pass is O(L + m), with no scan back over commuting letters.
+    The word itself comes back when nothing cancels.
+
+    >>> _cancel_far_pairs(BraidWord(4, (1, 3, -1))).letters
+    (3,)
+    """
+    out: list[int] = []
+    # indices 0 and m bound the generators and stay empty
+    stacks: list[list[int]] = [[] for _ in range(word.strands + 1)]
+    for x in word.letters:
+        j = abs(x)
+        kept = stacks[j]
+        if kept and out[kept[-1]] == -x:
+            p = kept[-1]
+            below, above = stacks[j - 1], stacks[j + 1]
+            if (not below or below[-1] < p) and (not above or above[-1] < p):
+                kept.pop()
+                out[p] = 0
+                continue
+        kept.append(len(out))
+        out.append(x)
+    if len(out) == len(word.letters):
+        return word
+    return BraidWord(word.strands, tuple([x for x in out if x]))
+
+
 # -- named subwords --------------------------------------------------------
 
 def pi_word(k: int, l: int, strands: int) -> BraidWord:

@@ -12,7 +12,14 @@ entries of each cycle as it closes, with no sort and no lookup by cycle.
 In that order V + V^T has a few nonzeros a row near the diagonal, and one
 sparse elimination of it, built in one pass over the nonzeros of V, gives
 the signature and the nullity in milliseconds at dimension 800;
-`invariants_report` also reads the determinant off it.
+`invariants_report` also reads the determinant off it.  The report takes
+that form of the word with its far-commuting inverse pairs cancelled
+(`braid._cancel_far_pairs`): the same braid, and two cycles fewer a pair,
+about half the dimension on random words.  `seifert_matrix`,
+`signature_nullity`, `link_det` and `conway_potential` keep the word they
+are given: the Seifert matrix is the paper's object, the paper's family
+words have nothing to cancel, and a potential of the uncancelled word lets
+the report's det = Omega(i) check the cancellation.
 
 The Conway potential det(t^-1 V - t V^T) comes from the reduced Burau
 matrix of the braid, (m-1) x (m-1) for m strands (Burau 1936; Kassel-Turaev,
@@ -64,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .braid import BraidWord
+from .braid import BraidWord, _cancel_far_pairs
 from .gaussian import GaussianInteger, i_power
 from .intmatrix import (_balanced_digits, _byte_width, _packed_determinant,
                         _packed_digits, _symmetrized_invariants,
@@ -465,11 +472,15 @@ def band_step(sign_l: int, det_l: GaussianInteger,
 def invariants_report(word: BraidWord) -> dict:
     """All closure invariants of one braid word, as plain JSON-able data.
 
-    The potential comes from the Burau matrix and the determinant from the
-    Seifert form, so det = Omega(i) checks one route against the other.
+    The potential comes from the Burau matrix of the word as given, and the
+    signature, nullity and determinant from the Seifert form of the word
+    with its far-commuting inverse pairs cancelled (`_cancel_far_pairs`),
+    the same braid with fewer bands, whose form is smaller and faster to
+    eliminate.  So det = Omega(i) checks one route against the other, and
+    the cancellation with them.  The other fields are the input word's.
     """
     omega = conway_potential(word)
-    sign, null, det = _form_invariants(word)
+    sign, null, det = _form_invariants(_cancel_far_pairs(word))
     return {
         "strands": word.strands,
         "word": word.to_text(),

@@ -1,13 +1,17 @@
+import time
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linksig.braid import (BraidWord, FamilyParams, delta_small, family_b,
-                           family_c, family_length, half_twist, pi_word,
-                           tau_word)
+from linksig.braid import (BraidWord, FamilyParams, _cancel_far_pairs,
+                           delta_small, family_b, family_c, family_length,
+                           half_twist, pi_word, tau_word)
 from linksig.seifert import (conway_potential, link_det, seifert_matrix,
                              signature_nullity)
 from oracles import (free_reduce, pointwise_letters, product_family_word,
-                     product_half_twist, product_tau_word)
+                     product_half_twist, product_tau_word,
+                     unreduced_burau_columns)
+from strategies import far_pair_words
 
 
 class TestNamedWords:
@@ -229,3 +233,46 @@ def test_braid_word_matches_the_pointwise_oracle(case):
     assert all(type(x) is int for x in word.letters)
     if type(letters) is tuple and all(type(x) is int for x in letters):
         assert word.letters is letters  # kept as given, not copied
+
+
+class TestCancelFarPairs:
+    def test_cancels_across_a_far_letter(self):
+        assert _cancel_far_pairs(BraidWord(4, (1, 3, -1))) == BraidWord(4, (3,))
+
+    def test_keeps_a_pair_around_an_adjacent_letter(self):
+        w = BraidWord(3, (1, 2, -1))
+        assert _cancel_far_pairs(w) is w
+
+    def test_nested_pairs_cancel_to_the_empty_word(self):
+        assert _cancel_far_pairs(BraidWord(3, (1, 2, -2, -1))) == BraidWord(3)
+
+    @pytest.mark.parametrize("letters, left", [
+        ((5,) * 10**5 + (1, -1) * 10**5, (5,) * 10**5),
+        ((1, 3) * 10**5 + (-3, -1) * 10**5, ()),
+    ], ids=["far-letters-first", "nested-commuting-pairs"])
+    def test_linear_time(self, letters, left):
+        # a scan back over the commuting letters would be quadratic on the
+        # first word, where each sigma_1 passes 10^5 letters on index 5; the
+        # second cancels 2 * 10^5 letters, each against a letter that the
+        # cancellation before it restored
+        word = BraidWord(6, letters)
+        start = time.perf_counter()
+        out = _cancel_far_pairs(word)
+        assert time.perf_counter() - start < 1.0
+        assert out.letters == left
+
+
+@settings(max_examples=300)
+@given(far_pair_words())
+@example(BraidWord(1))
+@example(BraidWord(6, (2, 5, -5, 1, -2)))
+@example(BraidWord(7, (3, 1, 5, 6, -1, -5, -3)))
+def test_cancel_far_pairs_keeps_the_braid(word):
+    out = _cancel_far_pairs(word)
+    assert unreduced_burau_columns(out) == unreduced_burau_columns(word)
+    assert (out.strands, out.exponent_sum(), out.permutation()) == (
+        word.strands, word.exponent_sum(), word.permutation())
+    assert len(out.letters) <= len(word.letters)
+    # nothing left to cancel, adjacent or across far letters
+    assert free_reduce(out.letters) == out.letters
+    assert _cancel_far_pairs(out) is out

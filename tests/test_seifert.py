@@ -3,17 +3,21 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from linksig import seifert
 from linksig.braid import BraidWord, FamilyParams, family_b, half_twist
 from linksig.closedforms import sign_null_delta
-from linksig.gaussian import GaussianInteger
+from linksig.gaussian import GaussianInteger, i_power
+from linksig.intmatrix import exact_determinant
 from linksig.laurent import LaurentPolynomial
 from linksig.seifert import (_form_invariants, band_step, conway_potential,
-                             link_det, seifert_matrix, signature_nullity)
+                             invariants_report, link_det, seifert_matrix,
+                             signature_nullity)
 from linksig.splice import SpliceDiagram, torus_delta_diagram
 from oracles import (band_step_constraint, cofactor_determinant,
                      dense_seifert_matrix, free_reduce, goeritz_invariants,
-                     list_link_det, seifert_link_det, symmetric_rows)
-from strategies import burau_words, mixed_words, random_word
+                     list_link_det, rational_signature, seifert_link_det,
+                     symmetric_rows)
+from strategies import burau_words, far_pair_words, mixed_words, random_word
 
 
 def lp(d):
@@ -197,6 +201,45 @@ def test_packed_link_det_equals_the_list_loop(word):
     # (1, -2)^2000 by about 0.69, the fastest growth measured
     assert (link_det(word) == list_link_det(word)
             == seifert_link_det(word)), (word.strands, word.letters)
+
+
+@settings(max_examples=100)
+@given(far_pair_words())
+@example(BraidWord(1))
+@example(BraidWord(4, (1, 3, -1)))  # a split closure once sigma_1 cancels
+@example(BraidWord(5, (2, 4, 1, -4, 3, -2, 3, 3, -1, 4)))
+def test_report_equals_the_dense_form_of_the_input_word(word):
+    # the report eliminates the form of the word with its far pairs
+    # cancelled; the oracles take the dense V + V^T of the word as given
+    v = dense_seifert_matrix(word)
+    n = len(v)
+    form = [[v[r][c] + v[c][r] for c in range(n)] for r in range(n)]
+    rep = invariants_report(word)
+    assert (rep["signature"], rep["nullity"]) == rational_signature(form)
+    assert rep["det"] == str(i_power(-n) * exact_determinant(form))
+
+
+def test_report_takes_the_potential_of_the_input_word(monkeypatch):
+    # the Burau route sees the word as given and the Seifert form the
+    # cancelled one, so the report's det = Omega(i) compares two words
+    seen = {}
+
+    def spy(name):
+        kernel = getattr(seifert, name)
+
+        def call(w):
+            seen[name] = w
+            return kernel(w)
+        return call
+
+    for name in ("conway_potential", "_form_invariants"):
+        monkeypatch.setattr(seifert, name, spy(name))
+    word = BraidWord(5, (2, 4, 1, -4, 3, -2, 3, 3, -1, 4))
+    rep = invariants_report(word)
+    assert seen["conway_potential"] is word
+    assert seen["_form_invariants"] == BraidWord(5, (2, 1, 3, -2, 3, 3, -1, 4))
+    assert rep["word"] == word.to_text()
+    assert rep["exponent_sum"] == word.exponent_sum()
 
 
 class TestSkeinRelation:
