@@ -22,9 +22,9 @@ import sys
 
 #: the largest `seifert._conway_size`, max(letters, strands - 1) x
 #: (strands - 1), that a Conway potential is started for: near the bound a
-#: seeded random word takes 0.5-2.2 s, and the worst case known, 1,-2
-#: repeated 2000 times on 3 strands, 10-13 s (the cost model is in that
-#: docstring; the size counts letters, not coefficient bits).
+#: seeded random word takes 0.4-1.6 s, and the worst case known, 1,-2
+#: repeated 2000 times on 3 strands, 6.1-6.3 s a process (the cost model is
+#: in that docstring; the size counts letters, not coefficient bits).
 MAX_WORD_SIZE = 8000
 
 #: the most trials `skein verify` starts.  The block identity takes about

@@ -29,26 +29,26 @@ unreduced Burau matrix acting on the quotient by its fixed vector
 (1, ..., 1), so the product is built in that quotient: each column v is
 kept as q(v)_r = v_r - v_(m-1), r < m - 1.  A word that misses a
 generator index closes to a split link, whose potential is 0.  Otherwise
-one pass over the letters proves a width K (`_proven_width`), and both
-kernels below pack at x = 2^K by the rule of `intmatrix`.  Two kernels
-take the determinant, and that width picks one:
+one integer loop over the letters builds psi_r (`_burau_at`): `link_det`'s
+column loop with x = 2^k in place of x = -1, each entry one integer, and
+each column kept times a power x^(o_c) that absorbs the x^-1 of negative
+letters.  Bounds on the column norms (`_column_norms`) prove the widths,
+and a width K proven for the whole word (`_proven_width`) picks one of two
+kernels:
 
-* Short words, K (m - 1) <= 320 bits: the whole word at once, `link_det`'s
-  integer column loop with x = 2^K in place of x = -1.  Each entry is one
-  integer, and each column is kept times a power x^(o_c) that absorbs the
-  x^-1 of negative letters; one integer determinant of I - psi_r, with
-  column c scaled by x^(o_c), gives the digits.
-* Wider words: the midpoint split.  Each column is a plain integer dict
-  keyed by the one integer e * m + r for row r and power x^e.  The word is
-  cut at its midpoint, beta = u v.  Then I - psi_r(u) psi_r(v) =
-  psi_r(u) (psi_r(u^-1) - psi_r(v)), and det psi_r(u) = (-x)^e(u) for the
-  exponent sum e(u), so
+* Short words, K (m - 1) <= 320 bits: the whole word at x = 2^K; one
+  integer determinant of I - psi_r, with column c scaled by x^(o_c), gives
+  the digits.
+* Wider words: the midpoint split, beta = u v.  Then I - psi_r(u) psi_r(v)
+  = psi_r(u) (psi_r(u^-1) - psi_r(v)), and det psi_r(u) = (-x)^e(u) for
+  the exponent sum e(u), so
       det(I - psi_r(beta)) = (-x)^e(u) det(psi_r(u^-1) - psi_r(v)),
-  a shift and a sign of a determinant whose entries q_c(u^-1)[r] - q_c(v)[r]
-  span about half as many powers of x.  Each column of that difference is
-  one merge of the two halves' column dicts, and each entry is packed as one
-  integer after row and column shifts that take out as many powers of x as
-  the determinant's terms allow, with a width from Hadamard's bound on the
+  a shift and a sign of a determinant whose entries span about half as
+  many powers of x.  Both halves are built at one width that holds every
+  coefficient of their difference, which is taken column by column and
+  read back as balanced digits.  Each entry is then packed as one integer
+  after row and column shifts that take out as many powers of x as the
+  determinant's terms allow, with a width from Hadamard's bound on the
   entries themselves, for one integer Bareiss determinant
   (`intmatrix._packed_determinant`).
 
@@ -70,6 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import add
 
 from .braid import BraidWord, _cancel_far_pairs
 from .gaussian import GaussianInteger, i_power
@@ -178,48 +179,6 @@ def signature_nullity(word: BraidWord) -> tuple[int, int]:
     return sign, null
 
 
-def _burau_columns(m: int, letters) -> list[dict[int, int]]:
-    """Columns of psi_r, the reduced Burau matrix of the letters on m strands.
-
-    The unreduced Burau matrix fixes the vector (1, ..., 1), so each of its
-    columns v is kept as q(v)_r = v_r - v_(m-1) for rows 0 <= r < m - 1:
-    column c starts as the unit vector e_c for c < m - 1, and a last column,
-    dropped at the end, as -(1, ..., 1).  Column c is one sparse dict
-    {e * m + r: coefficient} for the entry at row r and the power x^e, with
-    no zero coefficients; ``divmod(key, m)`` gives back (e, r), and a shift
-    by x^(+-1) adds +-m to every key.  The letters act on columns, so they
-    commute with q: the product is built from the start columns one letter
-    at a time, and a letter on index i rewrites only columns i and i+1.
-    """
-    cols = [{c: 1} for c in range(m - 1)]
-    cols.append({r: -1 for r in range(m - 1)})
-    for ell in letters:
-        i = abs(ell) - 1
-        a, b = cols[i], cols[i + 1]
-        if ell > 0:
-            # col_i <- (1-x) col_i + col_{i+1},  col_{i+1} <- x col_i
-            s = {k + m: v for k, v in a.items()}
-            cols[i], cols[i + 1] = _merge(b, a, s), s
-        else:
-            # col_i <- x^-1 col_{i+1},  col_{i+1} <- col_i + (1-x^-1) col_{i+1}
-            s = {k - m: v for k, v in b.items()}
-            cols[i], cols[i + 1] = s, _merge(a, b, s)
-    del cols[-1]
-    return cols
-
-
-def _merge(acc: dict, plus: dict, minus: dict) -> dict:
-    """acc + plus - minus, formed in acc; coefficients that cancel are dropped."""
-    for other, sign in ((plus, 1), (minus, -1)):
-        for k, v in other.items():
-            v = acc.get(k, 0) + sign * v
-            if v:
-                acc[k] = v
-            else:
-                del acc[k]
-    return acc
-
-
 def _unit_power(word: BraidWord) -> int:
     """k in Omega(t) = (-t)^k A(t^2), the unit of the Burau route: k = m - 1 - e.
 
@@ -237,26 +196,27 @@ def _conway_size(letters: int, strands: int) -> int:
     """The size that `conway_potential` costs on L letters and m strands.
 
     It is max(L, m - 1) x (m - 1).  The width pre-pass costs L integer
-    steps.  The words that reach this size take the midpoint split, whose
-    Burau columns cost about L (m - 1) dict updates, and whose dense
-    (m - 1) x (m - 1) grid of packed entries is built, and eliminated unless
-    it has a zero column, whatever the letter count.  The direct kernel
+    steps, and a word that uses every generator index L steps of the Burau
+    loop (`_burau_at`), m - 1 integer operations each.  The direct kernel
     takes only words whose proven width K has K (m - 1) <= `_DIRECT_BITS`,
-    L steps of m - 1 integer entries each and one (m - 1) x (m - 1)
-    determinant.  On seeded random words that is up to about 100 letters
-    on 3 strands, 30 on 6 and 20 on 9, under a millisecond; words whose
-    letters mostly cancel stay narrow for longer, (1, -1, 2, -2) repeated
-    1000 times on 3 strands at K = 16 in 5 ms.  The size counts letters,
-    not coefficient bits.  One call each
-    (median of three) on seeded random words of size 8000 took 1.0 s on 3
-    strands (4000 letters), 2.1 s on 5 (2000), 2.2 s on 8 (1142), 2.1 s on
-    16 (533) and 0.5 s on 33 (250); the cost grows faster than the square
-    of the length.  The worst case known is (1, -2) repeated 2000 times on
-    3 strands, whose coefficients reach 835 digits: 10-13 s.  The grid
-    alone grows as (m - 1)^2: sigma_1 ... sigma_89 on 90 strands (size
-    7921) took 0.3 s (Python 3.11 on a shared 2-vCPU VM).  A split closure,
-    a word that misses a generator index, costs one pass over its letters
-    at any size: 1,2,...,8 on 1001 strands (size 10^6) took 0.04 ms.
+    then one (m - 1) x (m - 1) determinant.  On seeded random words that
+    is up to about 100 letters on 3 strands, 30 on 6 and 20 on 9, under a
+    millisecond; words whose letters mostly cancel stay narrow for longer,
+    (1, -1, 2, -2) repeated 1000 times on 3 strands at K = 16 in 5 ms.  The
+    words that reach this size take the midpoint split, whose integers grow
+    with the letters, and whose dense (m - 1) x (m - 1) grid of entries is
+    read back, packed, and eliminated unless it has a zero column, whatever
+    the letter count.  The size counts letters, not coefficient bits.  One
+    call (min of three) on seeded random words of size near 8000 took 0.5 s
+    on 3 strands (4000 letters), 0.7 s on 5 (2000), 1.4-1.6 s on 8 (1000),
+    0.85 s on 16 (500) and 0.4-0.5 s on 33 (250); the cost grows faster
+    than the square of the length.  The worst case known is (1, -2)
+    repeated 2000 times on 3 strands, whose coefficients reach 835 digits:
+    6.0-6.4 s.  The grid alone grows as (m - 1)^2: sigma_1 ... sigma_89 on
+    90 strands (size 7921) took 0.2 s (Python 3.11 on a shared 2-vCPU VM).
+    A split closure, a word that misses a generator index, costs one pass
+    over its letters at any size: 1,2,...,8 on 1001 strands (size 10^6)
+    took 0.04 ms.
     """
     gaps = strands - 1
     return max(letters, gaps) * gaps
@@ -294,16 +254,20 @@ def _proven_width(m: int, letters) -> int:
     return _byte_width(prod(1 + n for n in _column_norms(m, letters)))
 
 
-def _direct_determinant(m: int, letters, k: int) -> tuple[int, list[int]]:
-    """det(I - psi_r) of the letters on m strands, as (low, its dense
-    coefficients from x^low up), for a width k from `_proven_width`.
+def _burau_at(m: int, letters, k: int) -> tuple[list[list[int]], list[int]]:
+    """The m - 1 columns of psi_r, the reduced Burau matrix of the letters on
+    m strands, at x = 2^k, and their offsets.
 
-    `link_det`'s integer loop with x = 2^k: column c is kept as x^(o_c)
-    times the column, with an offset o_c >= 0 that absorbs the x^-1 of
-    negative letters, and each entry of that polynomial as one integer, its
-    value at x = 2^k.  Column c of I - psi_r, times x^(o_c), is then
-    x^(o_c) e_c minus the stored column, an integer matrix whose
-    determinant is x^(sum o_c) det(I - psi_r) at x = 2^k.
+    The unreduced Burau matrix fixes the vector (1, ..., 1), so each of its
+    columns v is kept as q(v)_r = v_r - v_(m-1) for rows 0 <= r < m - 1:
+    column c starts as the unit vector e_c for c < m - 1, and a last column,
+    dropped at the end, as -(1, ..., 1).  The letters act on columns, so
+    they commute with q: the product is built from the start columns one
+    letter at a time, and a letter on index i rewrites only columns i and
+    i + 1.  Column c is kept as x^(o_c) times the column, with an offset
+    o_c >= 0 that absorbs the x^-1 of negative letters, and each entry of
+    that polynomial as one integer, its value at x = 2^k.  Any k gives the
+    values; the coefficients read back only when each is below 2^(k-1).
     """
     n = m - 1
     cols = [[int(r == c) for r in range(n)] for c in range(n)]
@@ -340,25 +304,60 @@ def _direct_determinant(m: int, letters, k: int) -> tuple[int, list[int]]:
                 cols[i + 1] = [(x << s) + (y << k) - y for x, y in zip(a, b)]
                 offs[i + 1] = ob
             cols[i], offs[i] = b, ob
+    del cols[-1], offs[-1]
+    return cols, offs
+
+
+def _direct_determinant(m: int, letters, k: int) -> tuple[int, list[int]]:
+    """det(I - psi_r) of the letters on m strands, as (low, its dense
+    coefficients from x^low up), for a width k from `_proven_width`.
+
+    Column c of I - psi_r, times x^(o_c), is x^(o_c) e_c minus the column
+    of `_burau_at`, an integer matrix whose determinant is
+    x^(sum o_c) det(I - psi_r) at x = 2^k.
+    """
+    cols, offs = _burau_at(m, letters, k)
     # row c of the transpose, which has the same determinant, is column c
-    rows = [[-x for x in col] for col in cols[:n]]
+    rows = [[-x for x in col] for col in cols]
     for c, row in enumerate(rows):
         row[c] += 1 << (k * offs[c])
     zeros, digits = _packed_digits(exact_determinant(rows), k)
-    return zeros - sum(offs[:n]), digits
+    return zeros - sum(offs), digits
 
 
 def _split_determinant(m: int, letters) -> tuple[int, list[int]]:
     """det(I - psi_r) of the letters on m strands, as (low, its dense
     coefficients from x^low up), by the midpoint split beta = u v:
-    det(I - psi_r(beta)) = (-x)^e(u) det(psi_r(u^-1) - psi_r(v)), whose
-    columns, merged from the two halves', go into one packed integer
-    determinant (`_packed_determinant`).
+    det(I - psi_r(beta)) = (-x)^e(u) det(psi_r(u^-1) - psi_r(v)).
+
+    Both halves come from `_burau_at` at one width k: each coefficient of
+    column c of the difference is at most N_c(u^-1) + N_c(v)
+    (`_column_norms`), below 2^(k-1).  Column c of the difference, times
+    x^o for the larger offset o of the two halves, is one integer an entry,
+    read back as balanced digits into `_packed_determinant`'s column dict,
+    the key e * m + r for row r and the power x^e.
     """
     h = len(letters) // 2
-    inverse = _burau_columns(m, [-x for x in reversed(letters[:h])])
-    low, det = _packed_determinant([_merge(a, {}, b) for a, b in zip(
-        inverse, _burau_columns(m, letters[h:]))])
+    inverse, rest = [-x for x in reversed(letters[:h])], letters[h:]
+    k = _byte_width(max(map(add, _column_norms(m, inverse),
+                            _column_norms(m, rest)), default=0))
+    cols = []
+    for a, oa, b, ob in zip(*_burau_at(m, inverse, k), *_burau_at(m, rest, k)):
+        o = max(oa, ob)
+        sa, sb = k * (o - oa), k * (o - ob)
+        diff = [(x << sa) - (y << sb) for x, y in zip(a, b)]
+        rows = [r for r, x in enumerate(diff) if x]
+        values = [diff[r] for r in rows]
+        count = max(map(abs, values), default=0).bit_length() // k + 1
+        col = {}
+        for r, digits in zip(rows, _balanced_digits(values, k, count)):
+            key = r - o * m
+            for d in digits:
+                if d:
+                    col[key] = d
+                key += m
+        cols.append(col)
+    low, det = _packed_determinant(cols)
     e_u = sum(1 if x > 0 else -1 for x in letters[:h])
     return low + e_u, [-x for x in det] if e_u % 2 else det
 
@@ -425,7 +424,7 @@ def link_det(word: BraidWord) -> GaussianInteger:
     m, letters = word.strands, word.letters
     if m % 2 == 0:
         m, letters = m + 1, letters + (m,)
-    # column c, kept modulo (1, ..., 1) as in `_burau_columns`, is the int
+    # column c, kept modulo (1, ..., 1) as in `_burau_at`, is the int
     # sum_r q_c[r] 2^(w r); a letter at most triples the largest entry, so
     # |q_c[r]| <= 3^L fits a balanced digit
     w = _byte_width(3 ** len(letters))

@@ -42,7 +42,8 @@ class Mutant(NamedTuple):
 BURAU = "tests/test_burau_crosscheck.py::"
 
 MUTANTS = [
-    # the Conway kernels for short words (the direct kernel) and their width
+    # the Burau loop of both Conway kernels (`_burau_at`), the direct
+    # kernel's width and the midpoint split's readback
     Mutant("column-norms-positive-rule", "seifert.py",
            "norms[i], norms[i + 1] = 2 * a + b, a",
            "norms[i], norms[i + 1] = a + b, a",
@@ -58,6 +59,13 @@ MUTANTS = [
     Mutant("direct-negative-letter-keeps-offset", "seifert.py",
            "for x, y in zip(a, b)]\n                offs[i + 1] = ob\n",
            "for x, y in zip(a, b)]\n",
+           (BURAU + "test_conway_potential_equals_unreduced_burau_route",)),
+    Mutant("split-offsets-swapped", "seifert.py",
+           "sa, sb = k * (o - oa), k * (o - ob)",
+           "sb, sa = k * (o - oa), k * (o - ob)",
+           (BURAU + "test_conway_potential_equals_unreduced_burau_route",)),
+    Mutant("split-readback-key-step", "seifert.py",
+           "key += m\n", "key += 1\n",
            (BURAU + "test_conway_potential_equals_unreduced_burau_route",)),
     Mutant("split-sign-dropped", "seifert.py",
            "return low + e_u, [-x for x in det] if e_u % 2 else det",

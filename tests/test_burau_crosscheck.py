@@ -19,15 +19,17 @@ skein block identities take.
 import itertools
 import random
 from math import prod
+from operator import add
 
 from hypothesis import example, given, settings, strategies as st
 
 from linksig import seifert
 from linksig.braid import BraidWord, half_twist
 from linksig.genskein import build_symmetrized
-from linksig.intmatrix import _lowest_shifts, _packed_determinant
+from linksig.intmatrix import (_balanced_digits, _byte_width, _lowest_shifts,
+                               _packed_determinant)
 from linksig.laurent import LaurentPolynomial
-from linksig.seifert import (_DIRECT_BITS, _burau_columns, _column_norms,
+from linksig.seifert import (_DIRECT_BITS, _burau_at, _column_norms,
                              _direct_determinant, _potential_from,
                              _proven_width, _split_determinant,
                              conway_potential, invariants_report, link_det,
@@ -67,6 +69,24 @@ def _unreduced_burau(word: BraidWord):
     return mat
 
 
+def _read_back(m, letters, k):
+    """The columns of `_burau_at` at x = 2^k, each as {(r, e): coefficient}
+    for row r and the power x^e, read as balanced base-2^k digits."""
+    cols, offs = _burau_at(m, letters, k)
+    out = []
+    for col, o in zip(cols, offs):
+        count = max(map(abs, col), default=0).bit_length() // k + 1
+        out.append({(r, j - o): v
+                    for r, digits in enumerate(_balanced_digits(col, k, count))
+                    for j, v in enumerate(digits) if v})
+    return out
+
+
+def _norms_width(m, letters):
+    """The width at which `_column_norms` proves every column reads back."""
+    return _byte_width(max(_column_norms(m, letters), default=0))
+
+
 @settings(max_examples=80)
 @given(burau_words())
 @example(BraidWord(1))
@@ -88,12 +108,12 @@ def test_burau_columns_equal_letter_matrix_products(word):
                                for e, v in mat[r][c].items()}, (word.letters, c)
     # the library keeps each column v modulo (1, ..., 1), v_r - v_(m-1), and
     # returns the m - 1 columns of the reduced matrix
-    cols = _burau_columns(m, word.letters)
+    cols = _read_back(m, word.letters, _norms_width(m, word.letters))
     assert len(cols) == m - 1
     for c, col in enumerate(cols):
-        assert decode(col) == {(r, e): v for r in range(m - 1)
-                               for e, v in (mat[r][c] - mat[m - 1][c]).items()
-                               }, (word.letters, c)
+        assert col == {(r, e): v for r in range(m - 1)
+                       for e, v in (mat[r][c] - mat[m - 1][c]).items()
+                       }, (word.letters, c)
 
 
 def _assert_kernels_equal_oracle(word):
@@ -166,13 +186,58 @@ def test_proven_width_picks_the_kernel(monkeypatch):
 @example(BraidWord(3, (1, -2) * 30))
 @example(BraidWord(6, (-5, -4, -3, -2, -1) * 6))
 def test_column_norms_bound_the_burau_columns(word):
-    # N_c is at least the sum of the absolute coefficients of column c
+    # N_c is at least the sum of the absolute coefficients of column c, and
+    # a width proven from the N_c reads the columns as a wide one does: a
+    # letter at most triples a column's norm, which starts at most m - 1
     m, letters = word.strands, word.letters
     norms = _column_norms(m, letters)
-    cols = _burau_columns(m, letters)
+    cols = _read_back(m, letters, _byte_width((m - 1) * 3 ** len(letters)))
+    assert _read_back(m, letters, _norms_width(m, letters)) == cols
     assert len(norms) == len(cols) == m - 1
     for c, (bound, col) in enumerate(zip(norms, cols)):
         assert sum(map(abs, col.values())) <= bound, (m, letters, c)
+
+
+def _reduced_columns(m, letters):
+    """psi_r from the oracle's unreduced columns: entry (r, c) is
+    col_c[r] - col_c[m-1], as {(r, e): coefficient} a column."""
+    out = []
+    for col in unreduced_burau_columns(BraidWord(m, letters))[:m - 1]:
+        reduced = {}
+        for key, v in col.items():
+            e, r = divmod(key, m)
+            for row, sign in ([(r, 1)] if r < m - 1
+                              else [(row, -1) for row in range(m - 1)]):
+                reduced[row, e] = reduced.get((row, e), 0) + sign * v
+        out.append(reduced)
+    return out
+
+
+def test_split_width_holds_the_difference_of_the_halves(monkeypatch):
+    # the split reads both halves at one width k; every coefficient of
+    # column c of psi_r(u^-1) - psi_r(v) is at most N_c(u^-1) + N_c(v) and
+    # below 2^(k-1), so the balanced digits are the coefficients
+    widths = []
+    burau_at = seifert._burau_at
+    monkeypatch.setattr(seifert, "_burau_at", lambda m, letters, k:
+                        widths.append(k) or burau_at(m, letters, k))
+    rng = random.Random(3232)
+    for _ in range(300):
+        m = rng.randint(2, 12)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, m - 1)
+                        for _ in range(rng.randint(0, 60)))
+        h = len(letters) // 2
+        inverse, rest = tuple(-x for x in reversed(letters[:h])), letters[h:]
+        widths.clear()
+        _split_determinant(m, letters)
+        k = widths[0]
+        assert widths == [k, k], (m, letters)
+        bounds = map(add, _column_norms(m, inverse), _column_norms(m, rest))
+        for c, (bound, a, b) in enumerate(zip(
+                bounds, _reduced_columns(m, inverse), _reduced_columns(m, rest))):
+            top = max((abs(a.get(key, 0) - b.get(key, 0))
+                       for key in a.keys() | b.keys()), default=0)
+            assert top <= bound and top < 2 ** (k - 1), (m, letters, c)
 
 
 def test_proven_width_is_above_the_hadamard_bound():
@@ -207,7 +272,7 @@ def test_split_closures_take_no_burau_work(monkeypatch):
     wants = [unreduced_burau_potential(w) for w in words]
     taken = []
     for name in ("_column_norms", "_proven_width", "_direct_determinant",
-                 "_split_determinant", "_burau_columns"):
+                 "_split_determinant", "_burau_at"):
         work = getattr(seifert, name)
         monkeypatch.setattr(seifert, name, lambda *args, work=work, name=name:
                             taken.append(name) or work(*args))

@@ -332,9 +332,9 @@ def test_bad_input_is_a_json_error(tmp_path, monkeypatch, capsys, argv, message)
         return walk(self, j)
 
     monkeypatch.setattr(SpliceDiagram, "_linking_from", recorded)
-    # the width pre-pass and both Conway kernels
+    # the width pre-pass and the Burau loop that both Conway kernels take
     burau = []
-    for name in ("_column_norms", "_direct_determinant", "_burau_columns"):
+    for name in ("_column_norms", "_burau_at"):
         work = getattr(seifert, name)
         monkeypatch.setattr(seifert, name, lambda *args, work=work, name=name:
                             burau.append(name) or work(*args))
