@@ -21,7 +21,8 @@ import sys
 
 
 #: the largest `seifert._conway_size`, max(letters, strands - 1) x
-#: (strands - 1), that a Conway potential is started for: near the bound a
+#: (strands - 1), that a Conway potential is started for (`invariants`
+#: counts the letters after the far-pair pass of its report): near the bound a
 #: seeded random word takes 0.4-1.6 s, and the worst case known, 1,-2
 #: repeated 2000 times on 3 strands, 6.1-6.3 s a process (the cost model is
 #: in that docstring; the size counts letters, not coefficient bits).
@@ -97,8 +98,9 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
 
-def _check_word_size(letters: int, strands: int) -> int:
-    """The word's `seifert._conway_size`, refused over `MAX_WORD_SIZE`."""
+def _check_word_size(letters: int, strands: int, note: str = "") -> int:
+    """The word's `seifert._conway_size`, refused over `MAX_WORD_SIZE`;
+    `note` ends the message."""
     from .seifert import _conway_size
 
     size, gaps = _conway_size(letters, strands), strands - 1
@@ -106,16 +108,23 @@ def _check_word_size(letters: int, strands: int) -> int:
         counted = (f"{letters} letters" if letters >= gaps else
                    f"{gaps} strand gaps (more than the {letters} letters)")
         raise ValueError(f"word too large: {counted} x {gaps} strand gaps = "
-                         f"{size} > {MAX_WORD_SIZE}")
+                         f"{size} > {MAX_WORD_SIZE}{note}")
     return size
 
 
 def _cmd_invariants(args) -> tuple[object, int]:
-    from .braid import BraidWord
-    from .seifert import invariants_report
+    from .braid import BraidWord, _cancel_far_pairs
+    from .seifert import _conway_size, invariants_report
 
     word = BraidWord.from_text(args.strands, args.word)
-    _check_word_size(len(word.letters), word.strands)
+    # the strand gaps alone first: they bound the size whatever the
+    # letters, and the cancelling pass keeps one stack a strand
+    if _conway_size(0, word.strands) > MAX_WORD_SIZE:
+        _check_word_size(len(word.letters), word.strands)
+    # the report takes the word with its far pairs cancelled, so its
+    # letters are the ones that cost
+    _check_word_size(len(_cancel_far_pairs(word).letters), word.strands,
+                     ", letters counted after cancelling far pairs")
     return invariants_report(word), 0
 
 

@@ -12,14 +12,16 @@ entries of each cycle as it closes, with no sort and no lookup by cycle.
 In that order V + V^T has a few nonzeros a row near the diagonal, and one
 sparse elimination of it, built in one pass over the nonzeros of V, gives
 the signature and the nullity in milliseconds at dimension 800;
-`invariants_report` also reads the determinant off it.  The report takes
-that form of the word with its far-commuting inverse pairs cancelled
-(`braid._cancel_far_pairs`): the same braid, and two cycles fewer a pair,
-about half the dimension on random words.  `seifert_matrix`,
+`invariants_report` also reads the determinant off it.  The report first
+cancels the word's far-commuting inverse pairs (`braid._cancel_far_pairs`)
+and takes both this form and the potential below of the result: the same
+braid, with two letters and two cycles fewer a pair, about half the
+dimension on random words and a shorter Burau loop.  `seifert_matrix`,
 `signature_nullity`, `link_det` and `conway_potential` keep the word they
-are given: the Seifert matrix is the paper's object, the paper's family
-words have nothing to cancel, and a potential of the uncancelled word lets
-the report's det = Omega(i) check the cancellation.
+are given: the Seifert matrix is the paper's object and the paper's family
+words have nothing to cancel.  Both routes of the report take one word, so
+its det = Omega(i) compares the routes and not the cancellation; the tests
+check that against dense and unreduced Burau oracles of the input word.
 
 The Conway potential det(t^-1 V - t V^T) comes from the reduced Burau
 matrix of the braid, (m-1) x (m-1) for m strands (Burau 1936; Kassel-Turaev,
@@ -471,15 +473,17 @@ def band_step(sign_l: int, det_l: GaussianInteger,
 def invariants_report(word: BraidWord) -> dict:
     """All closure invariants of one braid word, as plain JSON-able data.
 
-    The potential comes from the Burau matrix of the word as given, and the
-    signature, nullity and determinant from the Seifert form of the word
-    with its far-commuting inverse pairs cancelled (`_cancel_far_pairs`),
-    the same braid with fewer bands, whose form is smaller and faster to
-    eliminate.  So det = Omega(i) checks one route against the other, and
-    the cancellation with them.  The other fields are the input word's.
+    One pass cancels the word's far-commuting inverse pairs
+    (`_cancel_far_pairs`): the same braid with fewer letters, so a shorter
+    Burau loop and a smaller Seifert form.  The potential comes from the
+    Burau matrix of that word, and the signature, nullity and determinant
+    from its Seifert form, so det = Omega(i) checks one route against the
+    other on one word.  The other fields are the input word's; the
+    components and the exponent sum are the same for both.
     """
-    omega = conway_potential(word)
-    sign, null, det = _form_invariants(_cancel_far_pairs(word))
+    cancelled = _cancel_far_pairs(word)
+    omega = conway_potential(cancelled)
+    sign, null, det = _form_invariants(cancelled)
     return {
         "strands": word.strands,
         "word": word.to_text(),

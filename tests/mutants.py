@@ -113,10 +113,17 @@ MUTANTS = [
            "cap = 9 + 2 * s.beta", "cap = 7 + 2 * s.beta",
            ("tests/test_prohibit.py::TestEnumeration::test_matches_family_closed_form",
             "tests/test_acceptance.py::test_criterion_10_prohibitions")),
-    # the far-pair cancellation in front of the report's Seifert form
+    # the far-pair cancellation in front of both routes of the report
     Mutant("far-pairs-without-upper-neighbour", "braid.py",
            "if (not below or below[-1] < p) and (not above or above[-1] < p):",
            "if not below or below[-1] < p:",
+           ("tests/test_braid.py::test_cancel_far_pairs_keeps_the_braid",
+            "tests/test_seifert.py::"
+            "test_report_equals_the_dense_form_of_the_input_word",
+            "tests/test_seifert.py::test_report_takes_one_cancelled_word")),
+    Mutant("far-pairs-without-lower-neighbour", "braid.py",
+           "if (not below or below[-1] < p) and (not above or above[-1] < p):",
+           "if not above or above[-1] < p:",
            ("tests/test_braid.py::test_cancel_far_pairs_keeps_the_braid",
             "tests/test_seifert.py::"
             "test_report_equals_the_dense_form_of_the_input_word")),
@@ -125,7 +132,8 @@ MUTANTS = [
            "if kept and out[kept[-1]] == x:",
            ("tests/test_braid.py::test_cancel_far_pairs_keeps_the_braid",
             "tests/test_seifert.py::"
-            "test_report_equals_the_dense_form_of_the_input_word")),
+            "test_report_equals_the_dense_form_of_the_input_word",
+            "tests/test_seifert.py::test_report_takes_one_cancelled_word")),
 ]
 
 

@@ -6,8 +6,9 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from linksig import cli, genskein, prohibit, seifert
-from linksig.braid import family_length, family_params
+from linksig import braid, cli, genskein, prohibit, seifert
+from linksig.braid import (BraidWord, _cancel_far_pairs, family_length,
+                           family_params)
 from linksig.cli import main
 from linksig.gaussian import GaussianInteger as G
 from linksig.genskein import DELTA3_COEFFS, RelationSpec
@@ -399,7 +400,13 @@ def test_size_limit_is_on_letters_times_strand_gaps(monkeypatch, capsys):
     assert main(["invariants", "--strands", "3", "--word", "1,-2"]) == 0
     capsys.readouterr()
     assert main(["invariants", "--strands", "3", "--word", "1,-2,1"]) == 2
-    assert "3 letters x 2 strand gaps = 6 > 4" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "3 letters x 2 strand gaps = 6 > 4" in err
+    assert "letters counted after cancelling far pairs" in err
+    # the letters are counted after the far-pair pass: (1, -1)^3 cancels to
+    # the empty word, 2 x 2
+    assert main(["invariants", "--strands", "3", "--word", "1,-1,1,-1,1,-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["word"] == "1,-1,1,-1,1,-1"
     # on fewer letters than strand gaps the gaps count twice: 2 x 2 passes,
     # 3 x 3 does not
     assert main(["invariants", "--strands", "3", "--word", "1"]) == 0
@@ -407,6 +414,14 @@ def test_size_limit_is_on_letters_times_strand_gaps(monkeypatch, capsys):
     assert main(["invariants", "--strands", "4", "--word", "1"]) == 2
     assert ("3 strand gaps (more than the 1 letters) x 3 strand gaps = 9 > 4"
             in capsys.readouterr().err)
+    # too many strands are refused on the strand gaps alone, before the pass
+    # allocates its stack a strand
+    def no_pass(word):
+        raise AssertionError("far-pair pass on too many strands")
+
+    monkeypatch.setattr(braid, "_cancel_far_pairs", no_pass)
+    assert main(["invariants", "--strands", str(10 ** 9), "--word", "1"]) == 2
+    assert "999999999 strand gaps" in capsys.readouterr().err
     assert main(["skein", "verify", "--relation", "b3", "--strands", "3",
                  "--maxlen", "3"]) == 2
     assert "word too large" in capsys.readouterr().err
@@ -587,8 +602,11 @@ def cli_requests(draw) -> tuple[list[str], list[tuple[int, int]]]:
         cycle = draw(st.lists(st.integers(1, gaps).flatmap(
             lambda j: st.sampled_from((j, -j))), min_size=1, max_size=4))
         word = [cycle[i % len(cycle)] for i in range(letters)]
+        # the report takes the word with its far pairs cancelled, and its
+        # letters are the ones sized
+        cancelled = _cancel_far_pairs(BraidWord(strands, tuple(word))).letters
         return (["invariants", "--strands", str(strands), "--word=" + _joined(word)],
-                [(seifert._conway_size(letters, strands), cli.MAX_WORD_SIZE)])
+                [(seifert._conway_size(len(cancelled), strands), cli.MAX_WORD_SIZE)])
     if command == "family":
         kind = draw(st.sampled_from("bc"))
         n, k, J, alphas = _family(draw, kind)

@@ -16,7 +16,7 @@ from linksig.splice import SpliceDiagram, torus_delta_diagram
 from oracles import (band_step_constraint, cofactor_determinant,
                      dense_seifert_matrix, free_reduce, goeritz_invariants,
                      list_link_det, rational_signature, seifert_link_det,
-                     symmetric_rows)
+                     symmetric_rows, unreduced_burau_potential)
 from strategies import burau_words, far_pair_words, mixed_words, random_word
 
 
@@ -208,36 +208,42 @@ def test_packed_link_det_equals_the_list_loop(word):
 @example(BraidWord(1))
 @example(BraidWord(4, (1, 3, -1)))  # a split closure once sigma_1 cancels
 @example(BraidWord(5, (2, 4, 1, -4, 3, -2, 3, 3, -1, 4)))
+@example(BraidWord(4, (1, 3, 2, -3, 2, 3)))  # sigma_2 keeps sigma_3 sigma_3^-1
 def test_report_equals_the_dense_form_of_the_input_word(word):
-    # the report eliminates the form of the word with its far pairs
-    # cancelled; the oracles take the dense V + V^T of the word as given
+    # the report takes the word with its far pairs cancelled; the oracles
+    # take the word as given: the dense V + V^T, and the potential from the
+    # unreduced Burau columns, which shares no helper with `_burau_at`
     v = dense_seifert_matrix(word)
     n = len(v)
     form = [[v[r][c] + v[c][r] for c in range(n)] for r in range(n)]
     rep = invariants_report(word)
     assert (rep["signature"], rep["nullity"]) == rational_signature(form)
     assert rep["det"] == str(i_power(-n) * exact_determinant(form))
+    assert rep["conway"] == unreduced_burau_potential(word).to_json()
 
 
-def test_report_takes_the_potential_of_the_input_word(monkeypatch):
-    # the Burau route sees the word as given and the Seifert form the
-    # cancelled one, so the report's det = Omega(i) compares two words
+def test_report_takes_one_cancelled_word(monkeypatch):
+    # one far-pair pass a report, and its output into both routes, so the
+    # Burau and Seifert routes see one word and det = Omega(i) compares them
     seen = {}
 
     def spy(name):
         kernel = getattr(seifert, name)
 
         def call(w):
-            seen[name] = w
+            seen.setdefault(name, []).append(w)
             return kernel(w)
         return call
 
-    for name in ("conway_potential", "_form_invariants"):
+    for name in ("_cancel_far_pairs", "conway_potential", "_form_invariants"):
         monkeypatch.setattr(seifert, name, spy(name))
     word = BraidWord(5, (2, 4, 1, -4, 3, -2, 3, 3, -1, 4))
     rep = invariants_report(word)
-    assert seen["conway_potential"] is word
-    assert seen["_form_invariants"] == BraidWord(5, (2, 1, 3, -2, 3, 3, -1, 4))
+    assert seen["_cancel_far_pairs"] == [word]
+    (cancelled,) = seen["conway_potential"]
+    (formed,) = seen["_form_invariants"]
+    assert formed is cancelled
+    assert cancelled == BraidWord(5, (2, 1, 3, -2, 3, 3, -1, 4))
     assert rep["word"] == word.to_text()
     assert rep["exponent_sum"] == word.exponent_sum()
 
