@@ -245,10 +245,10 @@ def _cmd_skein(args) -> tuple[object, int]:
         # coefficient after the first.  The determinant form steps further but
         # takes `link_det`'s integer Burau matrix, milliseconds at these lengths.
         letters = args.maxlen + (len(spec.coefficients) - 1) * len(spec.twist.letters)
-        # a trial costs about the square of its word size (conway: 0.13 ms
-        # at size 20, 2.4 ms at 200, 22 ms at 750, 11 s at 7000; b2: 2.6 s
-        # at 3500), so all trials together may cost about one word at the
-        # size limit
+        # a trial costs at most about the square of its word size (on
+        # 3 strands, conway: 0.15 ms at size 20, 0.6-1.2 ms at 200, 4-5 ms
+        # at 750, 1.0 s at 7000; b2: 0.23 s at 3500), so all trials together
+        # may cost about one word at the size limit
         size = _check_word_size(letters, args.strands)
         if args.trials * size * size > MAX_WORD_SIZE ** 2:
             raise ValueError(f"too many trials for the word size: {args.trials} "

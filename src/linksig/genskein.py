@@ -5,8 +5,12 @@ determinant step.  The Conway potentials of a word with 0, 1, 2, ... twists
 appended, weighted by the coefficients, sum to zero.  The classical crossing
 relation has three terms, in powers of delta_2 = s1; the generalized ones
 have five, in powers of delta_3 = s1 s2 and of the squared half twist
-Delta_3^2.  The block-matrix identity behind the five-term relations holds
-for arbitrary matrices in the corner blocks and is checked here symbolically.
+Delta_3^2.  `relation_residual` reads the potentials of w, w twist, ...
+off one Burau product of the word and its twists, cut after each
+(`seifert._conway_series`), and `det_relation_check` takes `link_det` of
+each word on its own.  The block-matrix identity behind the five-term
+relations holds for arbitrary matrices in the corner blocks and is checked
+here symbolically.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .braid import BraidWord, delta_small, half_twist
 from .gaussian import GaussianInteger
 from .intmatrix import _laurent_determinant
 from .laurent import LaurentPolynomial
-from .seifert import conway_potential, link_det
+from .seifert import _conway_series, link_det
 
 _T = LaurentPolynomial.t
 
@@ -85,13 +89,18 @@ class RelationSpec:
 
 
 def relation_residual(word: BraidWord, spec: RelationSpec) -> LaurentPolynomial:
-    """Sum of coefficient * potential over the twisted closures; contract: 0."""
-    step = spec.step(word, 1)
+    """Sum of coefficient * potential over the twisted closures; contract: 0.
+
+    The potentials of word * twist**j come from one Burau product of the
+    word and the twists, cut after each (`seifert._conway_series`): for c
+    coefficients, L + (c - 1)|twist| letters where the words one by one
+    take c L + c (c - 1) / 2 |twist|.
+    """
+    count = len(spec.coefficients)
     total = LaurentPolynomial.zero()
-    current = word
-    for coeff in spec.coefficients:
-        total = total + coeff * conway_potential(current)
-        current = current * step
+    for coeff, omega in zip(spec.coefficients, _conway_series(
+            word, spec.step(word, 1).letters, count)):
+        total = total + coeff * omega
     return total
 
 

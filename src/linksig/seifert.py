@@ -54,6 +54,15 @@ kernels:
   entries themselves, for one integer Bareiss determinant
   (`intmatrix._packed_determinant`).
 
+The words w, w tau, ..., w tau^(c-1) of a skein relation
+(`genskein.relation_residual`) take one loop with cut points
+(`_conway_series`): `_burau_at` gives out the columns after the word and
+after each twist, and each cut reads one direct determinant, whose unit
+steps by the twist's exponent sum, and is 0 while the letters so far miss
+a generator index.  The width is proven at every cut, since a prefix can
+need more than the whole word; a series whose width K has K (m - 1) over
+320 bits takes each word through `conway_potential` on its own.
+
 The division by 1 + x + ... + x^(m-1) is one division by x^m - 1 after a
 product with x - 1, each one pass over the digit list (`laurent`).
 The unit is one closed form, `_unit_power`; the tests check it against
@@ -224,8 +233,9 @@ def _conway_size(letters: int, strands: int) -> int:
     return max(letters, gaps) * gaps
 
 
-def _column_norms(m: int, letters) -> list[int]:
-    """Bounds N_c on the 1-norms of the m - 1 columns of psi_r, from the letters.
+def _column_norms(m: int, runs) -> list[list[int]]:
+    """Bounds N_c on the 1-norms of the m - 1 columns of psi_r, one list
+    after each run of letters.
 
     The 1-norm of a column is the sum of the absolute coefficients of its
     entries.  The columns start as the unit vectors, of norm 1, and the
@@ -235,90 +245,105 @@ def _column_norms(m: int, letters) -> list[int]:
     (b, a + 2b).
     """
     norms = [1] * (m - 1) + [m - 1]
-    for ell in letters:
-        i = abs(ell) - 1
-        a, b = norms[i], norms[i + 1]
-        if ell > 0:
-            norms[i], norms[i + 1] = 2 * a + b, a
-        else:
-            norms[i], norms[i + 1] = b, a + 2 * b
-    del norms[-1]
-    return norms
+    out = []
+    for run in runs:
+        for ell in run:
+            i = abs(ell) - 1
+            a, b = norms[i], norms[i + 1]
+            if ell > 0:
+                norms[i], norms[i + 1] = 2 * a + b, a
+            else:
+                norms[i], norms[i + 1] = b, a + 2 * b
+        out.append(norms[:-1])
+    return out
 
 
-def _proven_width(m: int, letters) -> int:
-    """K = `_byte_width(B)` for a bound B on the coefficients of det(I - psi_r).
+def _proven_width(m: int, runs) -> int:
+    """K = `_byte_width(B)` for a bound B on the coefficients of
+    det(I - psi_r) after every run of letters.
 
     On |x| = 1 each entry of column c of I - psi_r is at most its 1-norm,
-    so by Hadamard's inequality |det(I - psi_r)| <= B = prod_c (1 + N_c)
-    (`_column_norms`), and so is every coefficient.
+    so by Hadamard's inequality |det(I - psi_r)| <= prod_c (1 + N_c)
+    (`_column_norms`), and so is every coefficient.  B is the largest of
+    these products over the runs: a prefix can need more than the whole,
+    as a letter on index m - 1 swaps in the dropped column's norm
+    (sigma_1^3 on 3 strands proves 16 bits, sigma_1^3 sigma_2^-1 only 8).
     """
-    return _byte_width(prod(1 + n for n in _column_norms(m, letters)))
+    return _byte_width(max(prod(1 + n for n in norms)
+                           for norms in _column_norms(m, runs)))
 
 
-def _burau_at(m: int, letters, k: int) -> tuple[list[list[int]], list[int]]:
+def _burau_at(m: int, runs, k: int) -> list[tuple[list[list[int]],
+                                                  list[int]]]:
     """The m - 1 columns of psi_r, the reduced Burau matrix of the letters on
-    m strands, at x = 2^k, and their offsets.
+    m strands, at x = 2^k, and their offsets, one pair after each run of
+    letters: one pass builds the product of every prefix that ends a run.
 
     The unreduced Burau matrix fixes the vector (1, ..., 1), so each of its
     columns v is kept as q(v)_r = v_r - v_(m-1) for rows 0 <= r < m - 1:
     column c starts as the unit vector e_c for c < m - 1, and a last column,
-    dropped at the end, as -(1, ..., 1).  The letters act on columns, so
-    they commute with q: the product is built from the start columns one
-    letter at a time, and a letter on index i rewrites only columns i and
-    i + 1.  Column c is kept as x^(o_c) times the column, with an offset
-    o_c >= 0 that absorbs the x^-1 of negative letters, and each entry of
-    that polynomial as one integer, its value at x = 2^k.  Any k gives the
-    values; the coefficients read back only when each is below 2^(k-1).
+    dropped from what is given out, as -(1, ..., 1).  The letters act on
+    columns, so they commute with q: the product is built from the start
+    columns one letter at a time, and a letter on index i rewrites only
+    columns i and i + 1.  Column c is kept as x^(o_c) times the column, with
+    an offset o_c >= 0 that absorbs the x^-1 of negative letters, and each
+    entry of that polynomial as one integer, its value at x = 2^k.  Any k
+    gives the values; the coefficients read back only when each is below
+    2^(k-1).
     """
     n = m - 1
     cols = [[int(r == c) for r in range(n)] for c in range(n)]
     cols.append([-1] * n)
     offs = [0] * m
-    for ell in letters:
-        if ell > 0:
-            # col_i <- (1-x) col_i + col_{i+1},  col_{i+1} <- x col_i
-            i = ell - 1
-            a, b = cols[i], cols[i + 1]
-            oa, ob = offs[i], offs[i + 1]
-            if oa > ob:
-                s = k * (oa - ob)
-                cols[i] = [x - (x << k) + (y << s) for x, y in zip(a, b)]
+    out = []
+    for run in runs:
+        for ell in run:
+            if ell > 0:
+                # col_i <- (1-x) col_i + col_{i+1},  col_{i+1} <- x col_i
+                i = ell - 1
+                a, b = cols[i], cols[i + 1]
+                oa, ob = offs[i], offs[i + 1]
+                if oa > ob:
+                    s = k * (oa - ob)
+                    cols[i] = [x - (x << k) + (y << s) for x, y in zip(a, b)]
+                else:
+                    s = k * (ob - oa)
+                    cols[i] = [((x - (x << k)) << s) + y for x, y in zip(a, b)]
+                    offs[i] = ob
+                if oa:
+                    cols[i + 1], offs[i + 1] = a, oa - 1
+                else:
+                    cols[i + 1], offs[i + 1] = [x << k for x in a], 0
             else:
-                s = k * (ob - oa)
-                cols[i] = [((x - (x << k)) << s) + y for x, y in zip(a, b)]
-                offs[i] = ob
-            if oa:
-                cols[i + 1], offs[i + 1] = a, oa - 1
-            else:
-                cols[i + 1], offs[i + 1] = [x << k for x in a], 0
-        else:
-            # col_i <- x^-1 col_{i+1},  col_{i+1} <- col_i + (1-x^-1) col_{i+1}
-            i = -ell - 1
-            a, b = cols[i], cols[i + 1]
-            oa, ob = offs[i], offs[i + 1] + 1
-            if oa > ob:
-                s = k * (oa - ob)
-                cols[i + 1] = [x + (((y << k) - y) << s) for x, y in zip(a, b)]
-                offs[i + 1] = oa
-            else:
-                s = k * (ob - oa)
-                cols[i + 1] = [(x << s) + (y << k) - y for x, y in zip(a, b)]
-                offs[i + 1] = ob
-            cols[i], offs[i] = b, ob
-    del cols[-1], offs[-1]
-    return cols, offs
+                # col_i <- x^-1 col_{i+1},
+                # col_{i+1} <- col_i + (1-x^-1) col_{i+1}
+                i = -ell - 1
+                a, b = cols[i], cols[i + 1]
+                oa, ob = offs[i], offs[i + 1] + 1
+                if oa > ob:
+                    s = k * (oa - ob)
+                    cols[i + 1] = [x + (((y << k) - y) << s)
+                                   for x, y in zip(a, b)]
+                    offs[i + 1] = oa
+                else:
+                    s = k * (ob - oa)
+                    cols[i + 1] = [(x << s) + (y << k) - y
+                                   for x, y in zip(a, b)]
+                    offs[i + 1] = ob
+                cols[i], offs[i] = b, ob
+        out.append((cols[:-1], offs[:-1]))
+    return out
 
 
-def _direct_determinant(m: int, letters, k: int) -> tuple[int, list[int]]:
-    """det(I - psi_r) of the letters on m strands, as (low, its dense
-    coefficients from x^low up), for a width k from `_proven_width`.
+def _direct_determinant(cols: list[list[int]], offs: list[int],
+                        k: int) -> tuple[int, list[int]]:
+    """det(I - psi_r) as (low, its dense coefficients from x^low up), from
+    the columns and offsets of `_burau_at` at a width k from `_proven_width`.
 
     Column c of I - psi_r, times x^(o_c), is x^(o_c) e_c minus the column
     of `_burau_at`, an integer matrix whose determinant is
     x^(sum o_c) det(I - psi_r) at x = 2^k.
     """
-    cols, offs = _burau_at(m, letters, k)
     # row c of the transpose, which has the same determinant, is column c
     rows = [[-x for x in col] for col in cols]
     for c, row in enumerate(rows):
@@ -341,10 +366,11 @@ def _split_determinant(m: int, letters) -> tuple[int, list[int]]:
     """
     h = len(letters) // 2
     inverse, rest = [-x for x in reversed(letters[:h])], letters[h:]
-    k = _byte_width(max(map(add, _column_norms(m, inverse),
-                            _column_norms(m, rest)), default=0))
+    k = _byte_width(max(map(add, _column_norms(m, (inverse,))[0],
+                            _column_norms(m, (rest,))[0]), default=0))
     cols = []
-    for a, oa, b, ob in zip(*_burau_at(m, inverse, k), *_burau_at(m, rest, k)):
+    for a, oa, b, ob in zip(*_burau_at(m, (inverse,), k)[0],
+                            *_burau_at(m, (rest,), k)[0]):
         o = max(oa, ob)
         sa, sb = k * (o - oa), k * (o - ob)
         diff = [(x << sa) - (y << sb) for x, y in zip(a, b)]
@@ -364,20 +390,54 @@ def _split_determinant(m: int, letters) -> tuple[int, list[int]]:
     return low + e_u, [-x for x in det] if e_u % 2 else det
 
 
-def _potential_from(word: BraidWord, low: int,
+def _potential_from(m: int, unit: int, low: int,
                     det: list[int]) -> LaurentPolynomial:
-    """The potential of the closure from det(I - psi_r) = sum_j det[j] x^(low+j).
+    """The potential of a closure on m strands from
+    det(I - psi_r) = sum_j det[j] x^(low+j) and its unit power.
 
     The digit list is multiplied by x - 1 and divided by x^m - 1, which
-    leaves A(x), and Omega = (-t)^k A(t^2) is wrapped once (`_unit_power`).
+    leaves A(x), and Omega = (-t)^k A(t^2) is wrapped once, k = unit
+    (`_unit_power`).
     """
     # 1 + x + ... + x^(m-1) = (x^m - 1) / (x - 1)
-    alexander = _divide_power_minus_one(_times_power_minus_one(det, 1),
-                                        word.strands)
-    k = _unit_power(word)
-    sign = -1 if k % 2 else 1
-    return LaurentPolynomial._wrap({2 * (low + j) + k: sign * x
+    alexander = _divide_power_minus_one(_times_power_minus_one(det, 1), m)
+    sign = -1 if unit % 2 else 1
+    return LaurentPolynomial._wrap({2 * (low + j) + unit: sign * x
                                     for j, x in enumerate(alexander) if x})
+
+
+def _conway_series(word: BraidWord, twist: tuple[int, ...],
+                   count: int) -> list[LaurentPolynomial]:
+    """The potentials of word * twist**j for j < count, the twist's letters
+    on the word's strands, from one Burau loop over the word and the twists.
+
+    `_burau_at` cuts the loop after the word and after each twist, and
+    each cut gives one direct determinant of I - psi_r; the unit
+    (`_unit_power`) steps by the twist's exponent sum a cut.  A cut whose
+    letters so far miss a generator index closes to a split link, 0, and
+    reads no determinant; when every cut does, there is no Burau work.  The
+    width is proven at every cut (`_proven_width`); when it times m - 1 is
+    over `_DIRECT_BITS`, each word goes through `conway_potential` on its
+    own, so the wide ones take the midpoint split.
+    """
+    m, letters = word.strands, word.letters
+    present = {abs(x) for x in letters}
+    split = [len(present) < m - 1]
+    present.update(map(abs, twist))
+    split += [len(present) < m - 1] * (count - 1)
+    if all(split):
+        return [LaurentPolynomial.zero()] * count
+    runs = [letters] + [twist] * (count - 1)
+    k = _proven_width(m, runs)
+    if k * (m - 1) > _DIRECT_BITS:
+        return [conway_potential(BraidWord(m, letters + twist * j))
+                for j in range(count)]
+    unit = _unit_power(word)
+    step = BraidWord(m, twist).exponent_sum()
+    cuts = _burau_at(m, runs, k)
+    return [LaurentPolynomial.zero() if cut_split else
+            _potential_from(m, unit - j * step, *_direct_determinant(*cut, k))
+            for j, (cut_split, cut) in enumerate(zip(split, cuts))]
 
 
 def conway_potential(word: BraidWord) -> LaurentPolynomial:
@@ -393,16 +453,18 @@ def conway_potential(word: BraidWord) -> LaurentPolynomial:
     x = 2^K (`_direct_determinant`); otherwise the midpoint split
     (`_split_determinant`), whose entries span about half as many powers
     of x.  A word that misses a generator index, a split closure, is 0.
+    It is the one-cut case of `_conway_series`, written out: the series'
+    per-cut lists cost a short word's call about a tenth more.
     """
     m, letters = word.strands, word.letters
     if len({abs(x) for x in letters}) < m - 1:
         return LaurentPolynomial.zero()
-    k = _proven_width(m, letters)
+    k = _proven_width(m, (letters,))
     if k * (m - 1) <= _DIRECT_BITS:
-        low, det = _direct_determinant(m, letters, k)
+        low, det = _direct_determinant(*_burau_at(m, (letters,), k)[0], k)
     else:
         low, det = _split_determinant(m, letters)
-    return _potential_from(word, low, det)
+    return _potential_from(m, _unit_power(word), low, det)
 
 
 def link_det(word: BraidWord) -> GaussianInteger:

@@ -40,10 +40,12 @@ class Mutant(NamedTuple):
 
 
 BURAU = "tests/test_burau_crosscheck.py::"
+SERIES = BURAU + "test_conway_series_equals_the_potentials_of_the_twisted_words"
 
 MUTANTS = [
     # the Burau loop of both Conway kernels (`_burau_at`), the direct
-    # kernel's width and the midpoint split's readback
+    # kernel's width and the midpoint split's readback; the loop mutants
+    # are named for the direct kernel, which the loop came from
     Mutant("column-norms-positive-rule", "seifert.py",
            "norms[i], norms[i + 1] = 2 * a + b, a",
            "norms[i], norms[i + 1] = a + b, a",
@@ -57,7 +59,7 @@ MUTANTS = [
            "cols[i + 1] = [x << k for x in a]",
            (BURAU + "test_conway_potential_equals_unreduced_burau_route",)),
     Mutant("direct-negative-letter-keeps-offset", "seifert.py",
-           "for x, y in zip(a, b)]\n                offs[i + 1] = ob\n",
+           "for x, y in zip(a, b)]\n                    offs[i + 1] = ob\n",
            "for x, y in zip(a, b)]\n",
            (BURAU + "test_conway_potential_equals_unreduced_burau_route",)),
     Mutant("split-offsets-swapped", "seifert.py",
@@ -79,6 +81,27 @@ MUTANTS = [
            "        return LaurentPolynomial.zero()\n",
            "",
            (BURAU + "test_split_closures_take_no_burau_work",)),
+    # the twist series: one Burau loop cut after the word and each twist
+    Mutant("series-split-closure-return-removed", "seifert.py",
+           "    if all(split):\n"
+           "        return [LaurentPolynomial.zero()] * count\n",
+           "",
+           (SERIES,)),
+    Mutant("series-unit-not-advanced", "seifert.py",
+           "(m, unit - j * step,", "(m, unit,",
+           (SERIES, "tests/test_genskein.py::TestResiduals::"
+            "test_crossing_relation_seeded")),
+    Mutant("series-twist-indices-not-present", "seifert.py",
+           "    present.update(map(abs, twist))\n", "",
+           (SERIES,)),
+    Mutant("series-width-from-the-whole-word-only", "seifert.py",
+           "k = _proven_width(m, runs)",
+           "k = _proven_width(m, [letters + twist * (count - 1)])",
+           (SERIES,)),
+    Mutant("series-step-counts-letters", "seifert.py",
+           "step = BraidWord(m, twist).exponent_sum()",
+           "step = len(twist)",
+           (SERIES,)),
     # the one packing rule
     Mutant("byte-width-without-guard-bit", "intmatrix.py",
            "(bound.bit_length() + 8) // 8 * 8",

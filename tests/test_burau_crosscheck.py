@@ -20,18 +20,20 @@ import itertools
 import random
 from math import prod
 from operator import add
+from unittest.mock import patch
 
 from hypothesis import example, given, settings, strategies as st
 
 from linksig import seifert
 from linksig.braid import BraidWord, half_twist
-from linksig.genskein import build_symmetrized
+from linksig.genskein import RelationSpec, build_symmetrized
 from linksig.intmatrix import (_balanced_digits, _byte_width, _lowest_shifts,
                                _packed_determinant)
 from linksig.laurent import LaurentPolynomial
 from linksig.seifert import (_DIRECT_BITS, _burau_at, _column_norms,
-                             _direct_determinant, _potential_from,
-                             _proven_width, _split_determinant,
+                             _conway_series, _direct_determinant,
+                             _potential_from,
+                             _proven_width, _split_determinant, _unit_power,
                              conway_potential, invariants_report, link_det,
                              seifert_matrix)
 from oracles import (exact_div, laurent_bareiss, unreduced_burau_columns,
@@ -72,7 +74,7 @@ def _unreduced_burau(word: BraidWord):
 def _read_back(m, letters, k):
     """The columns of `_burau_at` at x = 2^k, each as {(r, e): coefficient}
     for row r and the power x^e, read as balanced base-2^k digits."""
-    cols, offs = _burau_at(m, letters, k)
+    cols, offs = _burau_at(m, (letters,), k)[0]
     out = []
     for col, o in zip(cols, offs):
         count = max(map(abs, col), default=0).bit_length() // k + 1
@@ -84,7 +86,7 @@ def _read_back(m, letters, k):
 
 def _norms_width(m, letters):
     """The width at which `_column_norms` proves every column reads back."""
-    return _byte_width(max(_column_norms(m, letters), default=0))
+    return _byte_width(max(_column_norms(m, (letters,))[0], default=0))
 
 
 @settings(max_examples=80)
@@ -121,10 +123,12 @@ def _assert_kernels_equal_oracle(word):
     # the whole word's unreduced Burau matrix by Laurent Bareiss
     m, letters = word.strands, word.letters
     want = unreduced_burau_potential(word)
-    direct = _direct_determinant(m, letters, _proven_width(m, letters))
+    k = _proven_width(m, (letters,))
+    direct = _direct_determinant(*_burau_at(m, (letters,), k)[0], k)
     split = _split_determinant(m, letters)
-    assert _potential_from(word, *direct) == want, (m, letters)
-    assert _potential_from(word, *split) == want, (m, letters)
+    unit = _unit_power(word)
+    assert _potential_from(m, unit, *direct) == want, (m, letters)
+    assert _potential_from(m, unit, *split) == want, (m, letters)
     assert conway_potential(word) == want, (m, letters)
 
 
@@ -172,11 +176,68 @@ def test_proven_width_picks_the_kernel(monkeypatch):
         kernel = getattr(seifert, name)
         monkeypatch.setattr(seifert, name, lambda *args, kernel=kernel, name=name:
                             taken.append(name) or kernel(*args))
-    assert _proven_width(6, UNDER.letters) * 5 == _DIRECT_BITS
-    assert _proven_width(6, OVER.letters) * 5 > _DIRECT_BITS
+    assert _proven_width(6, (UNDER.letters,)) * 5 == _DIRECT_BITS
+    assert _proven_width(6, (OVER.letters,)) * 5 > _DIRECT_BITS
     conway_potential(UNDER)
     conway_potential(OVER)
     assert taken == ["_direct_determinant", "_split_determinant"]
+
+
+RELATION_TWISTS = tuple(spec.twist.letters for spec in (
+    RelationSpec.conway(), RelationSpec.delta3_order4(),
+    RelationSpec.delta3sq_order4()))
+
+
+@st.composite
+def twist_series(draw) -> tuple[BraidWord, tuple[int, ...], int]:
+    """A word on 2-7 strands of 0-30 letters (half of them off a subset of
+    the generator indices), a twist on its strands, one of the relations'
+    or 1-6 random signed letters, and a count of 1-5."""
+    m = draw(st.integers(2, 7))
+    gens = list(range(1, m))
+    if m > 2 and draw(st.booleans()):
+        gens = draw(st.lists(st.sampled_from(gens), min_size=1,
+                             max_size=m - 2, unique=True))
+    letter = st.sampled_from(gens).flatmap(lambda j: st.sampled_from((j, -j)))
+    word = BraidWord(m, tuple(draw(st.lists(letter, max_size=30))))
+    signed = st.integers(1, m - 1).flatmap(lambda j: st.sampled_from((j, -j)))
+    twists = [t for t in RELATION_TWISTS if max(t) < m]
+    twist = draw(st.one_of(st.sampled_from(twists), st.lists(
+        signed, min_size=1, max_size=6).map(tuple)))
+    return word, twist, draw(st.integers(1, 5))
+
+
+@settings(max_examples=300)
+@given(twist_series())
+# sigma_1^3 proves 16 bits, sigma_1^3 sigma_2^-1 only 8, and the same with
+# sigma_2 in front, where the first cut is not a split closure
+@example((BraidWord(3, (1, 1, 1)), (-2,), 2))
+@example((BraidWord(3, (2, 1, 1, 1)), (-2,), 2))
+# the word misses index 2, which the twist supplies: split, then not
+@example((BraidWord(3, (1, -1, 1)), (1, 2), 5))
+# the twist misses index 3 as well: every cut is split
+@example((BraidWord(4, (1, 2, -1)), (1, 2), 5))
+# 64 (6 - 1) bits at the word, 72 (6 - 1) at the last: each word on its own
+@example((UNDER, OVER.letters[-1:], 2))
+@example((BraidWord(3), (1, 2), 5))
+@example((BraidWord(2), (1,), 3))
+def test_conway_series_equals_the_potentials_of_the_twisted_words(case):
+    # the series takes one Burau loop over the word and the twists, at a
+    # width proven at every cut, unless every cut is a split closure or
+    # that width is past the direct kernel's
+    word, twist, count = case
+    m = word.strands
+    words = [BraidWord(m, word.letters + twist * j) for j in range(count)]
+    want = [conway_potential(w) for w in words]
+    widths = [_proven_width(m, (w.letters,)) for w in words]
+    split = [len({abs(x) for x in w.letters}) < m - 1 for w in words]
+    with patch.object(seifert, "_burau_at", wraps=seifert._burau_at) as loop:
+        assert _conway_series(word, twist, count) == want, case
+    if all(split):
+        assert loop.call_count == 0, case
+    elif max(widths) * (m - 1) <= _DIRECT_BITS:
+        assert loop.call_count == 1, case
+        assert loop.call_args.args[2] == max(widths), case
 
 
 @settings(max_examples=200)
@@ -190,7 +251,7 @@ def test_column_norms_bound_the_burau_columns(word):
     # a width proven from the N_c reads the columns as a wide one does: a
     # letter at most triples a column's norm, which starts at most m - 1
     m, letters = word.strands, word.letters
-    norms = _column_norms(m, letters)
+    norms = _column_norms(m, (letters,))[0]
     cols = _read_back(m, letters, _byte_width((m - 1) * 3 ** len(letters)))
     assert _read_back(m, letters, _norms_width(m, letters)) == cols
     assert len(norms) == len(cols) == m - 1
@@ -219,8 +280,8 @@ def test_split_width_holds_the_difference_of_the_halves(monkeypatch):
     # below 2^(k-1), so the balanced digits are the coefficients
     widths = []
     burau_at = seifert._burau_at
-    monkeypatch.setattr(seifert, "_burau_at", lambda m, letters, k:
-                        widths.append(k) or burau_at(m, letters, k))
+    monkeypatch.setattr(seifert, "_burau_at", lambda m, runs, k:
+                        widths.append(k) or burau_at(m, runs, k))
     rng = random.Random(3232)
     for _ in range(300):
         m = rng.randint(2, 12)
@@ -232,7 +293,8 @@ def test_split_width_holds_the_difference_of_the_halves(monkeypatch):
         _split_determinant(m, letters)
         k = widths[0]
         assert widths == [k, k], (m, letters)
-        bounds = map(add, _column_norms(m, inverse), _column_norms(m, rest))
+        bounds = map(add, _column_norms(m, (inverse,))[0],
+                     _column_norms(m, (rest,))[0])
         for c, (bound, a, b) in enumerate(zip(
                 bounds, _reduced_columns(m, inverse), _reduced_columns(m, rest))):
             top = max((abs(a.get(key, 0) - b.get(key, 0))
@@ -248,8 +310,8 @@ def test_proven_width_is_above_the_hadamard_bound():
         m = rng.randint(2, 16)
         letters = tuple(rng.choice((1, -1)) * rng.randint(1, m - 1)
                         for _ in range(rng.randint(0, 60)))
-        k = _proven_width(m, letters)
-        bound = prod(1 + n for n in _column_norms(m, letters))
+        k = _proven_width(m, (letters,))
+        bound = prod(1 + n for n in _column_norms(m, (letters,))[0])
         assert k % 8 == 0 and 2 ** (k - 1) > bound, (m, letters)
 
 

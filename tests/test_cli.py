@@ -496,17 +496,18 @@ def test_skein_verify_checks_empty_words(monkeypatch, capsys):
     argv = ["skein", "verify", "--relation", "conway", "--strands", "2",
             "--maxlen", "0", "--trials", "3"]
     assert run(capsys, *argv) == (0, "3/3 residuals vanished\n")
-    conway = genskein.conway_potential
-    monkeypatch.setattr(genskein, "conway_potential", lambda word: conway(word) + 1)
+    series = genskein._conway_series
+    monkeypatch.setattr(genskein, "_conway_series", lambda *args:
+                        [omega + 1 for omega in series(*args)])
     code, out = run(capsys, *argv)
     assert code == 1
     assert out.splitlines()[-1] == "0/3 residuals vanished"
 
 
 @pytest.mark.parametrize("relation, target, name, wrong", [
-    # a Conway potential off by one breaks the crossing-switch relation
-    ("conway", genskein, "conway_potential",
-     lambda conway: lambda word: conway(word) + 1),
+    # Conway potentials off by one break the crossing-switch relation
+    ("conway", genskein, "_conway_series",
+     lambda series: lambda *args: [omega + 1 for omega in series(*args)]),
     # five-term coefficients that do not cancel
     ("b2", genskein.RelationSpec, "delta3_order4",
      lambda make: staticmethod(lambda: dataclasses.replace(
