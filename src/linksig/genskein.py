@@ -5,12 +5,13 @@ determinant step.  The Conway potentials of a word with 0, 1, 2, ... twists
 appended, weighted by the coefficients, sum to zero.  The classical crossing
 relation has three terms, in powers of delta_2 = s1; the generalized ones
 have five, in powers of delta_3 = s1 s2 and of the squared half twist
-Delta_3^2.  `relation_residual` reads the potentials of w, w twist, ...
-off one Burau product of the word and its twists, cut after each
-(`seifert._conway_series`), and `det_relation_check` takes `link_det` of
-each word on its own.  The block-matrix identity behind the five-term
-relations holds for arbitrary matrices in the corner blocks and is checked
-here symbolically.
+Delta_3^2.  `relation_residual` takes the potentials of w, w twist, ...
+from the one Conway route, `seifert._conway_series`, whose one-cut case is
+`conway_potential`: one Burau product of the word and its twists, cut after
+each, or, past the direct kernel's width, the midpoint split of each word.
+`det_relation_check` takes `link_det` of each word on its own.  The
+block-matrix identity behind the five-term relations holds for arbitrary
+matrices in the corner blocks and is checked here symbolically.
 """
 
 from __future__ import annotations
@@ -91,10 +92,11 @@ class RelationSpec:
 def relation_residual(word: BraidWord, spec: RelationSpec) -> LaurentPolynomial:
     """Sum of coefficient * potential over the twisted closures; contract: 0.
 
-    The potentials of word * twist**j come from one Burau product of the
-    word and the twists, cut after each (`seifert._conway_series`): for c
-    coefficients, L + (c - 1)|twist| letters where the words one by one
-    take c L + c (c - 1) / 2 |twist|.
+    The potentials of word * twist**j come from `seifert._conway_series`:
+    one Burau product of the word and the twists, cut after each, for c
+    coefficients L + (c - 1)|twist| letters where the words one by one
+    take c L + c (c - 1) / 2 |twist|; past the direct kernel's width, the
+    midpoint split of each word.
     """
     count = len(spec.coefficients)
     total = LaurentPolynomial.zero()

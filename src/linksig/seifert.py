@@ -54,14 +54,15 @@ kernels:
   entries themselves, for one integer Bareiss determinant
   (`intmatrix._packed_determinant`).
 
-The words w, w tau, ..., w tau^(c-1) of a skein relation
-(`genskein.relation_residual`) take one loop with cut points
-(`_conway_series`): `_burau_at` gives out the columns after the word and
-after each twist, and each cut reads one direct determinant, whose unit
-steps by the twist's exponent sum, and is 0 while the letters so far miss
-a generator index.  The width is proven at every cut, since a prefix can
-need more than the whole word; a series whose width K has K (m - 1) over
-320 bits takes each word through `conway_potential` on its own.
+One function takes both kernels (`_conway_series`), for the words w,
+w tau, ..., w tau^(c-1) of a skein relation (`genskein.relation_residual`),
+and a single word is its one-cut case (`conway_potential`).  A cut whose
+letters so far miss a generator index is 0 and takes no kernel.  The width
+is proven at every cut, since a prefix can need more than the whole word.
+When K (m - 1) is at most 320 bits, `_burau_at` gives out the columns
+after the word and after each twist of one loop, and each cut reads one
+direct determinant, whose unit steps by the twist's exponent sum;
+otherwise each word takes the midpoint split.
 
 The division by 1 + x + ... + x^(m-1) is one division by x^m - 1 after a
 product with x - 1, each one pass over the digit list (`laurent`).
@@ -91,7 +92,7 @@ from .intmatrix import (_balanced_digits, _byte_width, _packed_determinant,
 from .laurent import (LaurentPolynomial, _divide_power_minus_one,
                       _times_power_minus_one)
 
-#: the widest K (m - 1), in bits, that `conway_potential` takes by the direct
+#: the widest K (m - 1), in bits, that `_conway_series` takes by the direct
 #: kernel, for the proven width K of m strands: on seeded words of 3 to 12
 #: strands the direct kernel stops being the faster one between 320 and 448
 _DIRECT_BITS = 320
@@ -406,65 +407,60 @@ def _potential_from(m: int, unit: int, low: int,
                                     for j, x in enumerate(alexander) if x})
 
 
-def _conway_series(word: BraidWord, twist: tuple[int, ...],
-                   count: int) -> list[LaurentPolynomial]:
+def _conway_series(word: BraidWord, twist: tuple[int, ...] = (),
+                   count: int = 1) -> list[LaurentPolynomial]:
     """The potentials of word * twist**j for j < count, the twist's letters
-    on the word's strands, from one Burau loop over the word and the twists.
+    on the word's strands; `conway_potential` is the one-cut case.
 
-    `_burau_at` cuts the loop after the word and after each twist, and
-    each cut gives one direct determinant of I - psi_r; the unit
-    (`_unit_power`) steps by the twist's exponent sum a cut.  A cut whose
-    letters so far miss a generator index closes to a split link, 0, and
-    reads no determinant; when every cut does, there is no Burau work.  The
-    width is proven at every cut (`_proven_width`); when it times m - 1 is
-    over `_DIRECT_BITS`, each word goes through `conway_potential` on its
-    own, so the wide ones take the midpoint split.
+    A cut whose letters so far miss a generator index closes to a split
+    link, 0, and takes no kernel; when every cut does, there is no Burau
+    work.  The width K is proven at every cut (`_proven_width`) and picks
+    one kernel for the series: when K (m - 1) is at most `_DIRECT_BITS`,
+    one Burau loop over the word and the twists, cut after each
+    (`_burau_at`), and one direct determinant a cut; otherwise the midpoint
+    split of each word.  The unit (`_unit_power`) steps by the twist's
+    exponent sum a cut.
     """
     m, letters = word.strands, word.letters
-    present = {abs(x) for x in letters}
-    split = [len(present) < m - 1]
-    present.update(map(abs, twist))
-    split += [len(present) < m - 1] * (count - 1)
+    runs = [letters] + [twist] * (count - 1)
+    present, split = set(), []
+    for run in runs:
+        present.update(map(abs, run))
+        split.append(len(present) < m - 1)
     if all(split):
         return [LaurentPolynomial.zero()] * count
-    runs = [letters] + [twist] * (count - 1)
     k = _proven_width(m, runs)
-    if k * (m - 1) > _DIRECT_BITS:
-        return [conway_potential(BraidWord(m, letters + twist * j))
-                for j in range(count)]
+    direct = k * (m - 1) <= _DIRECT_BITS
+    cuts = _burau_at(m, runs, k) if direct else None
     unit = _unit_power(word)
-    step = BraidWord(m, twist).exponent_sum()
-    cuts = _burau_at(m, runs, k)
-    return [LaurentPolynomial.zero() if cut_split else
-            _potential_from(m, unit - j * step, *_direct_determinant(*cut, k))
-            for j, (cut_split, cut) in enumerate(zip(split, cuts))]
+    step = sum(1 if x > 0 else -1 for x in twist)
+    out = []
+    for j, cut_split in enumerate(split):
+        if cut_split:
+            out.append(LaurentPolynomial.zero())
+            continue
+        low, det = (_direct_determinant(*cuts[j], k) if direct else
+                    _split_determinant(m, letters + twist * j))
+        out.append(_potential_from(m, unit - j * step, low, det))
+    return out
 
 
 def conway_potential(word: BraidWord) -> LaurentPolynomial:
     """The potential function det(t^-1 V - t V^T) of the closure, exactly.
 
-    Computed from the reduced Burau matrix psi_r, the unreduced one taken
-    modulo its fixed vector (1, ..., 1):
-    A(x) = det(I - psi_r) / (1 + x + ... + x^(m-1)) is the Alexander
-    polynomial up to a unit, and the potential is (-t)^k A(t^2) with
-    k = m - 1 - e for the exponent sum e (`_unit_power`).  The width K
-    proven from the letters alone (`_proven_width`) picks the kernel: when
-    K (m - 1) is at most `_DIRECT_BITS`, the whole word's Burau matrix at
-    x = 2^K (`_direct_determinant`); otherwise the midpoint split
-    (`_split_determinant`), whose entries span about half as many powers
-    of x.  A word that misses a generator index, a split closure, is 0.
-    It is the one-cut case of `_conway_series`, written out: the series'
-    per-cut lists cost a short word's call about a tenth more.
+    It is (-t)^k A(t^2) for the Alexander polynomial
+    A(x) = det(I - psi_r) / (1 + x + ... + x^(m-1)) of the reduced Burau
+    matrix psi_r and k = m - 1 - e for the exponent sum e, the one-cut case
+    of `_conway_series`.
+
+    >>> conway_potential(BraidWord(2, (1, 1, 1)))  # the trefoil
+    LaurentPolynomial({-2: 1, 0: -1, 2: 1})
+    >>> conway_potential(BraidWord(2, (1, 1)))  # the Hopf link
+    LaurentPolynomial({-1: -1, 1: 1})
+    >>> str(conway_potential(BraidWord(3, (1, 1))))  # a split closure
+    '0'
     """
-    m, letters = word.strands, word.letters
-    if len({abs(x) for x in letters}) < m - 1:
-        return LaurentPolynomial.zero()
-    k = _proven_width(m, (letters,))
-    if k * (m - 1) <= _DIRECT_BITS:
-        low, det = _direct_determinant(*_burau_at(m, (letters,), k)[0], k)
-    else:
-        low, det = _split_determinant(m, letters)
-    return _potential_from(m, _unit_power(word), low, det)
+    return _conway_series(word)[0]
 
 
 def link_det(word: BraidWord) -> GaussianInteger:

@@ -76,31 +76,36 @@ MUTANTS = [
     Mutant("direct-bits-312", "seifert.py",
            "_DIRECT_BITS = 320", "_DIRECT_BITS = 312",
            (BURAU + "test_proven_width_picks_the_kernel",)),
+    # the one Conway pipeline (`_conway_series`, whose one-cut case is
+    # `conway_potential`): one Burau loop cut after the word and each twist
     Mutant("split-closure-return-removed", "seifert.py",
-           "    if len({abs(x) for x in letters}) < m - 1:\n"
-           "        return LaurentPolynomial.zero()\n",
-           "",
-           (BURAU + "test_split_closures_take_no_burau_work",)),
-    # the twist series: one Burau loop cut after the word and each twist
-    Mutant("series-split-closure-return-removed", "seifert.py",
            "    if all(split):\n"
            "        return [LaurentPolynomial.zero()] * count\n",
            "",
-           (SERIES,)),
+           (BURAU + "test_split_closures_take_no_burau_work", SERIES)),
     Mutant("series-unit-not-advanced", "seifert.py",
            "(m, unit - j * step,", "(m, unit,",
            (SERIES, "tests/test_genskein.py::TestResiduals::"
             "test_crossing_relation_seeded")),
     Mutant("series-twist-indices-not-present", "seifert.py",
-           "    present.update(map(abs, twist))\n", "",
+           "present.update(map(abs, run))",
+           "present.update(map(abs, letters))",
            (SERIES,)),
     Mutant("series-width-from-the-whole-word-only", "seifert.py",
            "k = _proven_width(m, runs)",
            "k = _proven_width(m, [letters + twist * (count - 1)])",
            (SERIES,)),
     Mutant("series-step-counts-letters", "seifert.py",
-           "step = BraidWord(m, twist).exponent_sum()",
+           "step = sum(1 if x > 0 else -1 for x in twist)",
            "step = len(twist)",
+           (SERIES,)),
+    # past `_DIRECT_BITS`, the midpoint split of each twisted word
+    Mutant("series-direct-kernel-past-direct-bits", "seifert.py",
+           "direct = k * (m - 1) <= _DIRECT_BITS", "direct = True",
+           (SERIES,)),
+    Mutant("series-split-kernel-drops-the-twists", "seifert.py",
+           "_split_determinant(m, letters + twist * j)",
+           "_split_determinant(m, letters)",
            (SERIES,)),
     # the one packing rule
     Mutant("byte-width-without-guard-bit", "intmatrix.py",

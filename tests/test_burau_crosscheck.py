@@ -217,27 +217,38 @@ def twist_series(draw) -> tuple[BraidWord, tuple[int, ...], int]:
 @example((BraidWord(3, (1, -1, 1)), (1, 2), 5))
 # the twist misses index 3 as well: every cut is split
 @example((BraidWord(4, (1, 2, -1)), (1, 2), 5))
-# 64 (6 - 1) bits at the word, 72 (6 - 1) at the last: each word on its own
+# 64 (6 - 1) bits at the word, 72 (6 - 1) at the last: the midpoint split
+# of each word
 @example((UNDER, OVER.letters[-1:], 2))
 @example((BraidWord(3), (1, 2), 5))
 @example((BraidWord(2), (1,), 3))
 def test_conway_series_equals_the_potentials_of_the_twisted_words(case):
-    # the series takes one Burau loop over the word and the twists, at a
-    # width proven at every cut, unless every cut is a split closure or
-    # that width is past the direct kernel's
+    # the oracle takes each word's unreduced Burau matrix on its own; the
+    # series takes no Burau work when every cut is a split closure, else one
+    # loop over the word and the twists at the width proven at every cut, or,
+    # when that width is past the direct kernel's, one midpoint split a word
+    # that is not a split closure
     word, twist, count = case
     m = word.strands
     words = [BraidWord(m, word.letters + twist * j) for j in range(count)]
-    want = [conway_potential(w) for w in words]
+    want = [unreduced_burau_potential(w) for w in words]
     widths = [_proven_width(m, (w.letters,)) for w in words]
     split = [len({abs(x) for x in w.letters}) < m - 1 for w in words]
-    with patch.object(seifert, "_burau_at", wraps=seifert._burau_at) as loop:
+    with (patch.object(seifert, "_burau_at", wraps=seifert._burau_at) as loop,
+          patch.object(seifert, "_split_determinant",
+                       wraps=seifert._split_determinant) as halves):
         assert _conway_series(word, twist, count) == want, case
     if all(split):
-        assert loop.call_count == 0, case
+        assert loop.call_count == halves.call_count == 0, case
     elif max(widths) * (m - 1) <= _DIRECT_BITS:
         assert loop.call_count == 1, case
         assert loop.call_args.args[2] == max(widths), case
+        assert halves.call_count == 0, case
+    else:
+        # each midpoint split builds its two halves, and nothing else loops
+        assert loop.call_count == 2 * halves.call_count, case
+        assert [call.args[1] for call in halves.call_args_list] == [
+            w.letters for w, s in zip(words, split) if not s], case
 
 
 @settings(max_examples=200)
